@@ -380,13 +380,16 @@ def _layer_metrics(wl, traced, layers, quality, times, traced_s, pool) -> dict:
     def count(name):
         return counts.get(name, 0)
 
+    def calls(name):
+        return spans.get(name, {}).get("calls", 0)
+
     generate = []
     for _ in range(3):
         t0 = time.perf_counter()
         wl.generate()
         generate.append(time.perf_counter() - t0)
     iter_ms = total("tcn.train") / count("tcn.iterations") * 1e3
-    profile_steps = spans.get("geometry.bounded_voronoi", {}).get("calls", 0)
+    profile_steps = calls("geometry.bounded_voronoi")
     tail_q, tail = _tail(traced["step_ms"])
     jobs = max(pool)
     speedup = pool[1] / pool[jobs]
@@ -407,6 +410,10 @@ def _layer_metrics(wl, traced, layers, quality, times, traced_s, pool) -> dict:
         ),
         "features.samples": (count("features.samples"), "count"),
         "features.max_present": (count("features.max_present"), "count"),
+        "features.frame_calls": (calls("features.frame"), "count"),
+        "features.frame_us": (
+            total("features.frame") / max(1, calls("features.frame")) * 1e6, "us"
+        ),
         "geometry.point_in_polygon_us": (layers["geometry.point_in_polygon_us"], "us"),
         "geometry.voronoi_sites": (layers["geometry.voronoi_sites"], "count"),
         "geometry.bounded_voronoi_ms": (layers["geometry.bounded_voronoi_ms"], "ms"),
@@ -430,6 +437,7 @@ def _layer_metrics(wl, traced, layers, quality, times, traced_s, pool) -> dict:
         "simulate.predict_calls": (count("simulate.predict_calls"), "count"),
         "simulate.predict_s": (total("simulate.predict"), "s"),
         "simulate.non_predict_s": (total("simulate.run") - total("simulate.predict"), "s"),
+        "simulate.features_s": (count("simulate.features_s"), "s"),
         "simulate.corrections": (count("simulate.corrections"), "count"),
         "evaluate.errors_s": (total("evaluate.errors"), "s"),
         "evaluate.profiles_s": (total("evaluate.profiles"), "s"),

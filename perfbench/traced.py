@@ -92,7 +92,7 @@ class _CountingModel:
 
 def install(tracer: Tracer) -> None:
     """Wrap the public calls of every layer that the CLI commands reach."""
-    from crowdtcn import cli, evaluate, ingest, simulate, tcn
+    from crowdtcn import cli, evaluate, features, ingest, simulate, tcn
 
     counts = tracer.counts
 
@@ -123,6 +123,7 @@ def install(tracer: Tracer) -> None:
         )
 
     cli.build_samples = tracer.wrap("features.build_samples", cli.build_samples, after_samples)
+    features.FeatureExtractor.frame = tracer.wrap("features.frame", features.FeatureExtractor.frame)
 
     def after_train(_result, args):
         counts["tcn.iterations"] += args[1].iterations
@@ -145,6 +146,7 @@ def install(tracer: Tracer) -> None:
 
     @functools.wraps(simulate_run)
     def run(scenario, seeds, model, *args, **kwargs):
+        frame_s = tracer.total["features.frame"]
         result = tracer.call(
             "simulate.run", simulate_run, scenario, seeds, _CountingModel(model, tracer),
             *args, **kwargs,
@@ -155,6 +157,7 @@ def install(tracer: Tracer) -> None:
             p["travel_steps"] for p in report["pedestrians"].values()
         )
         counts["simulate.corrections"] += report["total_corrections"]
+        counts["simulate.features_s"] += tracer.total["features.frame"] - frame_s
         return result
 
     cli.run = run
