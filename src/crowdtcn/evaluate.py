@@ -214,9 +214,7 @@ def voronoi_measures(
     area_m = polygon_area(measurement_area)
 
     if simple_density:
-        inside = np.array(
-            [point_in_polygon(p, measurement_area) for p in positions], dtype=bool
-        )
+        inside = point_in_polygon(positions, measurement_area)
         if not inside.any():
             return None
         rho = float(inside.sum()) / area_m

@@ -257,29 +257,32 @@ def polygon_clip(subject, clip) -> np.ndarray:
     return pts
 
 
-def point_in_polygon(p, polygon, include_boundary: bool = True) -> bool:
-    """Even-odd membership test; points on an edge count per ``include_boundary``."""
-    p = _as_point(p)
-    pts = np.asarray(polygon, dtype=float)
-    n = len(pts)
-    inside = False
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        seg = b - a
-        seg_sq = float(np.dot(seg, seg))
-        if seg_sq == 0.0:
-            continue
-        # boundary check
-        t = np.dot(p - a, seg) / seg_sq
-        if 0.0 <= t <= 1.0:
-            closest = a + t * seg
-            if np.linalg.norm(p - closest) <= EPS_GEO:
-                return include_boundary
-        if (a[1] > p[1]) != (b[1] > p[1]):
-            x_cross = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
-            if p[0] < x_cross:
-                inside = not inside
-    return inside
+def point_in_polygon(p, polygon, include_boundary: bool = True):
+    """Even-odd membership test; points on an edge count per ``include_boundary``.
+
+    ``p`` is one (2,) point, giving a bool, or an (N, 2) array of points,
+    giving an (N,) bool array. Zero-length edges are ignored.
+    """
+    q = np.asarray(p, dtype=float)
+    if q.shape != (2,) and (q.ndim != 2 or q.shape[1] != 2):
+        raise ValueError(f"expected a 2D point or an (N, 2) array, got shape {q.shape}")
+    a = np.asarray(polygon, dtype=float).reshape(-1, 2)
+    b = np.concatenate([a[1:], a[:1]])
+    ax, ay, bx, by = a[:, 0], a[:, 1], b[:, 0], b[:, 1]
+    sx, sy = bx - ax, by - ay
+    # points along axis 0, edges along axis 1
+    x, y = q.reshape(-1, 2)[:, :1], q.reshape(-1, 2)[:, 1:]
+    rx, ry = x - ax, y - ay
+    # a zero-length edge gives t = NaN and never straddles, so it drops out
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rx * sx + ry * sy) / (sx * sx + sy * sy)
+        x_cross = ax + ry / sy * sx
+    dx = x - (ax + t * sx)
+    dy = y - (ay + t * sy)
+    on_edge = ((t >= 0.0) & (t <= 1.0) & (np.sqrt(dx * dx + dy * dy) <= EPS_GEO)).any(axis=1)
+    inside = np.logical_xor.reduce(((ay > y) != (by > y)) & (x < x_cross), axis=1)
+    result = (inside | on_edge) if include_boundary else (inside & ~on_edge)
+    return bool(result[0]) if q.ndim == 1 else result
 
 
 def bounded_voronoi(sites, area) -> list[VoronoiCell]:

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy.signal import savgol_filter
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .features import heading as _heading
 from .geometry import point_in_polygon
@@ -204,15 +204,27 @@ def parse_trajectories(path_or_lines, spec: ColumnSpec = ColumnSpec()) -> dict[i
 def smooth(positions, window: int, polyorder: int) -> np.ndarray:
     """Savitzky-Golay smoothing of an (n, 2) position series.
 
-    Polynomials of degree <= polyorder pass through unchanged; output length
-    equals input length.
+    Each output point is the value of a least-squares polynomial of degree
+    polyorder fitted to the window of points centred on it. The first and
+    last window // 2 points take the fit over the first and last window
+    points instead, which reproduces scipy.signal.savgol_filter with
+    mode="interp". Polynomials of degree <= polyorder pass through unchanged;
+    output length equals input length.
     """
     pts = np.asarray(positions, dtype=float)
     if window % 2 == 0 or window <= polyorder or polyorder < 0:
         raise BadWindow(f"window {window} must be odd and exceed polyorder {polyorder}")
     if len(pts) < window:
         raise BadWindow(f"series of length {len(pts)} is shorter than window {window}")
-    return savgol_filter(pts, window_length=window, polyorder=polyorder, axis=0, mode="interp")
+    half = window // 2
+    vander = np.arange(-half, half + 1.0)[:, None] ** np.arange(polyorder + 1)
+    # row i maps a window of samples to its fitted value at offset i - half
+    proj = vander @ np.linalg.pinv(vander)
+    out = np.empty_like(pts)
+    out[half : len(pts) - half] = sliding_window_view(pts, window, axis=0) @ proj[half]
+    out[:half] = proj[:half] @ pts[:window]
+    out[len(pts) - half :] = proj[half + 1 :] @ pts[len(pts) - window :]
+    return out
 
 
 def resample(
@@ -237,7 +249,7 @@ def resample(
     frames = track.frames
     positions = track.positions
     if clip_polygon is not None:
-        keep = np.array([point_in_polygon(p, clip_polygon) for p in positions])
+        keep = point_in_polygon(positions, clip_polygon)
         frames = frames[keep]
         positions = positions[keep]
         if len(frames) == 0:

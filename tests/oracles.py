@@ -7,6 +7,8 @@ serve as an oracle for the production code without sharing its structure.
 
 import numpy as np
 
+from crowdtcn.geometry import EPS_GEO
+
 
 def solve_ray_segment(origin, direction, a, b):
     """Direct 2x2 linear solve of origin + t*d = a + u*(b - a); None if no hit."""
@@ -122,3 +124,28 @@ def tde_double_loop(expt_points, sim_points):
             best = min(best, d)
         total += best
     return total / len(expt_points)
+
+
+def point_in_polygon_loop(p, polygon, include_boundary=True):
+    """Per-edge even-odd membership of one point; edge points per include_boundary."""
+    p = np.asarray(p, dtype=float)
+    pts = np.asarray(polygon, dtype=float)
+    n = len(pts)
+    inside = False
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        seg = b - a
+        seg_sq = float(np.dot(seg, seg))
+        if seg_sq == 0.0:
+            continue
+        # boundary check
+        t = np.dot(p - a, seg) / seg_sq
+        if 0.0 <= t <= 1.0:
+            closest = a + t * seg
+            if np.linalg.norm(p - closest) <= EPS_GEO:
+                return include_boundary
+        if (a[1] > p[1]) != (b[1] > p[1]):
+            x_cross = a[0] + (p[1] - a[1]) / (b[1] - a[1]) * (b[0] - a[0])
+            if p[0] < x_cross:
+                inside = not inside
+    return inside

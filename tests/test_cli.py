@@ -6,6 +6,10 @@ through its argv interface exactly as the console script would.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -363,3 +367,20 @@ def test_sweep_single_combo_matches_pipeline(dataset_dir, tmp_path):
     row = (out / "sweep.csv").read_text().splitlines()[1]
     metrics = json.loads((out / "20-18" / "test.metrics.json").read_text())
     assert f"{metrics['tde_m']['mean']:.9g}" in row
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import crowdtcn.cli, sys; "
+        "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

@@ -14,6 +14,7 @@ from crowdtcn.geometry import (
     polygon_clip,
     ray_segment_intersection,
 )
+from oracles import point_in_polygon_loop
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 
@@ -239,6 +240,60 @@ def _convex_hull(pts):
     lower = half(pts)
     upper = half(pts[::-1])
     return np.array(lower[:-1] + upper[:-1])
+
+
+NON_CONVEX = np.array([[0.0, 0.0], [4.0, 0.0], [4.0, 3.0], [2.0, 1.0], [0.0, 3.0]])
+REPEATED_VERTEX = np.array([[0.0, 0.0], [2.0, 0.0], [2.0, 0.0], [2.0, 2.0], [0.0, 2.0]])
+
+
+def _membership_probes(rng, poly):
+    """Random points plus points on, near and level with the polygon's edges."""
+    a, b = poly, np.roll(poly, -1, axis=0)
+    seg = b - a
+    length = np.hypot(seg[:, 0], seg[:, 1])
+    keep = length > 0
+    a, seg, length = a[keep], seg[keep], length[keep]
+    normal = np.column_stack([-seg[:, 1], seg[:, 0]]) / length[:, None]
+    k = rng.integers(0, len(a), 2000)
+    along = a[k] + rng.uniform(0.0, 1.0, (2000, 1)) * seg[k]
+    off = rng.choice([0.0, 3e-10, -3e-10, 6e-10, -6e-10, 2e-9, -2e-9], size=(2000, 1))
+    near = along + off * normal[k]
+    lo, hi = poly.min(axis=0) - 1.0, poly.max(axis=0) + 1.0
+    level = np.column_stack(
+        [rng.uniform(lo[0], hi[0], 500), rng.choice(np.unique(poly[:, 1]), 500)]
+    )
+    return np.concatenate([rng.uniform(lo, hi, (2000, 2)), near, poly, level])
+
+
+class TestPointInPolygonArray:
+    @pytest.mark.parametrize(
+        "poly", [UNIT_SQUARE, NON_CONVEX, REPEATED_VERTEX], ids=["convex", "non_convex", "repeated"]
+    )
+    @pytest.mark.parametrize("include_boundary", [True, False])
+    def test_matches_scalar_loop_exactly(self, poly, include_boundary):
+        pts = _membership_probes(np.random.default_rng(21), poly)
+        got = point_in_polygon(pts, poly, include_boundary=include_boundary)
+        want = np.array([point_in_polygon_loop(p, poly, include_boundary) for p in pts])
+        assert got.dtype == bool and got.shape == (len(pts),)
+        np.testing.assert_array_equal(got, want)
+        # both outcomes and boundary hits occur among the probes
+        assert got.any() and not got.all()
+        on_edge = point_in_polygon(pts, poly, True) & ~point_in_polygon(pts, poly, False)
+        assert on_edge.sum() >= len(poly)
+
+    def test_point_form_returns_python_bool(self):
+        assert point_in_polygon(np.array([0.5, 0.5]), UNIT_SQUARE) is True
+        assert point_in_polygon([2.0, 0.5], UNIT_SQUARE) is False
+        assert point_in_polygon([1.0, 0.5], UNIT_SQUARE, include_boundary=False) is False
+
+    def test_empty_array(self):
+        out = point_in_polygon(np.zeros((0, 2)), UNIT_SQUARE)
+        assert out.shape == (0,) and out.dtype == bool
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 2, 2), (0,)])
+    def test_bad_shape_raises(self, shape):
+        with pytest.raises(ValueError):
+            point_in_polygon(np.zeros(shape), UNIT_SQUARE)
 
 
 class TestBoundedVoronoi:

@@ -188,6 +188,17 @@ class TestSmooth:
         with pytest.raises(BadWindow):
             smooth(series[:5], 9, 3)
 
+    @pytest.mark.parametrize("window,polyorder", [(9, 3), (7, 3), (5, 2), (11, 4), (3, 0)])
+    @pytest.mark.parametrize("extra", [0, 1, None], ids=["n=window", "n=window+1", "n=50"])
+    def test_matches_scipy_interp_mode(self, window, polyorder, extra):
+        signal = pytest.importorskip("scipy.signal")
+        n = 50 if extra is None else window + extra
+        rng = np.random.default_rng(window * 10 + polyorder)
+        series = np.cumsum(rng.standard_normal((n, 2)), axis=0) + [30.0, -4.0]
+        want = signal.savgol_filter(series, window, polyorder, axis=0, mode="interp")
+        got = smooth(series, window, polyorder)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(series).max()
+
     def test_smoothing_inside_resample(self):
         # a cubic raw path is invariant under smoothing, so both orders match
         frames = np.arange(0, 81)
