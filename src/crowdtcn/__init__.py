@@ -49,7 +49,6 @@ from .ingest import (
     parse_trajectories,
     resample,
     smooth,
-    snapshot,
     split,
     write_trajectory_file,
 )
@@ -103,7 +102,6 @@ __all__ = [
     "parse_trajectories",
     "resample",
     "smooth",
-    "snapshot",
     "split",
     "write_trajectory_file",
     # features

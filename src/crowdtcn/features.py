@@ -16,6 +16,12 @@ its heading:
 The per-step feature vector concatenates the pedestrian's own velocity with
 the relative velocities and relative positions of the sector neighbors and the
 relative ray points, all expressed in world-frame offsets from the pedestrian.
+
+Every function here works on one subject, given as (2,) position, velocity
+and heading, or on S subjects at once, given as (S, 2) arrays; batched
+results carry a leading S axis. The subjects of one call share a single
+others_pos/others_vel array, and self_index names each subject's own row in
+it, which that subject (and only it) skips.
 """
 
 from __future__ import annotations
@@ -26,7 +32,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Ray, Segment, first_hit, point_segment_distance, ray_segment_intersection
+from .geometry import (
+    Segment,
+    closest_points,
+    first_hits,
+    ray_segment_params,
+    segment_endpoints,
+)
 
 __all__ = [
     "SPEED_EPS",
@@ -146,62 +158,21 @@ def heading(velocity_history, default) -> np.ndarray:
     return d / norm
 
 
-def _sector_index(angles: np.ndarray, base: float, sector_rad: float, n: int) -> np.ndarray:
+def _sector_index(angles: np.ndarray, base: np.ndarray, sector_rad: float, n: int) -> np.ndarray:
     rel = np.mod(angles - base, TWO_PI)
     idx = np.floor(rel / sector_rad).astype(int)
     return np.minimum(idx, n - 1)  # guard the mod-boundary rounding case
 
 
-def _static_rel_velocity(mode: StaticVelocityMode, own_velocity: np.ndarray) -> np.ndarray:
-    if mode is StaticVelocityMode.MINUS_OWN:
-        return -own_velocity
-    return np.zeros(2)
-
-
-def _wedge_angle_ok(angle: float, lo: float, hi: float, base: float) -> bool:
+def _in_wedge(rel: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     # Closed membership with slack: candidates on either boundary ray are kept
     # so that sector minima agree with the infimum over the open wedge. The
     # mod can fold a boundary angle to either side of the 0 / 2*pi seam, so
     # both shifted values are tested as well.
-    rel = (angle - base) % TWO_PI
-    return any(lo - 1e-9 <= r <= hi + 1e-9 for r in (rel - TWO_PI, rel, rel + TWO_PI))
-
-
-def _segment_closest_in_wedge(
-    center: np.ndarray,
-    seg: Segment,
-    base: float,
-    lo: float,
-    hi: float,
-) -> tuple[float, np.ndarray] | None:
-    """Closest point of seg to center among points whose angle lies in [lo, hi].
-
-    lo/hi are angles relative to base (radians, anticlockwise). Candidates are
-    the unconstrained closest point, both endpoints, and the intersections
-    with the two wedge boundary rays.
-    """
-    candidates = []
-    d_free, p_free = point_segment_distance(center, seg)
-    candidates.append((d_free, p_free))
-    candidates.append((float(np.linalg.norm(seg.a - center)), seg.a))
-    candidates.append((float(np.linalg.norm(seg.b - center)), seg.b))
-    for bound in (lo, hi):
-        ang = base + bound
-        hit = ray_segment_intersection(Ray(center, (math.cos(ang), math.sin(ang))), seg)
-        if hit is not None:
-            candidates.append((float(np.linalg.norm(hit - center)), hit))
-    best = None
-    for d, p in candidates:
-        off = p - center
-        if d < 1e-12:
-            ang = 0.0  # coincident point: sector of angle 0, same rule as atan2(0, 0)
-        else:
-            ang = math.atan2(off[1], off[0])
-        if not _wedge_angle_ok(ang, lo, hi, base):
-            continue
-        if best is None or d < best[0]:
-            best = (d, p)
-    return best
+    ok = False
+    for r in (rel - TWO_PI, rel, rel + TWO_PI):
+        ok = ok | ((lo - 1e-9 <= r) & (r <= hi + 1e-9))
+    return ok
 
 
 def radar_neighbors(
@@ -213,74 +184,91 @@ def radar_neighbors(
     walls: list[Segment],
     cfg: RadarConfig,
     static_mode: StaticVelocityMode = StaticVelocityMode.MINUS_OWN,
+    self_index=None,
 ) -> SectorNeighbors:
     """Nearest entity per angular sector of the interaction disc.
 
     Sector 0 starts at the reverse of the heading and sectors advance
     anticlockwise; membership is half-open [start, start + sector). Empty
     sectors get a virtual neighbor on the disc at the sector bisector.
+
+    position, velocity and heading_vec are (2,) for one subject or (S, 2) for
+    S subjects, whose results then carry a leading S axis. All subjects share
+    others_pos/others_vel; self_index (one row per subject, or None) names
+    each subject's own row there, which only that subject skips.
+
+    Ties go to the lowest (distance, kind, index). Within a wall the
+    candidates are its closest point, its endpoints and its hits by the two
+    sector boundary rays, in that order, and the first nearest one is kept.
     """
-    p = np.asarray(position, dtype=float)
-    v = np.asarray(velocity, dtype=float)
-    h = np.asarray(heading_vec, dtype=float)
-    n = cfg.n_sectors
+    single = np.ndim(position) == 1
+    p, v, h = (
+        np.asarray(x, dtype=float).reshape(-1, 2) for x in (position, velocity, heading_vec)
+    )
+    S, n = len(p), cfg.n_sectors
     sector_rad = math.radians(cfg.sector_deg)
-    base = math.atan2(-h[1], -h[0])
-
-    # best per sector: (distance, kind, candidate index, rel position, rel velocity)
-    best: list[tuple[float, int, int] | None] = [None] * n
-    rel_pos = np.zeros((n, 2))
-    rel_vel = np.zeros((n, 2))
-
-    def offer(j: int, d: float, kind: int, idx: int, rp: np.ndarray, rv: np.ndarray):
-        cur = best[j]
-        if cur is None or (d, kind, idx) < cur:
-            best[j] = (d, kind, idx)
-            rel_pos[j] = rp
-            rel_vel[j] = rv
+    base = np.arctan2(-h[:, 1], -h[:, 0])
+    bounds = np.arange(n + 1) * sector_rad
+    lo, hi = bounds[:-1, None, None], bounds[1:, None, None]
 
     others_pos = np.asarray(others_pos, dtype=float).reshape(-1, 2)
     others_vel = np.asarray(others_vel, dtype=float).reshape(-1, 2)
-    if len(others_pos):
-        rel = others_pos - p
-        dists = np.hypot(rel[:, 0], rel[:, 1])
-        angles = np.arctan2(rel[:, 1], rel[:, 0])
-        sectors = _sector_index(angles, base, sector_rad, n)
-        for i in np.flatnonzero(dists <= cfg.radius):
-            offer(
-                int(sectors[i]),
-                float(dists[i]),
-                NeighborKind.PEDESTRIAN,
-                int(i),
-                rel[i],
-                others_vel[i] - v,
-            )
+    N = len(others_pos)
+    rel = others_pos - p[:, None]
+    dists = np.hypot(rel[..., 0], rel[..., 1])
+    sectors = _sector_index(np.arctan2(rel[..., 1], rel[..., 0]), base[:, None], sector_rad, n)
+    seen = dists <= cfg.radius
+    if self_index is not None:
+        seen[np.arange(S), np.reshape(self_index, -1)] = False
+    in_sector = seen[:, None] & (sectors[:, None] == np.arange(n)[:, None])
+    ped_d = np.where(in_sector, dists[:, None], np.inf)  # (S, n, N)
 
-    static_rv = _static_rel_velocity(static_mode, v)
-    for w_idx, seg in enumerate(walls):
-        d_free, _ = point_segment_distance(p, seg)
-        if d_free > cfg.radius:
-            continue
-        for j in range(n):
-            found = _segment_closest_in_wedge(p, seg, base, j * sector_rad, (j + 1) * sector_rad)
-            if found is None:
-                continue
-            d, point = found
-            if d <= cfg.radius:
-                offer(j, d, NeighborKind.WALL, w_idx, point - p, static_rv)
+    a, b = segment_endpoints(walls)
+    W = len(a)
+    _, closest = closest_points(p[:, None], a, b)
+    ang = base[:, None] + bounds
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)[:, :, None]
+    t, hit = ray_segment_params(p[:, None, None], dirs, a, b)
+    bnd = p[:, None, None] + t[..., None] * dirs  # (S, n + 1, W, 2)
+    pts = np.stack(np.broadcast_arrays(closest[:, None], a, b, bnd[:, :-1], bnd[:, 1:]), axis=3)
+    off = pts - p[:, None, None, None]  # (S, n, W, 5, 2)
+    d = np.hypot(off[..., 0], off[..., 1])
+    # a coincident point lies in the sector of angle 0, as atan2(0, 0) does
+    cand_ang = np.where(d < 1e-12, 0.0, np.arctan2(off[..., 1], off[..., 0]))
+    found = np.ones(d.shape, dtype=bool)
+    found[..., 3], found[..., 4] = hit[:, :-1], hit[:, 1:]
+    cand_rel = np.mod(cand_ang - base[:, None, None, None], TWO_PI)
+    found &= _in_wedge(cand_rel, lo, hi)
+    found &= (d <= cfg.radius) & (d[..., :1] <= cfg.radius)
+    wall_d = np.where(found, d, np.inf).reshape(S, n, 5 * W)
 
-    kinds = np.zeros(n, dtype=int)
-    indices = np.full(n, -1, dtype=int)
-    for j in range(n):
-        if best[j] is None:
-            ang = base + (j + 0.5) * sector_rad
-            rel_pos[j] = cfg.radius * np.array([math.cos(ang), math.sin(ang)])
-            rel_vel[j] = static_rv
-            kinds[j] = NeighborKind.VIRTUAL
-        else:
-            _, kind, idx = best[j]
-            kinds[j] = kind
-            indices[j] = idx
+    # candidates: pedestrians, then walls, then a virtual stand-in beyond the
+    # radius; argmin keeps the first minimum
+    virtual_d = np.full((S, n, 1), 2.0 * cfg.radius)
+    k = np.argmin(np.concatenate([ped_d, wall_d, virtual_d], axis=2), axis=2)
+    kinds = np.where(
+        k < N,
+        NeighborKind.PEDESTRIAN,
+        np.where(k < N + 5 * W, NeighborKind.WALL, NeighborKind.VIRTUAL),
+    )
+    # gather each sector's winner; a zero row appended to each candidate
+    # list stands in where the winner is of another kind
+    rows, cols = np.arange(S)[:, None], np.arange(n)
+    ped = np.minimum(k, N)
+    ped_rel = np.concatenate([rel, np.zeros((S, 1, 2))], axis=1)[rows, ped]
+    ped_vel = np.concatenate([others_vel, np.zeros((1, 2))])[ped] - v[:, None]
+    wall_off = np.concatenate([off.reshape(S, n, 5 * W, 2), np.zeros((S, n, 1, 2))], axis=2)
+    wall_rel = wall_off[rows, cols, np.clip(k - N, 0, 5 * W)]
+    virt_ang = base[:, None] + (cols + 0.5) * sector_rad
+    virtual = cfg.radius * np.stack([np.cos(virt_ang), np.sin(virt_ang)], axis=-1)
+    is_ped = (kinds == NeighborKind.PEDESTRIAN)[..., None]
+    is_wall = (kinds == NeighborKind.WALL)[..., None]
+    rel_pos = np.where(is_ped, ped_rel, np.where(is_wall, wall_rel, virtual))
+    static_rv = -v if static_mode is StaticVelocityMode.MINUS_OWN else np.zeros_like(v)
+    rel_vel = np.where(is_ped, ped_vel, static_rv[:, None])
+    indices = np.where(is_ped[..., 0], k, np.where(is_wall[..., 0], (k - N) // 5, -1))
+    if single:
+        rel_pos, rel_vel, kinds, indices = rel_pos[0], rel_vel[0], kinds[0], indices[0]
     return SectorNeighbors(rel_pos, rel_vel, kinds, indices)
 
 
@@ -294,39 +282,28 @@ def forward_wall_rays(
 
     Ray 0 points 90 degrees anticlockwise of the heading; successive rays step
     clockwise by step_deg down to 90 degrees clockwise. Rays that miss every
-    wall report a virtual point at exit_distance.
+    wall report a virtual point at exit_distance. An (S, 2) position and
+    heading give results with a leading S axis.
     """
-    p = np.asarray(position, dtype=float)
-    h = np.asarray(heading_vec, dtype=float)
-    head_ang = math.atan2(h[1], h[0])
+    single = np.ndim(position) == 1
+    p = np.asarray(position, dtype=float).reshape(-1, 2)
+    h = np.asarray(heading_vec, dtype=float).reshape(-1, 2)
     step = math.radians(cfg.step_deg)
-    n = cfg.n_rays
-    rel_points = np.zeros((n, 2))
-    wall_indices = np.full(n, -1, dtype=int)
-    for k in range(n):
-        ang = head_ang + 0.5 * math.pi - k * step
-        direction = np.array([math.cos(ang), math.sin(ang)])
-        hit = first_hit(Ray(p, direction), walls)
-        if hit is None:
-            rel_points[k] = cfg.exit_distance * direction
-        else:
-            rel_points[k] = hit[0] - p
-            wall_indices[k] = hit[1]
-    return RayScan(rel_points, wall_indices)
+    ang = np.arctan2(h[:, 1], h[:, 0])[:, None] + 0.5 * math.pi - np.arange(cfg.n_rays) * step
+    dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
+    pts, idx = first_hits(p[:, None], dirs, *segment_endpoints(walls))
+    rel = np.where(idx[..., None] < 0, cfg.exit_distance * dirs, pts - p[:, None])
+    return RayScan(rel[0], idx[0]) if single else RayScan(rel, idx)
 
 
 def assemble_frame(velocity, neighbors: SectorNeighbors, rays: RayScan) -> np.ndarray:
     """Flatten one step's features: [v, neighbor rel velocities, neighbor rel
-    positions, ray rel points], each block row-major."""
-    v = np.asarray(velocity, dtype=float).reshape(2)
-    return np.concatenate(
-        [
-            v,
-            neighbors.rel_velocities.ravel(),
-            neighbors.rel_positions.ravel(),
-            rays.rel_points.ravel(),
-        ]
-    )
+    positions, ray rel points], each block row-major. A (S, 2) velocity with
+    batched neighbors and rays gives (S, F) frames."""
+    v = np.asarray(velocity, dtype=float)
+    lead = v.shape[:-1]
+    blocks = (neighbors.rel_velocities, neighbors.rel_positions, rays.rel_points)
+    return np.concatenate([v] + [x.reshape(*lead, -1) for x in blocks], axis=-1)
 
 
 def feature_dim(radar: RadarConfig, rays: RayScanConfig) -> int:
@@ -346,14 +323,17 @@ class FeatureExtractor:
     rays: RayScanConfig
     radar_walls: list[Segment] = field(default_factory=list)
     ray_walls: list[Segment] = field(default_factory=list)
-    default_heading: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0]))
     static_mode: StaticVelocityMode = StaticVelocityMode.MINUS_OWN
 
     @property
     def feature_dim(self) -> int:
         return feature_dim(self.radar, self.rays)
 
-    def frame(self, position, velocity, heading_vec, others_pos, others_vel) -> np.ndarray:
+    def frame(
+        self, position, velocity, heading_vec, others_pos, others_vel, self_index=None
+    ) -> np.ndarray:
+        """Feature frame of one subject ((2,) inputs) or of S subjects ((S, 2)
+        inputs, (S, F) result) against shared others; see radar_neighbors."""
         neighbors = radar_neighbors(
             position,
             velocity,
@@ -363,6 +343,7 @@ class FeatureExtractor:
             self.radar_walls,
             self.radar,
             self.static_mode,
+            self_index,
         )
         scan = forward_wall_rays(position, heading_vec, self.ray_walls, self.rays)
         return assemble_frame(velocity, neighbors, scan)

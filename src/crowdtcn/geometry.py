@@ -1,8 +1,10 @@
 """2D geometry kernel: segments, rays, polygon clipping, bounded Voronoi cells.
 
 All functions are pure and operate on plain numpy arrays (shape (2,) points,
-metres). Coordinates are double precision; predicates use an absolute
-tolerance EPS_GEO, far below the centimetre resolution of trajectory data.
+metres). closest_points, ray_segment_params and first_hits broadcast over
+(..., 2) arrays; the Segment and Ray forms are one-item calls of them.
+Coordinates are double precision; predicates use an absolute tolerance
+EPS_GEO, far below the centimetre resolution of trajectory data.
 """
 
 from __future__ import annotations
@@ -20,6 +22,10 @@ __all__ = [
     "VoronoiCell",
     "DegenerateSites",
     "SelfIntersecting",
+    "segment_endpoints",
+    "closest_points",
+    "ray_segment_params",
+    "first_hits",
     "point_segment_distance",
     "ray_segment_intersection",
     "first_hit",
@@ -60,11 +66,6 @@ class Segment:
             raise ValueError("segment endpoints coincide")
 
     @property
-    def direction(self) -> np.ndarray:
-        d = self.b - self.a
-        return d / np.linalg.norm(d)
-
-    @property
     def length(self) -> float:
         return float(np.linalg.norm(self.b - self.a))
 
@@ -101,43 +102,77 @@ def _cross(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
 
 
+def segment_endpoints(segments) -> tuple[np.ndarray, np.ndarray]:
+    """Start and end points of a list of segments as two (W, 2) arrays."""
+    ends = np.array([(s.a, s.b) for s in segments], dtype=float).reshape(-1, 2, 2)
+    return ends[:, 0], ends[:, 1]
+
+
+def closest_points(p, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Distances from points ``p`` to segments ``a``-``b`` and the closest points.
+
+    All inputs are (..., 2) arrays that broadcast against each other.
+    """
+    d = b - a
+    r = p - a
+    dd = d[..., 0] ** 2 + d[..., 1] ** 2
+    t = np.clip((r[..., 0] * d[..., 0] + r[..., 1] * d[..., 1]) / dd, 0.0, 1.0)
+    closest = a + t[..., None] * d
+    return np.hypot(p[..., 0] - closest[..., 0], p[..., 1] - closest[..., 1]), closest
+
+
+def ray_segment_params(origin, direction, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Ray parameters t >= 0 of ray-segment intersections, and whether each hits.
+
+    Broadcasts (..., 2) ray origins and unit directions against (..., 2)
+    segment endpoints. Endpoints are inclusive. When a ray is collinear with
+    its segment, t is that of the overlap point nearest the ray origin.
+    """
+    dx, dy = direction[..., 0], direction[..., 1]
+    ex, ey = b[..., 0] - a[..., 0], b[..., 1] - a[..., 1]
+    rx, ry = a[..., 0] - origin[..., 0], a[..., 1] - origin[..., 1]
+    denom = dx * ey - dy * ex
+    parallel = np.abs(denom) <= EPS_GEO * np.hypot(ex, ey)
+    # parallel: collinear iff the segment start lies on the ray's line
+    collinear = np.abs(dx * ry - dy * rx) <= EPS_GEO * np.maximum(1.0, np.hypot(rx, ry))
+    ta = rx * dx + ry * dy
+    tb = (b[..., 0] - origin[..., 0]) * dx + (b[..., 1] - origin[..., 1]) * dy
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rx * ey - ry * ex) / denom
+        u = (rx * dy - ry * dx) / denom
+    crosses = (t >= -EPS_GEO) & (u >= -EPS_GEO) & (u <= 1.0 + EPS_GEO)
+    hits = np.where(parallel, collinear & (np.maximum(ta, tb) >= -EPS_GEO), crosses)
+    return np.maximum(np.where(parallel, np.minimum(ta, tb), t), 0.0), hits
+
+
+def first_hits(origin, direction, a, b) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest intersection of each ray with the (W, 2) segments ``a``-``b``.
+
+    ``origin`` and ``direction`` are (..., 2). Returns the hit points
+    (..., 2) and wall indices (...,), -1 where a ray hits nothing. Walls are
+    scanned in index order and a later one wins only when it is nearer by
+    more than EPS_GEO, so ties break toward the lowest wall index.
+    """
+    t, hits = ray_segment_params(origin[..., None, :], direction[..., None, :], a, b)
+    best_t = np.full(t.shape[:-1], np.inf)
+    best = np.full(t.shape[:-1], -1)
+    for w in range(t.shape[-1]):
+        take = hits[..., w] & (t[..., w] < best_t - EPS_GEO)
+        best_t = np.where(take, t[..., w], best_t)
+        best = np.where(take, w, best)
+    return origin + np.where(best < 0, 0.0, best_t)[..., None] * direction, best
+
+
 def point_segment_distance(p, s: Segment) -> tuple[float, np.ndarray]:
     """Distance from point ``p`` to segment ``s`` and the closest point on it."""
-    p = _as_point(p)
-    d = s.b - s.a
-    t = float(np.dot(p - s.a, d) / np.dot(d, d))
-    t = min(1.0, max(0.0, t))
-    closest = s.a + t * d
-    return float(np.linalg.norm(p - closest)), closest
+    d, closest = closest_points(_as_point(p), s.a, s.b)
+    return float(d), closest
 
 
 def ray_segment_intersection(r: Ray, s: Segment) -> np.ndarray | None:
-    """Intersection point of ray and segment, or None.
-
-    Endpoints are inclusive. When the ray is collinear with the segment the
-    overlap point nearest the ray origin is returned.
-    """
-    d = r.direction
-    e = s.b - s.a
-    denom = _cross(d, e)
-    rel = s.a - r.origin
-    if abs(denom) <= EPS_GEO * float(np.linalg.norm(e)):
-        # Parallel. Collinear iff the segment start lies on the ray's line.
-        if abs(_cross(d, rel)) > EPS_GEO * max(1.0, float(np.linalg.norm(rel))):
-            return None
-        ta = float(np.dot(rel, d))
-        tb = float(np.dot(s.b - r.origin, d))
-        lo, hi = min(ta, tb), max(ta, tb)
-        if hi < -EPS_GEO:
-            return None
-        t = max(lo, 0.0)
-        return r.origin + t * d
-    t = _cross(rel, e) / denom
-    u = _cross(rel, d) / denom
-    if t < -EPS_GEO or u < -EPS_GEO or u > 1.0 + EPS_GEO:
-        return None
-    t = max(t, 0.0)
-    return r.origin + t * d
+    """Intersection point of ray and segment, or None (see ray_segment_params)."""
+    t, hit = ray_segment_params(r.origin, r.direction, s.a, s.b)
+    return r.origin + t * r.direction if hit else None
 
 
 def first_hit(r: Ray, walls: list[Segment]) -> tuple[np.ndarray, int] | None:
@@ -145,17 +180,8 @@ def first_hit(r: Ray, walls: list[Segment]) -> tuple[np.ndarray, int] | None:
 
     Ties break toward the lowest wall index.
     """
-    best = None
-    best_t = np.inf
-    for idx, w in enumerate(walls):
-        pt = ray_segment_intersection(r, w)
-        if pt is None:
-            continue
-        t = float(np.dot(pt - r.origin, r.direction))
-        if t < best_t - EPS_GEO:
-            best = (pt, idx)
-            best_t = t
-    return best
+    pt, idx = first_hits(r.origin, r.direction, *segment_endpoints(walls))
+    return None if idx < 0 else (pt, int(idx))
 
 
 def polygon_area(polygon) -> float:

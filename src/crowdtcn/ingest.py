@@ -40,7 +40,6 @@ __all__ = [
     "load_trajectories",
     "load_step_trajectories",
     "write_trajectory_file",
-    "snapshot",
     "build_samples",
     "split",
 ]
@@ -353,24 +352,6 @@ def write_trajectory_file(path, trajectories) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
-def snapshot(trajectories: dict[int, Trajectory], step: int, exclude: int | None = None):
-    """Positions and velocities of all pedestrians present at a global step.
-
-    Pedestrians at their entry step appear with zero velocity (no backward
-    difference exists yet). Returns (ids, positions (n, 2), velocities (n, 2)).
-    """
-    ids, pos, vel = [], [], []
-    for ped, traj in trajectories.items():
-        if ped == exclude or not traj.covers(step):
-            continue
-        ids.append(ped)
-        pos.append(traj.position_at(step))
-        vel.append(traj.velocity_at(step))
-    if ids:
-        return ids, np.array(pos), np.array(vel)
-    return ids, np.zeros((0, 2)), np.zeros((0, 2))
-
-
 def build_samples(
     trajectories: dict[int, Trajectory],
     extractor,
@@ -383,28 +364,34 @@ def build_samples(
     t - w + 1 .. t and targets the observed velocity of arrival at t + 1, so a
     trajectory with n velocities yields max(0, n - w) samples. Feature frames
     exist from each pedestrian's first transition onward.
+
+    Frames come from one extractor.frame call per global step with (S, 2)
+    inputs for the S pedestrians past their entry step. Everyone present at
+    the step, in ``trajectories`` order, is in the shared others arrays
+    (pedestrians at their entry step with zero velocity); self_index points
+    each subject at its own row, which it skips.
     """
+    frames: dict[int, dict[int, np.ndarray]] = {ped: {} for ped in trajectories}
+    first = min((tr.enter_step for tr in trajectories.values()), default=0)
+    last = max((tr.last_step for tr in trajectories.values()), default=0)
+    for step in range(first + 1, last + 1):
+        present = [(ped, tr) for ped, tr in trajectories.items() if tr.covers(step)]
+        movers = [i for i, (_, tr) in enumerate(present) if tr.enter_step < step]
+        if not movers:
+            continue
+        pos = np.array([tr.position_at(step) for _, tr in present])
+        vel = np.array([tr.velocity_at(step) for _, tr in present])
+        heads = np.array(
+            [_heading(tr.velocities[: step - tr.enter_step], default_heading) for _, tr in present]
+        )
+        batch = extractor.frame(pos[movers], vel[movers], heads[movers], pos, vel, movers)
+        for i, frame in zip(movers, batch):
+            frames[present[i][0]][step] = frame
     samples: list[WindowSample] = []
-    frames_by_ped: dict[int, dict[int, np.ndarray]] = {}
-    for ped, traj in trajectories.items():
-        frames: dict[int, np.ndarray] = {}
-        for local in range(1, traj.n_steps + 1):
-            step = traj.enter_step + local
-            ids, pos, vel = snapshot(trajectories, step, exclude=ped)
-            head = _heading(traj.velocities[:local], default_heading)
-            frames[step] = extractor.frame(
-                traj.position_at(step),
-                traj.velocity_at(step),
-                head,
-                pos,
-                vel,
-            )
-        frames_by_ped[ped] = frames
     for ped, traj in sorted(trajectories.items()):
-        frames = frames_by_ped[ped]
         for local_t in range(w, traj.n_steps):
             t = traj.enter_step + local_t
-            window = np.stack([frames[s] for s in range(t - w + 1, t + 1)])
+            window = np.stack([frames[ped][s] for s in range(t - w + 1, t + 1)])
             target = traj.velocities[local_t]  # arrival velocity at t + 1
             samples.append(WindowSample(input=window, target=target.copy(), ped_id=ped, step=t))
     return samples

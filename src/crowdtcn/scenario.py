@@ -169,7 +169,6 @@ class Scenario:
             rays=self.rays,
             radar_walls=self.radar_walls,
             ray_walls=self.ray_walls,
-            default_heading=self.default_heading,
             static_mode=self.static_velocity_mode,
         )
 

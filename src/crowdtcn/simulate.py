@@ -163,7 +163,13 @@ def _first_crossing(p0: np.ndarray, p1: np.ndarray, segments):
 
 
 class SimWorld:
-    """Mutable simulation state advanced one synchronous step at a time."""
+    """Mutable simulation state advanced one synchronous step at a time.
+
+    Each step stores a snapshot of everyone active, as sorted ids with their
+    positions and velocities, and computes the new feature frames of all
+    pedestrians past their entry step in one extractor.frame call on (S, 2)
+    inputs, with self_index naming each subject's row in the snapshot.
+    """
 
     def __init__(self, scenario: Scenario, model, seeds, config: SimConfig = SimConfig()):
         if model.arch.feature_dim != scenario.feature_dim:
@@ -197,34 +203,20 @@ class SimWorld:
         self.exited: dict[int, SimulatedTrajectory] = {}
         self.clock: int = self.pending[0].enter_step if self.pending else 0
         self.total_corrections: int = 0
-        # historical snapshots, world step -> {id: (position, velocity)}
-        self._snapshots: dict[int, dict] = {}
+        # historical snapshots, world step -> (sorted ids, positions, velocities)
+        self._snapshots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def population(self) -> int:
         return len(self.pending) + len(self.active) + len(self.exited)
 
-    def _frame_at(self, st: _PedState, local: int, snap: dict) -> np.ndarray:
-        pos = st.positions[local]
-        vel = st.velocities[local - 1]
-        head = heading(st.velocities[:local], self.scenario.default_heading)
-        others_pos = []
-        others_vel = []
-        for pid, (p, v) in snap.items():
-            if pid != st.ped_id:
-                others_pos.append(p)
-                others_vel.append(v)
-        return self.extractor.frame(
-            pos,
-            vel,
-            head,
-            np.array(others_pos, dtype=float).reshape(-1, 2),
-            np.array(others_vel, dtype=float).reshape(-1, 2),
-        )
-
     def _correct(self, st: _PedState, p_cur, v_hat, tentative, wall: Segment, t: int):
         """Place the pedestrian standoff-inside the crossed wall and rewrite
-        its recent velocities and feature frames. Returns snapshot updates."""
+        its recent velocities and feature frames. Returns snapshot updates.
+
+        The recomputed frames take the pedestrian's own position, velocity and
+        heading from its rewritten history and everyone else from that step's
+        snapshot, which still holds the pre-correction velocities."""
         cfg = self.config
         e = wall.b - wall.a
         # inward normal: the pedestrian came from the walkable side, so point
@@ -269,9 +261,13 @@ class SimWorld:
         updates = []
         for local in range(max(1, s_new - k + 1), s_new):
             world_step = st.enter_step + local
-            snap = self._snapshots[world_step]
-            st.frames[local - 1] = self._frame_at(st, local, snap)
-            updates.append((world_step, st.ped_id, replacement))
+            ids, pos, vel = self._snapshots[world_step]
+            row = int(np.searchsorted(ids, st.ped_id))
+            head = heading(st.velocities[:local], self.scenario.default_heading)
+            st.frames[local - 1] = self.extractor.frame(
+                st.positions[local], st.velocities[local - 1], head, pos, vel, row
+            )
+            updates.append((vel, row, replacement))
         return updates
 
     def step(self) -> None:
@@ -283,23 +279,23 @@ class SimWorld:
             st.positions.append(np.asarray(st.seed.positions[0], dtype=float).copy())
             self.active[st.ped_id] = st
 
-        zero = np.zeros(2)
-        snap = {
-            pid: (
-                np.asarray(st.positions[-1], dtype=float),
-                np.asarray(st.velocities[-1], dtype=float) if st.velocities else zero,
-            )
-            for pid, st in sorted(self.active.items())
-        }
-        self._snapshots[t] = snap
+        order = sorted(self.active)
+        states = [self.active[pid] for pid in order]
+        pos = np.array([st.positions[-1] for st in states]).reshape(-1, 2)
+        vel = np.array([st.velocities[-1] if st.velocities else (0.0, 0.0) for st in states])
+        vel = vel.reshape(-1, 2)
+        self._snapshots[t] = (np.array(order, dtype=int), pos, vel)
         for old in [s for s in self._snapshots if s < t - cfg.window + 1]:
             del self._snapshots[old]
 
-        order = sorted(self.active)
-        for pid in order:
-            st = self.active[pid]
-            if st.steps_since_entry >= 1:
-                st.frames.append(self._frame_at(st, st.steps_since_entry, snap))
+        # one frame call for everyone past the entry step, against the snapshot
+        movers = [i for i, st in enumerate(states) if st.steps_since_entry >= 1]
+        if movers:
+            heads = [heading(states[i].velocities, self.scenario.default_heading) for i in movers]
+            heads = np.array(heads)
+            batch = self.extractor.frame(pos[movers], vel[movers], heads, pos, vel, movers)
+            for i, frame in zip(movers, batch):
+                states[i].frames.append(frame)
 
         decisions: dict[int, np.ndarray] = {}
         for pid in order:
@@ -341,9 +337,8 @@ class SimWorld:
 
         # corrections commit after all decisions, so within a step nobody
         # observes another pedestrian's corrected history
-        for world_step, pid, velocity in snapshot_updates:
-            pos, _ = self._snapshots[world_step][pid]
-            self._snapshots[world_step][pid] = (pos, velocity)
+        for snap_vel, row, velocity in snapshot_updates:
+            snap_vel[row] = velocity
 
         for pid in exits:
             st = self.active.pop(pid)

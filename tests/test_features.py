@@ -328,3 +328,51 @@ class TestAssembledFrame:
             [0, 0], [1, 0], h, rng.uniform(-1, 1, (25, 2)), rng.uniform(-1, 1, (25, 2))
         )
         assert empty.shape == crowded.shape == (156,)
+
+
+class TestBatchedFrames:
+    @staticmethod
+    def scene(rng, n_ped, n_wall):
+        pos = rng.uniform(-2, 2, (n_ped, 2))
+        vel = rng.uniform(-1.5, 1.5, (n_ped, 2))
+        walls = []
+        for _ in range(n_wall):
+            a = rng.uniform(-4, 4, 2)
+            b = a + rng.uniform(-5, 5, 2)
+            if np.linalg.norm(b - a) < 1e-2:
+                b = a + np.array([1.0, 0.0])
+            walls.append(Segment(a, b))
+        return pos, vel, vel / np.linalg.norm(vel, axis=1, keepdims=True), walls
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_batch_equals_single_calls(self, seed):
+        rng = np.random.default_rng(3000 + seed)
+        for scene in range(25):
+            n_ped, n_wall = int(rng.integers(1, 40)), int(rng.integers(0, 8))
+            pos, vel, heads, walls = self.scene(rng, n_ped, n_wall)
+            if scene % 3 == 0 and len(pos) > 1:
+                pos[1] = pos[0]
+            mode = list(StaticVelocityMode)[scene % 2]
+            ex = FeatureExtractor(RadarConfig(), RayScanConfig(), walls, walls, static_mode=mode)
+            rows = np.arange(len(pos))
+            frames = ex.frame(pos, vel, heads, pos, vel, rows)
+            kinds = radar_neighbors(pos, vel, heads, pos, vel, walls, ex.radar, mode, rows).kinds
+            assert frames.shape == (len(pos), ex.feature_dim)
+            for i in rows:
+                others = rows != i
+                single = ex.frame(pos[i], vel[i], heads[i], pos[others], vel[others])
+                nbrs = radar_neighbors(
+                    pos[i], vel[i], heads[i], pos[others], vel[others], walls, ex.radar, mode
+                )
+                np.testing.assert_array_equal(frames[i], single)
+                np.testing.assert_array_equal(kinds[i], nbrs.kinds)
+
+    def test_self_index_skips_only_own_row(self):
+        cfg = RadarConfig(radius=1.2, sector_deg=90)
+        pos = np.zeros((2, 2))
+        vel = np.array([[1.0, 0.0], [0.5, 0.0]])
+        res = radar_neighbors(pos, vel, [[1, 0], [1, 0]], pos, vel, [], cfg, self_index=[0, 1])
+        # each sees the other at distance 0, in the sector of angle 0
+        assert res.kinds.tolist() == [[0, 0, 1, 0], [0, 0, 1, 0]]
+        np.testing.assert_array_equal(res.rel_positions[:, 2], 0.0)
+        np.testing.assert_array_equal(res.rel_velocities[:, 2], [[-0.5, 0.0], [0.5, 0.0]])

@@ -214,8 +214,8 @@ class DummyExtractor:
 
     feature_dim = 3
 
-    def frame(self, position, velocity, heading_vec, others_pos, others_vel):
-        return np.array([velocity[0], velocity[1], position[0]])
+    def frame(self, position, velocity, heading_vec, others_pos, others_vel, self_index=None):
+        return np.column_stack([velocity[:, 0], velocity[:, 1], position[:, 0]])
 
 
 def straight_trajectory(ped, enter, n_velocities, speed=1.0, dt=0.5):

@@ -5,9 +5,15 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from crowdtcn.features import RadarConfig, RayScanConfig
+from crowdtcn.features import RadarConfig, RayScanConfig, heading
 from crowdtcn.geometry import Segment
-from crowdtcn.ingest import Trajectory, parse_trajectories, write_trajectory_file
+from crowdtcn.ingest import (
+    Trajectory,
+    build_samples,
+    load_trajectories,
+    parse_trajectories,
+    write_trajectory_file,
+)
 from crowdtcn.scenario import Scenario
 from crowdtcn.simulate import (
     MissingSeedData,
@@ -17,6 +23,7 @@ from crowdtcn.simulate import (
     SimWorld,
     run,
 )
+from crowdtcn.synth import corridor_dataset, write_dataset
 
 DT = 0.5
 
@@ -156,6 +163,75 @@ def test_boundary_correction_hand_case():
     np.testing.assert_allclose(st.frames[4][:2], expected_dir, atol=1e-12)
     # postcondition: strictly inside the walkable region
     assert abs(st.positions[6][1]) < 1.5
+
+
+def test_same_step_corrections_see_pre_step_history():
+    # two pedestrians 0.5 m apart both land on the top wall at step 6
+    sc = corridor(half_width=1.5, length=20.0)
+    v = np.array([0.6, 0.8])
+    seeds = [make_seed(4, 0, (1.0, -0.9), v, 4), make_seed(5, 0, (1.5, -0.9), v, 4)]
+    world = SimWorld(sc, constant_model(v, sc), seeds, CFG)
+    for _ in range(5):
+        world.step()
+    pre_step = {pid: np.array(st.velocities) for pid, st in world.active.items()}
+    world.step()
+    a, b = world.active[4], world.active[5]
+    assert a.corrected_steps == b.corrected_steps == [6]
+    span = (4, 5)  # the recomputed frames
+    for st, other in ((a, b), (b, a)):
+
+        def frames(other_velocities):
+            return np.array(
+                [
+                    world.extractor.frame(
+                        st.positions[local],
+                        st.velocities[local - 1],
+                        heading(st.velocities[:local], sc.default_heading),
+                        other.positions[local][None],
+                        other_velocities[local - 1][None],
+                    )
+                    for local in span
+                ]
+            )
+
+        stored = np.array([st.frames[local - 1] for local in span])
+        np.testing.assert_array_equal(stored, frames(pre_step[other.ped_id]))
+        assert not np.array_equal(stored, frames(np.array(other.velocities)))
+
+
+def test_replay_matches_training_windows(tmp_path):
+    """A model that replays the recorded velocities is fed the training windows."""
+    dataset = corridor_dataset(seed=0)
+    sc = dataset.scenario
+    w = 8
+    trajs = load_trajectories(write_dataset(dataset, tmp_path)["testing"], sc)
+    trajs = {pid: tr for pid, tr in trajs.items() if tr.n_steps >= w}
+    fed = {}
+
+    class Replay:
+        arch = SimpleNamespace(feature_dim=sc.feature_dim, window=w)
+
+        def predict(self, window):
+            pid = self.queue.pop(0)
+            fed[(pid, world.clock)] = np.array(window)
+            tr, s = trajs[pid], world.active[pid].steps_since_entry
+            return tr.velocities[s] if s < tr.n_steps else np.array([4.0 * sc.diameter(), 0.0])
+
+    model = Replay()
+    world = SimWorld(sc, model, trajs.values(), SimConfig(window=w))
+    for _ in range(200):
+        if not (world.pending or world.active):
+            break
+        active = world.active
+        model.queue = [pid for pid in sorted(active) if active[pid].steps_since_entry >= w]
+        world.step()
+        assert model.queue == []
+    assert len(world.exited) == len(trajs)
+    samples = build_samples(trajs, sc.extractor(), sc.default_heading, w=w)
+    assert samples
+    for sample in samples:
+        got = fed[(sample.ped_id, sample.step)]
+        np.testing.assert_allclose(got, sample.input, rtol=0, atol=1e-9)
 
 
 def test_on_boundary_parallel_motion_is_not_corrected():
