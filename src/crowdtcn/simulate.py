@@ -8,6 +8,12 @@ entrance). All pedestrians advance synchronously: every decision within a
 time step is computed from the same start-of-step snapshot, so the iteration
 order over pedestrians cannot change the outcome.
 
+Predictions are batched per step: the lookback windows of every pedestrian
+past its seed phase go to one model.predict call as a (B, window, F) array,
+rows in sorted-id order. A window's prediction may differ from a
+single-window call by float32 rounding, because the batch shapes differ.
+A non-finite prediction raises NonFinitePrediction naming the pedestrians.
+
 A step that would carry a pedestrian through a wall is intercepted: the
 pedestrian is placed a small standoff inside the wall at the crossing point,
 its recent velocities are rewritten to a blend of wall tangent and inward
@@ -37,6 +43,7 @@ __all__ = [
     "MissingSeedData",
     "ModelShapeMismatch",
     "NoInwardDirection",
+    "NonFinitePrediction",
     "SimConfig",
     "SimulatedTrajectory",
     "SimResult",
@@ -55,6 +62,10 @@ class ModelShapeMismatch(ValueError):
 
 class NoInwardDirection(RuntimeError):
     """Boundary correction could not place the pedestrian back inside."""
+
+
+class NonFinitePrediction(RuntimeError):
+    """The model predicted a NaN or infinite velocity."""
 
 
 @dataclass(frozen=True)
@@ -297,22 +308,36 @@ class SimWorld:
             for i, frame in zip(movers, batch):
                 states[i].frames.append(frame)
 
-        decisions: dict[int, np.ndarray] = {}
-        for pid in order:
-            st = self.active[pid]
+        # seed velocities until the history covers the window, then one
+        # predict call for everyone past that point
+        decisions = np.empty((len(states), 2))
+        ready = []
+        for i, st in enumerate(states):
             s = st.steps_since_entry
             if s >= cfg.window:
-                window = np.stack(st.frames[s - cfg.window : s])
-                decisions[pid] = np.asarray(self.model.predict(window), dtype=float)
+                ready.append(i)
             else:
-                decisions[pid] = np.asarray(st.seed.velocities[s], dtype=float)
+                decisions[i] = st.seed.velocities[s]
+        if ready:
+            windows = np.array([states[i].frames[-cfg.window :] for i in ready])
+            predicted = np.asarray(self.model.predict(windows), dtype=float)
+            finite = np.isfinite(predicted).all(axis=1)
+            if not finite.all():
+                bad = [order[i] for i, ok in zip(ready, finite) if not ok]
+                raise NonFinitePrediction(
+                    f"model predicted a non-finite velocity for pedestrians {bad} "
+                    f"at step {t + 1}"
+                )
+            decisions[ready] = predicted
 
+        tentatives = pos + cfg.dt * decisions
+        inside = point_in_polygon(
+            tentatives, self.scenario.walkable_polygon, include_boundary=True
+        )
         exits: list[int] = []
         snapshot_updates: list[tuple] = []
-        for pid in order:
-            st = self.active[pid]
-            p_cur = st.positions[-1]
-            tentative = p_cur + cfg.dt * decisions[pid]
+        for i, (pid, st) in enumerate(zip(order, states)):
+            p_cur, tentative = pos[i], tentatives[i]
             dep = _first_crossing(p_cur, tentative, self.scenario.departure_segments)
             hit = _first_crossing(p_cur, tentative, self.scenario.walls)
             if dep is not None and (hit is None or dep[0] <= hit[0]):
@@ -321,17 +346,15 @@ class SimWorld:
                 exits.append(pid)
             elif hit is not None:
                 snapshot_updates += self._correct(
-                    st, p_cur, decisions[pid], tentative, self.scenario.walls[hit[1]], t
+                    st, p_cur, decisions[i], tentative, self.scenario.walls[hit[1]], t
+                )
+            elif not inside[i]:
+                raise NoInwardDirection(
+                    f"pedestrian {pid} left the walkable region at step {t + 1} "
+                    f"at ({tentative[0]:.3f}, {tentative[1]:.3f}) without crossing "
+                    "a wall or departure segment"
                 )
             else:
-                if not point_in_polygon(
-                    tentative, self.scenario.walkable_polygon, include_boundary=True
-                ):
-                    raise NoInwardDirection(
-                        f"pedestrian {pid} left the walkable region at step {t + 1} "
-                        f"at ({tentative[0]:.3f}, {tentative[1]:.3f}) without crossing "
-                        "a wall or departure segment"
-                    )
                 st.positions.append(tentative)
                 st.velocities.append((tentative - p_cur) / cfg.dt)
 

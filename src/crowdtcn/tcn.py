@@ -502,7 +502,13 @@ class Model:
     meta: dict = field(default_factory=dict)
 
     def predict(self, windows: np.ndarray) -> np.ndarray:
-        """Inference on raw (unnormalized) windows (B, w, F) or (w, F)."""
+        """Inference on raw (unnormalized) windows (B, w, F) or (w, F).
+
+        The simulator batches every pedestrian's window of a step into one
+        call. float32 matmuls round differently for different batch shapes,
+        so a window's prediction in a batch may differ from a single-window
+        call in the last float32 digits.
+        """
         x = np.asarray(windows, dtype=float)
         single = x.ndim == 2
         if single:

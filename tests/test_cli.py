@@ -16,6 +16,7 @@ import pytest
 
 from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_run_config, main
 from crowdtcn.scenario import BadConfig
+from crowdtcn.tcn import load_model, save_model
 
 
 MICRO = {
@@ -197,6 +198,19 @@ def test_simulate_shape_mismatch_is_config_error(trained_dir, tmp_path):
         ["simulate", "-c", str(p), "--artifact", str(trained_dir / "out" / "model.bin")]
     )
     assert rc == EXIT_CONFIG
+
+
+def test_simulate_non_finite_prediction_is_runtime_error(trained_dir, tmp_path, capsys):
+    model = load_model(trained_dir / "out" / "model.bin")
+    model.params["out_b"] = np.full_like(model.params["out_b"], np.nan)
+    save_model(tmp_path / "nan.bin", model)
+    sim = trained_dir / "out" / "test.sim.txt"
+    before = sim.read_bytes() if sim.exists() else None
+    config = str(trained_dir / "micro.json")
+    rc = main(["simulate", "-c", config, "--artifact", str(tmp_path / "nan.bin")])
+    assert rc == EXIT_RUNTIME
+    assert "non-finite velocity for pedestrians" in capsys.readouterr().err
+    assert (sim.read_bytes() if sim.exists() else None) == before
 
 
 def test_evaluate_outputs_all_tables(trained_dir, capsys):

@@ -19,11 +19,13 @@ from crowdtcn.simulate import (
     MissingSeedData,
     ModelShapeMismatch,
     NoInwardDirection,
+    NonFinitePrediction,
     SimConfig,
     SimWorld,
     run,
 )
 from crowdtcn.synth import corridor_dataset, write_dataset
+from crowdtcn.tcn import Architecture, Model, compute_stats, init_params
 
 DT = 0.5
 
@@ -62,8 +64,8 @@ class StubModel:
         self.arch = SimpleNamespace(feature_dim=feature_dim, window=window)
         self.fn = fn
 
-    def predict(self, window):
-        return np.asarray(self.fn(np.asarray(window)), dtype=float)
+    def predict(self, windows):
+        return np.array([np.asarray(self.fn(w), dtype=float) for w in np.asarray(windows)])
 
 
 def constant_model(v, scenario, window=3):
@@ -211,11 +213,16 @@ def test_replay_matches_training_windows(tmp_path):
     class Replay:
         arch = SimpleNamespace(feature_dim=sc.feature_dim, window=w)
 
-        def predict(self, window):
-            pid = self.queue.pop(0)
-            fed[(pid, world.clock)] = np.array(window)
-            tr, s = trajs[pid], world.active[pid].steps_since_entry
-            return tr.velocities[s] if s < tr.n_steps else np.array([4.0 * sc.diameter(), 0.0])
+        def predict(self, windows):
+            out = []
+            for window in windows:
+                pid = self.queue.pop(0)
+                fed[(pid, world.clock)] = np.array(window)
+                tr, s = trajs[pid], world.active[pid].steps_since_entry
+                out.append(
+                    tr.velocities[s] if s < tr.n_steps else np.array([4.0 * sc.diameter(), 0.0])
+                )
+            return np.array(out)
 
     model = Replay()
     world = SimWorld(sc, model, trajs.values(), SimConfig(window=w))
@@ -234,6 +241,78 @@ def test_replay_matches_training_windows(tmp_path):
         np.testing.assert_allclose(got, sample.input, rtol=0, atol=1e-9)
 
 
+def test_one_predict_call_per_step_in_sorted_id_order():
+    sc = corridor()
+    v = np.array([0.5, 0.0])
+    calls = []
+
+    class Counting:
+        arch = SimpleNamespace(feature_dim=sc.feature_dim, window=3)
+
+        def predict(self, windows):
+            active = world.active
+            ready = [pid for pid in sorted(active) if active[pid].steps_since_entry >= 3]
+            np.testing.assert_array_equal(
+                windows, [np.stack(active[pid].frames[-3:]) for pid in ready]
+            )
+            calls.append((world.clock, ready))
+            return np.tile(v, (len(windows), 1))
+
+    # entry order 5, 2, 9, 1; different lanes give different windows
+    lanes = ((5, 0, 0.5), (2, 1, -0.5), (9, 1, 1.0), (1, 3, 0.0))
+    seeds = [make_seed(pid, enter, (1.0, y), v, 4) for pid, enter, y in lanes]
+    world = SimWorld(sc, Counting(), seeds, CFG)
+    while world.pending or world.active:
+        world.step()
+    assert len(world.exited) == 4
+    clocks = [clock for clock, _ in calls]
+    assert len(clocks) == len(set(clocks))
+    assert all(ready for _, ready in calls)
+    assert [1, 2, 5, 9] in [ready for _, ready in calls]
+
+
+def test_batched_rows_match_single_window_predict():
+    """Batching changes a real model's predictions only by float32 rounding."""
+    sc = corridor()
+    v = np.array([0.5, 0.0])
+    batches = []
+
+    class Recording:
+        arch = SimpleNamespace(feature_dim=sc.feature_dim, window=3)
+
+        def predict(self, windows):
+            batches.append(windows)
+            return np.tile(v, (len(windows), 1))
+
+    seeds = [make_seed(pid, pid % 3, (1.0, 0.5 * pid - 1.5), v, 4) for pid in range(1, 7)]
+    run(sc, seeds, Recording(), CFG)
+    assert max(len(windows) for windows in batches) == 6
+    arch = Architecture(
+        feature_dim=sc.feature_dim, window=3, channels=(6, 8), kernel_size=2, dilations=(1, 2)
+    )
+    stats = compute_stats(np.concatenate(batches))
+    model = Model(arch, init_params(arch, seed=3), stats)
+    for windows in batches:
+        predicted = model.predict(windows)
+        assert predicted.shape == (len(windows), 2)
+        for window, row in zip(windows, predicted):
+            np.testing.assert_allclose(row, model.predict(window), rtol=0, atol=1e-6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_prediction_names_pedestrians_and_step(bad):
+    sc = corridor()
+    seeds = [
+        make_seed(2, 0, (1.0, 0.5), (0.5, 0.0), 4),
+        make_seed(1, 0, (1.0, -0.5), (0.5, 0.0), 4),
+        make_seed(3, 1, (1.0, 0.0), (0.5, 0.0), 4),
+    ]
+    model = constant_model([0.5, bad], sc)
+    # 1 and 2 finish their seed phase at step 3; 3 is still seeded then
+    with pytest.raises(NonFinitePrediction, match=r"pedestrians \[1, 2\] at step 4"):
+        run(sc, seeds, model, CFG)
+
+
 def test_on_boundary_parallel_motion_is_not_corrected():
     sc = corridor(half_width=1.5, length=20.0)
     seed = make_seed(5, 0, (1.0, 1.5), (1.0, 0.0), 4)  # walks along the top wall
@@ -250,6 +329,15 @@ def test_no_inward_direction_without_walls():
     model = constant_model([0.0, 0.5], sc)
     with pytest.raises(NoInwardDirection):
         run(sc, [seed], model, CFG)
+
+
+def test_leaving_the_region_names_the_lowest_id():
+    sc = corridor(walls=False)
+    seeds = [make_seed(pid, 0, (x, 1.0), (0.0, 0.5), 4) for pid, x in ((8, 3.0), (6, 5.0))]
+    model = constant_model([0.0, 0.5], sc)
+    # both reach y = 2 (the boundary, still inside) at step 4 and leave at step 5
+    with pytest.raises(NoInwardDirection, match="pedestrian 6 left .* at step 5"):
+        run(sc, seeds, model, CFG)
 
 
 def test_missing_seed_data_policy():
