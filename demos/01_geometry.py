@@ -1,7 +1,7 @@
 """Geometry kernel tour: ray casting, polygon clipping, bounded Voronoi cells.
 
-Casts a fan of rays inside an L-shaped room, clips a measurement box
-against the room, and partitions the room between four pedestrians.
+Casts a fan of rays inside an L-shaped room, clips the room to a measurement
+box, and partitions the room between four pedestrians.
 """
 
 import numpy as np
@@ -31,9 +31,9 @@ for deg in range(0, 360, 45):
     print(f"  {deg:3d} deg -> wall {idx} at ({point[0]:5.2f}, {point[1]:5.2f}), {dist:.2f} m")
 
 box = [(2.0, 1.0), (5.0, 1.0), (5.0, 4.0), (2.0, 4.0)]
-inter = polygon_clip(box, room)
+inter = polygon_clip(room, box)  # the clip polygon must be convex
 print(f"\nmeasurement box area {polygon_area(box):.1f} m^2, "
-      f"clipped against the room: {polygon_area(inter):.2f} m^2")
+      f"inside the room: {polygon_area(inter):.2f} m^2")
 
 sites = np.array([[1.0, 1.0], [2.5, 2.0], [1.0, 4.5], [6.0, 1.5]])
 cells = bounded_voronoi(sites, room)

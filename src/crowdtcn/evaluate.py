@@ -15,8 +15,10 @@ arithmetic converted via dt):
 Crowd-level measures use area-weighted Voronoi statistics: every pedestrian's
 cell is bounded by the walkable region, intersected with the measurement
 area M, and contributes its area fraction to density and its speed (weighted
-by intersection area) to velocity. Flow is defined as density * velocity *
-measurement width, so that identity holds at every sample by construction.
+by intersection area) to velocity. M must be convex, because cells are cut
+by its edges one half-plane at a time (Sutherland-Hodgman). Flow is defined
+as density * velocity * measurement width, so that identity holds at every
+sample by construction.
 
 Pedestrians participate in a time step's measurement only from one step after
 entry, when their arrival velocity is defined.
@@ -29,7 +31,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import bounded_voronoi, point_in_polygon, polygon_area, polygon_clip
+from .geometry import (
+    bounded_voronoi,
+    ensure_simple_polygon,
+    is_convex,
+    point_in_polygon,
+    polygon_area,
+    polygon_clip_areas,
+)
 
 __all__ = [
     "EmptySet",
@@ -204,6 +213,10 @@ def voronoi_measures(
     Velocity weights each speed by the same intersection area. With
     simple_density=True the count-based variant is used instead: pedestrians
     inside M divided by its area, with their plain mean speed.
+
+    The measurement area must be convex (ValueError otherwise); all cells are
+    clipped by it at once. The walkable region is checked once for
+    self-crossing (SelfIntersecting).
     """
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     speeds = np.asarray(speeds, dtype=float).reshape(-1)
@@ -211,6 +224,8 @@ def voronoi_measures(
         raise ValueError("need one speed per position")
     if len(positions) == 0:
         return None
+    if not is_convex(measurement_area):
+        raise ValueError("measurement_area must be convex")
     area_m = polygon_area(measurement_area)
 
     if simple_density:
@@ -221,22 +236,17 @@ def voronoi_measures(
         vel = float(np.mean(speeds[inside], dtype=np.float64))
         return rho, vel, rho * vel * width
 
+    ensure_simple_polygon(walkable)
     cells = bounded_voronoi(positions, walkable)
-    ratio_sum = 0.0
-    weight_sum = 0.0
-    speed_sum = 0.0
-    for cell in cells:
-        inter = polygon_clip(cell.polygon, measurement_area)
-        a = polygon_area(inter)
-        if a <= 0.0:
-            continue
-        ratio_sum += a / cell.area
-        weight_sum += a
-        speed_sum += speeds[cell.site_index] * a
-    if weight_sum <= 0.0:
+    inter = polygon_clip_areas([cell.polygon for cell in cells], measurement_area)
+    hit = inter > 0.0
+    if not hit.any():
         return None
-    rho = ratio_sum / area_m
-    vel = speed_sum / weight_sum
+    inter = inter[hit]
+    cell_area = np.array([cell.area for cell in cells])[hit]
+    cell_speed = speeds[[cell.site_index for cell in cells]][hit]
+    rho = float((inter / cell_area).sum()) / area_m
+    vel = float((cell_speed * inter).sum() / inter.sum())
     return rho, vel, rho * vel * width
 
 

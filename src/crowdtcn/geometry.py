@@ -31,7 +31,9 @@ __all__ = [
     "first_hit",
     "polygon_area",
     "ensure_simple_polygon",
+    "is_convex",
     "polygon_clip",
+    "polygon_clip_areas",
     "point_in_polygon",
     "bounded_voronoi",
 ]
@@ -232,55 +234,114 @@ def ensure_simple_polygon(polygon) -> np.ndarray:
     return pts
 
 
-def _clip_halfplane(pts: np.ndarray, point: np.ndarray, normal: np.ndarray) -> np.ndarray:
-    """Keep the part of the polygon with (x - point) . normal <= 0."""
-    if len(pts) == 0:
-        return pts
-    dist = (pts - point) @ normal
-    out = []
-    n = len(pts)
-    for i in range(n):
-        j = (i + 1) % n
-        di, dj = dist[i], dist[j]
-        inside_i = di <= EPS_GEO
-        inside_j = dj <= EPS_GEO
-        if inside_i:
-            out.append(pts[i])
-            if not inside_j and di < -EPS_GEO:
-                t = di / (di - dj)
-                out.append(pts[i] + t * (pts[j] - pts[i]))
-        elif inside_j:
-            if dj < -EPS_GEO:
-                t = di / (di - dj)
-                out.append(pts[i] + t * (pts[j] - pts[i]))
-    if not out:
-        return np.zeros((0, 2))
-    return np.asarray(out)
+def is_convex(polygon) -> bool:
+    """Whether a closed polygon is convex.
+
+    Every turn must bend the same way (within EPS_GEO, so collinear and
+    repeated vertices pass) and the turns must add up to one revolution,
+    which rules out star polygons and fewer than three distinct vertices.
+    """
+    pts = np.asarray(polygon, dtype=float).reshape(-1, 2)
+    e = np.roll(pts, -1, axis=0) - pts
+    length = np.hypot(e[:, 0], e[:, 1])
+    e, length = e[length > 0.0], length[length > 0.0]  # repeated vertices make no turn
+    f = np.roll(e, -1, axis=0)
+    cross = e[:, 0] * f[:, 1] - e[:, 1] * f[:, 0]
+    tol = EPS_GEO * length * np.roll(length, -1)
+    turning = float(np.arctan2(cross, (e * f).sum(axis=1)).sum())
+    one_way = bool((cross >= -tol).all() or (cross <= tol).all())
+    return one_way and abs(abs(turning) - 2.0 * np.pi) < 1e-6
+
+
+def _clip_halfplanes(cells: np.ndarray, counts: np.ndarray, point, normal):
+    """Clip padded polygons, each by one half-plane (one Sutherland-Hodgman step).
+
+    Row r of ``cells`` (m, K, 2) holds a polygon of ``counts[r]`` vertices;
+    ``point`` and ``normal`` are (m, 2) or one shared (2,) pair, and each row
+    keeps the part with (x - point) . normal <= EPS_GEO. Every edge slot
+    emits its start vertex when kept, then the crossing point when the edge
+    leaves or enters the half-plane; a stable sort packs the emitted points
+    to the front of each row. Returns the clipped (m, K', 2) cells and their
+    counts.
+    """
+    m, k = cells.shape[:2]
+    row = np.arange(m)[:, None]
+    slot = np.arange(k)
+    live = slot < counts[:, None]
+    nxt = np.where(slot + 1 < counts[:, None], slot + 1, 0)
+    # each (K, 2) @ (2, 1) slice is the same BLAS matrix-vector product as a
+    # one-polygon (k, 2) @ (2,) call, so the distances agree bitwise
+    dist = ((cells - point[..., None, :]) @ normal[..., :, None])[..., 0]
+    dist_next = dist[row, nxt]
+    cells_next = cells[row, nxt]
+    inside = dist <= EPS_GEO
+    inside_next = dist_next <= EPS_GEO
+    cross = live & np.where(
+        inside, ~inside_next & (dist < -EPS_GEO), inside_next & (dist_next < -EPS_GEO)
+    )
+    t = dist / np.where(cross, dist - dist_next, 1.0)
+    hit = cells + t[..., None] * (cells_next - cells)
+    emitted = np.stack([cells, hit], axis=2).reshape(m, 2 * k, 2)
+    emit = np.stack([live & inside, cross], axis=2).reshape(m, 2 * k)
+    new_counts = emit.sum(axis=1)
+    order = np.argsort(~emit, axis=1, kind="stable")[:, : new_counts.max(initial=0)]
+    return emitted[row, order], new_counts
+
+
+def _clip_convex(cells: np.ndarray, counts: np.ndarray, clip) -> tuple[np.ndarray, np.ndarray]:
+    """Clip padded polygons by a convex polygon, one half-plane pass per edge."""
+    clp = np.asarray(clip, dtype=float)
+    if not is_convex(clp):
+        raise ValueError("clip polygon must be convex")
+    if _signed_area(clp) < 0:
+        clp = clp[::-1]
+    for a, b in zip(clp, np.roll(clp, -1, axis=0)):
+        if not counts.any():
+            break
+        edge = b - a
+        cells, counts = _clip_halfplanes(cells, counts, a, np.array([edge[1], -edge[0]]))
+    return cells, counts
+
+
+def _shoelace(cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Unsigned areas of padded polygons; rows with fewer than 3 vertices get 0."""
+    slot = np.arange(cells.shape[1])
+    live = slot < counts[:, None]
+    nxt = cells[np.arange(len(cells))[:, None], np.where(slot + 1 < counts[:, None], slot + 1, 0)]
+    twice = cells[..., 0] * nxt[..., 1] - cells[..., 1] * nxt[..., 0]
+    return np.where(counts >= 3, 0.5 * np.abs(np.where(live, twice, 0.0).sum(axis=1)), 0.0)
 
 
 def polygon_clip(subject, clip) -> np.ndarray:
     """Clip a simple polygon by a convex polygon (Sutherland-Hodgman).
 
     Returns the intersection as an (m, 2) vertex array; empty array when the
-    polygons do not overlap. Raises SelfIntersecting for an invalid subject.
+    polygons do not overlap. Raises SelfIntersecting for an invalid subject
+    and ValueError for a clip polygon that is not convex.
     """
     subj = np.asarray(subject, dtype=float)
     clp = np.asarray(clip, dtype=float)
     if len(subj) < 3 or len(clp) < 3:
         return np.zeros((0, 2))
     _check_simple(subj)
-    if _signed_area(clp) < 0:
-        clp = clp[::-1]
-    pts = subj
-    n = len(clp)
-    for i in range(n):
-        a, b = clp[i], clp[(i + 1) % n]
-        edge = b - a
-        normal = np.array([edge[1], -edge[0]])  # outward for CCW clip
-        pts = _clip_halfplane(pts, a, normal)
-        if len(pts) == 0:
-            break
-    return pts
+    cells, counts = _clip_convex(subj[None], np.array([len(subj)]), clp)
+    return cells[0, : counts[0]]
+
+
+def polygon_clip_areas(polygons, clip) -> np.ndarray:
+    """Area of each polygon's intersection with a convex clip polygon.
+
+    All polygons are clipped at once; unlike polygon_clip, the subjects are
+    not checked for self-crossing, so callers validate them (for Voronoi
+    cells it is enough to validate the area they partition). Raises
+    ValueError for a clip polygon that is not convex.
+    """
+    polys = [np.asarray(p, dtype=float).reshape(-1, 2) for p in polygons]
+    counts = np.array([len(p) for p in polys], dtype=int)
+    cells = np.zeros((len(polys), counts.max(initial=0), 2))
+    for row, p in enumerate(polys):
+        cells[row, : len(p)] = p
+    return _shoelace(*_clip_convex(cells, counts, clip))
 
 
 def point_in_polygon(p, polygon, include_boundary: bool = True):
@@ -311,6 +372,13 @@ def point_in_polygon(p, polygon, include_boundary: bool = True):
     return bool(result[0]) if q.ndim == 1 else result
 
 
+def _farthest(cells: np.ndarray, counts: np.ndarray, sites: np.ndarray) -> np.ndarray:
+    """Distance from each site to the farthest vertex of its padded cell (0 if empty)."""
+    d = cells - sites[:, None, :]
+    dist = np.hypot(d[..., 0], d[..., 1])
+    return np.where(np.arange(cells.shape[1]) < counts[:, None], dist, 0.0).max(axis=1, initial=0.0)
+
+
 def bounded_voronoi(sites, area) -> list[VoronoiCell]:
     """Voronoi cells of ``sites`` clipped to the ``area`` polygon.
 
@@ -319,27 +387,52 @@ def bounded_voronoi(sites, area) -> list[VoronoiCell]:
     at crowd scale). Sites may lie outside the area; cells that end up empty
     are dropped, so the returned cells partition the area.
 
-    Raises DegenerateSites when two sites are closer than 1e-6 m.
+    All cells are clipped together as one padded array. Round j clips every
+    live cell i != j by the bisector with site j, so each cell meets the
+    bisectors in site-index order. A cell skips site j when
+    |p_j - p_i| > 2 R_i + EPS_GEO, where R_i is the distance from site i to
+    its cell's farthest current vertex: every vertex v then has
+    (v - mid) . (p_j - p_i) <= |p_j - p_i| (R_i - |p_j - p_i| / 2) < 0, so
+    the clip would return the cell unchanged. Skipped clips therefore change
+    nothing, and the cells are bitwise those of clipping one cell at a time
+    in the same order.
+
+    Raises DegenerateSites when two sites are closer than 1e-6 m, naming the
+    first such pair (i < j) in row-major order.
     """
     pts = np.asarray(sites, dtype=float).reshape(-1, 2)
-    poly = np.asarray(area, dtype=float)
+    poly = np.asarray(area, dtype=float).reshape(-1, 2)
     n = len(pts)
     if n == 0:
         raise ValueError("at least one site required")
-    for i in range(n):
-        for j in range(i + 1, n):
-            if np.linalg.norm(pts[i] - pts[j]) < 1e-6:
-                raise DegenerateSites(f"sites {i} and {j} coincide")
-    cells = []
-    for i in range(n):
-        cell = poly.copy()
-        for j in range(n):
-            if j == i or len(cell) == 0:
-                continue
-            mid = 0.5 * (pts[i] + pts[j])
-            normal = pts[j] - pts[i]  # keep the side nearer to site i
-            cell = _clip_halfplane(cell, mid, normal)
-        a = polygon_area(cell) if len(cell) >= 3 else 0.0
+    offset = pts[None, :, :] - pts[:, None, :]
+    gap = np.hypot(offset[..., 0], offset[..., 1])
+    close = np.argwhere(np.triu(gap < 1e-6, k=1))
+    if len(close):
+        i, j = close[0]
+        raise DegenerateSites(f"sites {i} and {j} coincide")
+    cells = np.broadcast_to(poly, (n,) + poly.shape).copy()
+    counts = np.full(n, len(poly))
+    reach = 2.0 * _farthest(cells, counts, pts) + EPS_GEO
+    for j in range(n):
+        rows = np.flatnonzero((counts > 0) & (gap[:, j] <= reach))
+        rows = rows[rows != j]
+        if len(rows) == 0:
+            continue
+        width = counts[rows].max()
+        clipped, kept = _clip_halfplanes(
+            cells[rows, :width], counts[rows], 0.5 * (pts[rows] + pts[j]), pts[j] - pts[rows]
+        )
+        if clipped.shape[1] > cells.shape[1]:
+            grow = np.zeros((n, clipped.shape[1] - cells.shape[1], 2))
+            cells = np.concatenate([cells, grow], axis=1)
+        cells[rows, : clipped.shape[1]] = clipped
+        counts[rows] = kept
+        reach[rows] = 2.0 * _farthest(clipped, kept, pts[rows]) + EPS_GEO
+    out = []
+    for i in np.flatnonzero(counts >= 3):
+        polygon = cells[i, : counts[i]].copy()
+        a = polygon_area(polygon)
         if a > 0.0:
-            cells.append(VoronoiCell(site=pts[i], polygon=cell, area=a, site_index=i))
-    return cells
+            out.append(VoronoiCell(site=pts[i], polygon=polygon, area=a, site_index=int(i)))
+    return out

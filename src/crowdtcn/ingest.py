@@ -14,6 +14,7 @@ k is the velocity of arrival at position index k + 1.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -166,8 +167,8 @@ def parse_trajectories(path_or_lines, spec: ColumnSpec = ColumnSpec()) -> dict[i
     """Parse a trajectory file into frame-sorted per-pedestrian tracks.
 
     Accepts a path or an iterable of lines. Comment lines start with '#';
-    blank lines are skipped. Duplicate frames for one pedestrian raise
-    NonMonotonicFrames.
+    blank lines are skipped. A malformed field or a non-finite x or y raises
+    ParseError; duplicate frames for one pedestrian raise NonMonotonicFrames.
     """
     if isinstance(path_or_lines, (str, Path)):
         lines = Path(path_or_lines).read_text().splitlines()
@@ -186,8 +187,10 @@ def parse_trajectories(path_or_lines, spec: ColumnSpec = ColumnSpec()) -> dict[i
             frame = int(float(fields[spec.frame]))
             x = float(fields[spec.x])
             y = float(fields[spec.y])
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(lineno, f"malformed numeric field ({exc})") from exc
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ParseError(lineno, f"non-finite coordinate ({fields[spec.x]}, {fields[spec.y]})")
         rows.setdefault(ped, []).append((frame, x, y))
     tracks: dict[int, RawTrack] = {}
     for ped in sorted(rows):

@@ -24,8 +24,9 @@ feature extraction, simulation, and evaluation:
 
 Wall segments are physical boundaries; virtual walls close entrances for the
 forward ray scan only (they never block motion and are not sector-neighbor
-candidates). The walkable polygon defaults to the clipping polygon. All
-lengths are meters, angles degrees, times seconds.
+candidates). The walkable polygon defaults to the clipping polygon. The
+measurement area must be convex. All lengths are meters, angles degrees,
+times seconds.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .features import (
     StaticVelocityMode,
     feature_dim,
 )
-from .geometry import Segment, ensure_simple_polygon
+from .geometry import Segment, ensure_simple_polygon, is_convex
 
 __all__ = ["BadConfig", "SmoothingConfig", "Scenario", "load_scenario"]
 
@@ -109,6 +110,8 @@ class Scenario:
             raise BadConfig("at least one exit segment is required")
         self.clipping_polygon = ensure_simple_polygon(self.clipping_polygon)
         self.measurement_area = ensure_simple_polygon(self.measurement_area)
+        if not is_convex(self.measurement_area):
+            raise BadConfig("measurement_area must be convex")
         if self.walkable_polygon is None:
             self.walkable_polygon = self.clipping_polygon.copy()
         else:

@@ -7,7 +7,7 @@ serve as an oracle for the production code without sharing its structure.
 
 import numpy as np
 
-from crowdtcn.geometry import EPS_GEO
+from crowdtcn.geometry import EPS_GEO, DegenerateSites, VoronoiCell, polygon_area
 
 
 def solve_ray_segment(origin, direction, a, b):
@@ -149,3 +149,85 @@ def point_in_polygon_loop(p, polygon, include_boundary=True):
             if p[0] < x_cross:
                 inside = not inside
     return inside
+
+
+def clip_halfplane_loop(pts, point, normal):
+    """Per-vertex Sutherland-Hodgman step keeping (x - point) . normal <= 0."""
+    if len(pts) == 0:
+        return pts
+    dist = (pts - point) @ normal
+    out = []
+    n = len(pts)
+    for i in range(n):
+        j = (i + 1) % n
+        di, dj = dist[i], dist[j]
+        inside_i = di <= EPS_GEO
+        inside_j = dj <= EPS_GEO
+        if inside_i:
+            out.append(pts[i])
+            if not inside_j and di < -EPS_GEO:
+                t = di / (di - dj)
+                out.append(pts[i] + t * (pts[j] - pts[i]))
+        elif inside_j:
+            if dj < -EPS_GEO:
+                t = di / (di - dj)
+                out.append(pts[i] + t * (pts[j] - pts[i]))
+    if not out:
+        return np.zeros((0, 2))
+    return np.asarray(out)
+
+
+def convex_clip_loop(subject, clip):
+    """Clip one polygon by a convex polygon, one edge and one vertex at a time."""
+    pts = np.asarray(subject, dtype=float)
+    clp = np.asarray(clip, dtype=float)
+    x, y = clp[:, 0], clp[:, 1]
+    if np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)) < 0:
+        clp = clp[::-1]
+    for i in range(len(clp)):
+        a, b = clp[i], clp[(i + 1) % len(clp)]
+        pts = clip_halfplane_loop(pts, a, np.array([b[1] - a[1], a[0] - b[0]]))
+        if len(pts) == 0:
+            break
+    return pts
+
+
+def bounded_voronoi_loop(sites, area):
+    """Each cell clipped from the whole area by every other site's bisector, in index order."""
+    pts = np.asarray(sites, dtype=float).reshape(-1, 2)
+    poly = np.asarray(area, dtype=float)
+    n = len(pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if np.linalg.norm(pts[i] - pts[j]) < 1e-6:
+                raise DegenerateSites(f"sites {i} and {j} coincide")
+    cells = []
+    for i in range(n):
+        cell = poly.copy()
+        for j in range(n):
+            if j == i or len(cell) == 0:
+                continue
+            mid = 0.5 * (pts[i] + pts[j])
+            normal = pts[j] - pts[i]  # keep the side nearer to site i
+            cell = clip_halfplane_loop(cell, mid, normal)
+        a = polygon_area(cell) if len(cell) >= 3 else 0.0
+        if a > 0.0:
+            cells.append(VoronoiCell(site=pts[i], polygon=cell, area=a, site_index=i))
+    return cells
+
+
+def voronoi_measures_loop(positions, speeds, walkable, measurement_area, width):
+    """Area-weighted Voronoi density, velocity and flow summed cell by cell."""
+    ratio_sum = weight_sum = speed_sum = 0.0
+    for cell in bounded_voronoi_loop(positions, walkable):
+        a = polygon_area(convex_clip_loop(cell.polygon, measurement_area))
+        if a <= 0.0:
+            continue
+        ratio_sum += a / cell.area
+        weight_sum += a
+        speed_sum += speeds[cell.site_index] * a
+    if weight_sum <= 0.0:
+        return None
+    rho = ratio_sum / polygon_area(measurement_area)
+    vel = speed_sum / weight_sum
+    return rho, vel, rho * vel * width

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_run_config, main
-from crowdtcn.scenario import BadConfig
+from crowdtcn.scenario import BadConfig, Scenario
 from crowdtcn.tcn import load_model, save_model
 
 
@@ -305,6 +305,48 @@ def test_evaluate_unmatched_id_is_runtime_error(trained_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     for pid in (101, 102, 103, 104):
         assert str(pid) in err
+
+
+def _evaluate(dataset_dir, out, scenario=None, experiment=None):
+    # the clean testing file stands in for the simulation: same 4-column layout
+    return main(
+        [
+            "evaluate",
+            "--scenario",
+            str(scenario or dataset_dir / "scenario.json"),
+            "--experiment",
+            str(experiment or dataset_dir / "test.txt"),
+            "--simulation",
+            str(dataset_dir / "test.txt"),
+            "--output-dir",
+            str(out),
+        ]
+    )
+
+
+def test_non_convex_measurement_area_is_exit_2(dataset_dir, tmp_path, capsys):
+    assert _evaluate(dataset_dir, tmp_path / "ok") == EXIT_OK
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    doc["measurement_area"] = [[2, 2], [8, 2], [8, 4], [4, 4], [4, 8], [2, 8]]
+    with pytest.raises(BadConfig, match="measurement_area must be convex"):
+        Scenario.from_dict(doc)
+    scn = tmp_path / "l_shape.json"
+    scn.write_text(json.dumps(doc))
+    assert _evaluate(dataset_dir, tmp_path / "ev", scenario=scn) == EXIT_CONFIG
+    assert "measurement_area must be convex" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_nan_coordinate_is_exit_2(dataset_dir, tmp_path, capsys):
+    lines = (dataset_dir / "test.txt").read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line.split()[:1] == ["1"]) + 2
+    fields = lines[row].split()
+    fields[2] = "nan"
+    lines[row] = " ".join(fields)
+    bad = tmp_path / "nan.txt"
+    bad.write_text("\n".join(lines) + "\n")
+    assert _evaluate(dataset_dir, tmp_path / "ev", experiment=bad) == EXIT_CONFIG
+    assert f"line {row + 1}: non-finite coordinate" in capsys.readouterr().err
 
 
 def test_features_writes_arrays(trained_dir):

@@ -19,7 +19,8 @@ from crowdtcn.evaluate import (
 )
 from crowdtcn.ingest import Trajectory
 
-from oracles import tde_double_loop
+from crowdtcn.geometry import SelfIntersecting
+from oracles import tde_double_loop, voronoi_measures_loop
 
 DT = 0.5
 
@@ -192,6 +193,35 @@ def test_voronoi_absent_samples():
     assert voronoi_measures(np.zeros((0, 2)), [], SQUARE, SQUARE, 10.0) is None
     outside_m = np.array([[20.0, 0.0], [21.0, 0.0], [21.0, 1.0], [20.0, 1.0]])
     assert voronoi_measures([[5.0, 5.0]], [1.0], SQUARE, outside_m, 1.0) is None
+    crowd = np.random.default_rng(6).uniform(1, 9, size=(30, 2))
+    assert voronoi_measures(crowd, np.ones(30), SQUARE, outside_m, 1.0) is None
+
+
+CORRIDOR = np.array([[0.0, -1.5], [10.0, -1.5], [10.0, 1.5], [0.0, 1.5]])
+CORRIDOR_M = np.array([[4.0, -1.5], [6.0, -1.5], [6.0, 1.5], [4.0, 1.5]])
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_voronoi_matches_cell_by_cell_oracle(seed):
+    rng = np.random.default_rng(seed)
+    sites = rng.uniform([0.0, -1.5], [10.0, 1.5], size=(56, 2))
+    speeds = rng.uniform(0.2, 1.8, size=56)
+    got = voronoi_measures(sites, speeds, CORRIDOR, CORRIDOR_M, width=3.0)
+    want = voronoi_measures_loop(sites, speeds, CORRIDOR, CORRIDOR_M, width=3.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_voronoi_self_crossing_walkable_rejected():
+    bowtie = np.array([[0.0, 0.0], [10.0, 10.0], [10.0, 0.0], [0.0, 10.0]])
+    with pytest.raises(SelfIntersecting):
+        voronoi_measures([[2.0, 5.0], [8.0, 5.0]], [1.0, 1.0], bowtie, SQUARE, 10.0)
+
+
+def test_voronoi_non_convex_measurement_area_rejected():
+    m = np.array([[2.0, 2.0], [8.0, 2.0], [8.0, 4.0], [4.0, 4.0], [4.0, 8.0], [2.0, 8.0]])
+    for simple in (False, True):
+        with pytest.raises(ValueError, match="measurement_area must be convex"):
+            voronoi_measures([[5.0, 5.0]], [1.0], SQUARE, m, 10.0, simple_density=simple)
 
 
 def test_voronoi_density_equals_count_when_m_is_walkable():

@@ -8,15 +8,18 @@ from crowdtcn.geometry import (
     SelfIntersecting,
     bounded_voronoi,
     first_hit,
+    is_convex,
     point_in_polygon,
     point_segment_distance,
     polygon_area,
     polygon_clip,
+    polygon_clip_areas,
     ray_segment_intersection,
 )
-from oracles import point_in_polygon_loop
+from oracles import bounded_voronoi_loop, convex_clip_loop, point_in_polygon_loop
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
+L_SHAPE = np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 3.0], [3.0, 3.0], [3.0, 6.0], [0.0, 6.0]])
 
 
 def random_segment(rng, span=10.0):
@@ -196,6 +199,40 @@ class TestPolygonOps:
         with pytest.raises(SelfIntersecting):
             polygon_clip(bowtie, UNIT_SQUARE)
 
+    def test_non_convex_clip_rejected(self):
+        with pytest.raises(ValueError, match="convex"):
+            polygon_clip(UNIT_SQUARE, L_SHAPE)
+        with pytest.raises(ValueError, match="convex"):
+            polygon_clip_areas([UNIT_SQUARE], L_SHAPE)
+
+    @pytest.mark.parametrize(
+        "poly, convex",
+        [
+            (UNIT_SQUARE, True),
+            (UNIT_SQUARE[::-1], True),
+            ([[0, 0], [0.5, 0], [1, 0], [1, 1], [0, 1]], True),  # collinear vertex
+            ([[0, 0], [1, 0], [1, 0], [1, 1], [0, 1]], True),  # repeated vertex
+            ([[2, 2], [8, 2], [8, 4], [4, 4], [4, 8], [2, 8]], False),  # L shape
+            ([[0, 0], [2, 1], [4, 0], [2, 4]], False),  # arrowhead
+            ([[0, 0], [2, 6], [4, 0], [-1, 4], [5, 4]], False),  # pentagram
+        ],
+    )
+    def test_is_convex(self, poly, convex):
+        assert is_convex(poly) is convex
+
+    def test_clip_matches_loop_bitwise(self):
+        # convex pairs, plus a non-convex (L-shaped) subject cut by a box
+        rng = np.random.default_rng(19)
+        pairs = [(L_SHAPE, UNIT_SQUARE * 4.0 + 1.0), (L_SHAPE, UNIT_SQUARE[::-1] * 5.0 - 0.5)]
+        pairs += [(_convex_hull(rng.uniform(-2, 2, (12, 2))), _convex_hull(rng.uniform(-2, 2, (12, 2))))
+                  for _ in range(200)]
+        for subject, clip in pairs:
+            got = polygon_clip(subject, clip)
+            want = convex_clip_loop(subject, clip)
+            assert np.array_equal(got, want.reshape(-1, 2))
+            area = polygon_clip_areas([subject], clip)[0]
+            assert area == pytest.approx(polygon_area(want) if len(want) >= 3 else 0.0, rel=1e-12, abs=1e-15)
+
     def test_random_convex_pairs_membership(self):
         # oracle: point sampling agreement between clip result and the two inputs
         rng = np.random.default_rng(15)
@@ -348,3 +385,55 @@ class TestBoundedVoronoi:
             for p in inside:
                 d = np.linalg.norm(sites - p, axis=1)
                 assert d.argmin() == cell.site_index
+
+
+def _oracle_scenes():
+    """Random scenes of 1-60 sites over a rectangle and an L shape, with sites
+    up to 1 m outside the area (so some cells empty), plus fixed edge cases."""
+    rng = np.random.default_rng(20)
+    rect = np.array([[0.0, -1.5], [10.0, -1.5], [10.0, 1.5], [0.0, 1.5]])
+    scenes = [
+        (np.array([[0.5, 0.5], [3.0, 0.5]]), UNIT_SQUARE),  # site 1's cell empties
+        (np.array([[0.5, 0.5], [0.5, 0.5 + 2e-6]]), UNIT_SQUARE),  # just above tolerance
+        (np.array([[4.0, 1.0]]), L_SHAPE),
+    ]
+    for trial in range(120):
+        area = rect if trial % 2 else L_SHAPE
+        n = 1 + trial % 60
+        sites = rng.uniform(area.min(axis=0) - 1.0, area.max(axis=0) + 1.0, (n, 2))
+        scenes.append((sites, area))
+    return scenes
+
+
+class TestBoundedVoronoiMatchesLoop:
+    def test_cells_bitwise_equal(self):
+        emptied = 0
+        for sites, area in _oracle_scenes():
+            got = bounded_voronoi(sites, area)
+            want = bounded_voronoi_loop(sites, area)
+            assert [c.site_index for c in got] == [c.site_index for c in want]
+            for g, w in zip(got, want):
+                assert np.array_equal(g.polygon, w.polygon)
+                assert np.array_equal(g.site, w.site)
+                assert g.area == pytest.approx(w.area, rel=1e-12, abs=0)
+            emptied += len(sites) - len(got)
+        assert emptied > 0
+
+    @pytest.mark.parametrize(
+        "sites",
+        [
+            [[0.1, 0.1], [0.7, 0.7], [0.1, 0.1 + 1e-8], [0.7 + 1e-8, 0.7]],  # (0, 2) before (1, 3)
+            [[0.1, 0.1], [0.7, 0.7], [0.7, 0.7 + 1e-8], [0.1 + 1e-8, 0.1]],  # (0, 3) before (1, 2)
+            [[0.3, 0.3], [0.5, 0.5], [0.9, 0.9], [0.5, 0.5]],
+        ],
+    )
+    def test_degenerate_pair_named_like_loop(self, sites):
+        with pytest.raises(DegenerateSites) as want:
+            bounded_voronoi_loop(sites, UNIT_SQUARE)
+        with pytest.raises(DegenerateSites) as got:
+            bounded_voronoi(sites, UNIT_SQUARE)
+        assert str(got.value) == str(want.value)
+
+    def test_zero_sites_rejected(self):
+        with pytest.raises(ValueError, match="at least one site"):
+            bounded_voronoi(np.zeros((0, 2)), UNIT_SQUARE)

@@ -34,6 +34,19 @@ class TestParse:
             parse_trajectories(lines)
         assert err.value.line_number == 7
 
+    @pytest.mark.parametrize("x, y", [("nan", "0.0"), ("0.1", "inf"), ("-inf", "0.0"), ("NaN", "nan")])
+    def test_non_finite_coordinate_reports_line(self, x, y):
+        lines = ["1 0 0.0 0.0", "1 1 0.1 0.0", f"1 2 {x} {y}"]
+        with pytest.raises(ParseError, match="non-finite coordinate") as err:
+            parse_trajectories(lines)
+        assert err.value.line_number == 3
+
+    @pytest.mark.parametrize("line", ["inf 0 0.0 0.0", "1 -inf 0.0 0.0", "nan 0 0.0 0.0"])
+    def test_non_finite_id_or_frame_reports_line(self, line):
+        with pytest.raises(ParseError, match="malformed numeric field") as err:
+            parse_trajectories(["1 0 0.0 0.0", line])
+        assert err.value.line_number == 2
+
     def test_comments_and_blanks_skipped(self):
         lines = ["# header", "", "1 0 1.0 2.0"]
         tracks = parse_trajectories(lines)
