@@ -7,26 +7,24 @@ box, and partitions the room between four pedestrians.
 import numpy as np
 
 from crowdtcn.geometry import (
-    Ray,
-    Segment,
     bounded_voronoi,
-    first_hit,
+    first_hits,
     point_in_polygon,
     polygon_area,
     polygon_clip,
 )
 
 room = [(0.0, 0.0), (8.0, 0.0), (8.0, 3.0), (3.0, 3.0), (3.0, 6.0), (0.0, 6.0)]
-walls = [Segment(room[i], room[(i + 1) % len(room)]) for i in range(len(room))]
+walls = np.array([(room[i], room[(i + 1) % len(room)]) for i in range(len(room))])
 print(f"L-shaped room, area {polygon_area(room):.1f} m^2, {len(walls)} walls")
 
 origin = np.array([1.5, 1.5])
 print(f"\nray fan from {origin.tolist()}:")
-for deg in range(0, 360, 45):
-    ang = np.radians(deg)
-    hit = first_hit(Ray(origin, (np.cos(ang), np.sin(ang))), walls)
-    assert hit is not None, "closed room, every ray must hit"
-    point, idx = hit
+degs = np.arange(0, 360, 45)
+dirs = np.stack([np.cos(np.radians(degs)), np.sin(np.radians(degs))], axis=-1)
+points, indices = first_hits(origin, dirs, walls[:, 0], walls[:, 1])  # all rays at once
+assert (indices >= 0).all(), "closed room, every ray must hit"
+for deg, point, idx in zip(degs, points, indices):
     dist = np.linalg.norm(point - origin)
     print(f"  {deg:3d} deg -> wall {idx} at ({point[0]:5.2f}, {point[1]:5.2f}), {dist:.2f} m")
 

@@ -36,7 +36,7 @@ from .features import (
     feature_dim,
     heading,
 )
-from .geometry import Segment, bounded_voronoi, point_in_polygon, polygon_area
+from .geometry import bounded_voronoi, point_in_polygon, polygon_area
 from .ingest import (
     ColumnSpec,
     DatasetSplit,
@@ -81,7 +81,6 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # geometry
-    "Segment",
     "bounded_voronoi",
     "point_in_polygon",
     "polygon_area",

@@ -313,7 +313,7 @@ def _print_metrics(doc: dict) -> None:
         )
 
 
-def _write_profile_tables(out_dir: Path, series_list, simple: bool) -> None:
+def _write_profile_tables(out_dir: Path, series_list) -> None:
     prof_lines = ["label,step,density,velocity,flow"]
     for s in series_list:
         for i in range(len(s)):
@@ -421,7 +421,7 @@ def cmd_evaluate(args) -> int:
             simple_density=args.simple_density,
         ),
     ]
-    _write_profile_tables(out, series, args.simple_density)
+    _write_profile_tables(out, series)
     _print_metrics(doc)
     print(f"tables: {out / 'metrics.json'}, {out / 'profiles.csv'}, {out / 'fd.csv'}")
     return EXIT_OK

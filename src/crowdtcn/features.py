@@ -32,13 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import (
-    Segment,
-    closest_points,
-    first_hits,
-    ray_segment_params,
-    segment_endpoints,
-)
+from .geometry import closest_points, first_hits, ray_segment_params
 
 __all__ = [
     "SPEED_EPS",
@@ -181,7 +175,7 @@ def radar_neighbors(
     heading_vec,
     others_pos,
     others_vel,
-    walls: list[Segment],
+    walls,
     cfg: RadarConfig,
     static_mode: StaticVelocityMode = StaticVelocityMode.MINUS_OWN,
     self_index=None,
@@ -195,7 +189,8 @@ def radar_neighbors(
     position, velocity and heading_vec are (2,) for one subject or (S, 2) for
     S subjects, whose results then carry a leading S axis. All subjects share
     others_pos/others_vel; self_index (one row per subject, or None) names
-    each subject's own row there, which only that subject skips.
+    each subject's own row there, which only that subject skips. walls is a
+    (W, 2, 2) array of segment endpoint pairs.
 
     Ties go to the lowest (distance, kind, index). Within a wall the
     candidates are its closest point, its endpoints and its hits by the two
@@ -223,7 +218,8 @@ def radar_neighbors(
     in_sector = seen[:, None] & (sectors[:, None] == np.arange(n)[:, None])
     ped_d = np.where(in_sector, dists[:, None], np.inf)  # (S, n, N)
 
-    a, b = segment_endpoints(walls)
+    walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
+    a, b = walls[:, 0], walls[:, 1]
     W = len(a)
     _, closest = closest_points(p[:, None], a, b)
     ang = base[:, None] + bounds
@@ -275,15 +271,16 @@ def radar_neighbors(
 def forward_wall_rays(
     position,
     heading_vec,
-    walls: list[Segment],
+    walls,
     cfg: RayScanConfig,
 ) -> RayScan:
     """First wall hit per forward ray, relative to the pedestrian.
 
     Ray 0 points 90 degrees anticlockwise of the heading; successive rays step
     clockwise by step_deg down to 90 degrees clockwise. Rays that miss every
-    wall report a virtual point at exit_distance. An (S, 2) position and
-    heading give results with a leading S axis.
+    wall report a virtual point at exit_distance. walls is a (W, 2, 2) array
+    of segment endpoint pairs. An (S, 2) position and heading give results
+    with a leading S axis.
     """
     single = np.ndim(position) == 1
     p = np.asarray(position, dtype=float).reshape(-1, 2)
@@ -291,7 +288,8 @@ def forward_wall_rays(
     step = math.radians(cfg.step_deg)
     ang = np.arctan2(h[:, 1], h[:, 0])[:, None] + 0.5 * math.pi - np.arange(cfg.n_rays) * step
     dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-    pts, idx = first_hits(p[:, None], dirs, *segment_endpoints(walls))
+    walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
+    pts, idx = first_hits(p[:, None], dirs, walls[:, 0], walls[:, 1])
     rel = np.where(idx[..., None] < 0, cfg.exit_distance * dirs, pts - p[:, None])
     return RayScan(rel[0], idx[0]) if single else RayScan(rel, idx)
 
@@ -316,13 +314,14 @@ class FeatureExtractor:
 
     radar_walls are the physical walls considered as sector neighbors;
     ray_walls additionally include virtual entrance walls so forward rays
-    cannot escape through the inflow boundary.
+    cannot escape through the inflow boundary. Both are (W, 2, 2) arrays of
+    segment endpoint pairs.
     """
 
     radar: RadarConfig
     rays: RayScanConfig
-    radar_walls: list[Segment] = field(default_factory=list)
-    ray_walls: list[Segment] = field(default_factory=list)
+    radar_walls: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
+    ray_walls: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
     static_mode: StaticVelocityMode = StaticVelocityMode.MINUS_OWN
 
     @property

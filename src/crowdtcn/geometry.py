@@ -1,8 +1,11 @@
 """2D geometry kernel: segments, rays, polygon clipping, bounded Voronoi cells.
 
 All functions are pure and operate on plain numpy arrays (shape (2,) points,
-metres). closest_points, ray_segment_params and first_hits broadcast over
-(..., 2) arrays; the Segment and Ray forms are one-item calls of them.
+metres). A segment set is a (W, 2, 2) array of endpoint pairs, passed as its
+start and end points ``a`` and ``b`` ((W, 2) each); a ray is an origin and a
+unit direction. closest_points, ray_segment_params, first_hits and
+crossing_params broadcast over (..., 2) arrays, so one call serves one point
+or ray and many alike.
 Coordinates are double precision; predicates use an absolute tolerance
 EPS_GEO, far below the centimetre resolution of trajectory data.
 """
@@ -17,18 +20,13 @@ EPS_GEO = 1e-9
 
 __all__ = [
     "EPS_GEO",
-    "Segment",
-    "Ray",
     "VoronoiCell",
     "DegenerateSites",
     "SelfIntersecting",
-    "segment_endpoints",
     "closest_points",
     "ray_segment_params",
     "first_hits",
-    "point_segment_distance",
-    "ray_segment_intersection",
-    "first_hit",
+    "crossing_params",
     "polygon_area",
     "ensure_simple_polygon",
     "is_convex",
@@ -47,49 +45,6 @@ class SelfIntersecting(ValueError):
     """Polygon has a proper self-intersection."""
 
 
-def _as_point(p) -> np.ndarray:
-    a = np.asarray(p, dtype=float)
-    if a.shape != (2,):
-        raise ValueError(f"expected a 2D point, got shape {a.shape}")
-    return a
-
-
-@dataclass(frozen=True)
-class Segment:
-    """Line segment from ``a`` to ``b``; must have positive length."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    def __init__(self, a, b):
-        object.__setattr__(self, "a", _as_point(a))
-        object.__setattr__(self, "b", _as_point(b))
-        if float(np.hypot(*(self.a - self.b))) <= 0.0:
-            raise ValueError("segment endpoints coincide")
-
-    @property
-    def length(self) -> float:
-        return float(np.linalg.norm(self.b - self.a))
-
-
-@dataclass(frozen=True)
-class Ray:
-    """Half-line from ``origin`` along unit vector ``direction``."""
-
-    origin: np.ndarray
-    direction: np.ndarray
-
-    def __init__(self, origin, direction):
-        object.__setattr__(self, "origin", _as_point(origin))
-        d = _as_point(direction)
-        n = float(np.linalg.norm(d))
-        if abs(n - 1.0) > 1e-9:
-            if n == 0.0:
-                raise ValueError("ray direction is zero")
-            d = d / n
-        object.__setattr__(self, "direction", d)
-
-
 @dataclass(frozen=True)
 class VoronoiCell:
     """Convex cell of one site, clipped to the bounding area."""
@@ -102,12 +57,6 @@ class VoronoiCell:
 
 def _cross(u: np.ndarray, v: np.ndarray) -> float:
     return float(u[0] * v[1] - u[1] * v[0])
-
-
-def segment_endpoints(segments) -> tuple[np.ndarray, np.ndarray]:
-    """Start and end points of a list of segments as two (W, 2) arrays."""
-    ends = np.array([(s.a, s.b) for s in segments], dtype=float).reshape(-1, 2, 2)
-    return ends[:, 0], ends[:, 1]
 
 
 def closest_points(p, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -165,34 +114,46 @@ def first_hits(origin, direction, a, b) -> tuple[np.ndarray, np.ndarray]:
     return origin + np.where(best < 0, 0.0, best_t)[..., None] * direction, best
 
 
-def point_segment_distance(p, s: Segment) -> tuple[float, np.ndarray]:
-    """Distance from point ``p`` to segment ``s`` and the closest point on it."""
-    d, closest = closest_points(_as_point(p), s.a, s.b)
-    return float(d), closest
+def crossing_params(p0, p1, a, b) -> np.ndarray:
+    """Motion parameters where the steps ``p0``->``p1`` cross segments ``a``-``b``.
 
-
-def ray_segment_intersection(r: Ray, s: Segment) -> np.ndarray | None:
-    """Intersection point of ray and segment, or None (see ray_segment_params)."""
-    t, hit = ray_segment_params(r.origin, r.direction, s.a, s.b)
-    return r.origin + t * r.direction if hit else None
-
-
-def first_hit(r: Ray, walls: list[Segment]) -> tuple[np.ndarray, int] | None:
-    """Nearest ray-wall intersection over ``walls`` (with its wall index).
-
-    Ties break toward the lowest wall index.
+    ``p0`` and ``p1`` are (N, 2) step starts and ends, ``a`` and ``b`` (W, 2)
+    segment ends; the result is (N, W), t = inf where a step does not cross.
+    A step crosses when it changes side of the segment's line and meets the
+    segment within u in [-1e-9, 1 + 1e-9]. Side values within 1e-9 |b - a|
+    of the line count as on it: a step that lands on the line (t = 1)
+    crosses, so nothing comes to rest on a line and slips over it unseen
+    next step, while a step that starts on the line does not, which covers
+    entry positions on an entrance, motion along a boundary and smoothing
+    noise on seed points that sit on one. Motion parallel to a segment
+    (zero denominator) never crosses it.
     """
-    pt, idx = first_hits(r.origin, r.direction, *segment_endpoints(walls))
-    return None if idx < 0 else (pt, int(idx))
+    p0, p1 = p0[:, None], p1[:, None]
+    ex, ey = b[:, 0] - a[:, 0], b[:, 1] - a[:, 1]
+    side0 = ex * (p0[..., 1] - a[:, 1]) - ey * (p0[..., 0] - a[:, 0])
+    side1 = ex * (p1[..., 1] - a[:, 1]) - ey * (p1[..., 0] - a[:, 0])
+    tol = 1e-9 * np.hypot(ex, ey)
+    on1 = np.abs(side1) <= tol
+    dx, dy = p1[..., 0] - p0[..., 0], p1[..., 1] - p0[..., 1]
+    rx, ry = a[:, 0] - p0[..., 0], a[:, 1] - p0[..., 1]
+    denom = dx * ey - dy * ex
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = (rx * ey - ry * ex) / denom
+        u = (rx * dy - ry * dx) / denom
+    crosses = (
+        (np.abs(side0) > tol)
+        & (on1 | ((side0 > 0) != (side1 > 0)))
+        & (denom != 0.0)
+        & (u >= -1e-9)
+        & (u <= 1.0 + 1e-9)
+    )
+    return np.where(crosses, t, np.inf)
 
 
 def polygon_area(polygon) -> float:
     """Unsigned shoelace area of a polygon given as (n, 2) vertices."""
     pts = np.asarray(polygon, dtype=float)
-    if len(pts) < 3:
-        return 0.0
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * abs(float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1))))
+    return abs(_signed_area(pts)) if len(pts) >= 3 else 0.0
 
 
 def _signed_area(pts: np.ndarray) -> float:

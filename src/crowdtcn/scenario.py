@@ -24,9 +24,13 @@ feature extraction, simulation, and evaluation:
 
 Wall segments are physical boundaries; virtual walls close entrances for the
 forward ray scan only (they never block motion and are not sector-neighbor
-candidates). The walkable polygon defaults to the clipping polygon. The
-measurement area must be convex. All lengths are meters, angles degrees,
-times seconds.
+candidates). Each segment list is validated once, at load, and stored as a
+(W, 2, 2) float array of endpoint pairs; a wrong shape, a non-finite
+coordinate or a zero-length segment is a BadConfig naming the field. The
+derived ray_walls (walls, then virtual walls) and departure_segments (exits,
+then entrances) are built from them at the same time. The walkable polygon
+defaults to the clipping polygon. The measurement area must be convex. All
+lengths are meters, angles degrees, times seconds.
 """
 
 from __future__ import annotations
@@ -44,7 +48,7 @@ from .features import (
     StaticVelocityMode,
     feature_dim,
 )
-from .geometry import Segment, ensure_simple_polygon, is_convex
+from .geometry import ensure_simple_polygon, is_convex
 
 __all__ = ["BadConfig", "SmoothingConfig", "Scenario", "load_scenario"]
 
@@ -68,27 +72,45 @@ class SmoothingConfig:
             )
 
 
-def _segments(raw, label: str) -> list[Segment]:
+def _segments(raw, label: str) -> np.ndarray:
+    """Validate a segment list as a (W, 2, 2) float array of endpoint pairs."""
     try:
-        return [Segment(a, b) for a, b in raw]
+        segs = np.array(raw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"invalid {label}: {exc}") from exc
+    if segs.shape == (0,):
+        segs = segs.reshape(0, 2, 2)
+    if segs.ndim != 3 or segs.shape[1:] != (2, 2):
+        raise BadConfig(
+            f"invalid {label}: expected a list of [[x, y], [x, y]] segments, "
+            f"got shape {segs.shape}"
+        )
+    if not np.isfinite(segs).all():
+        raise BadConfig(f"invalid {label}: non-finite coordinate")
+    short = np.flatnonzero(np.hypot(*(segs[:, 1] - segs[:, 0]).T) <= 0.0)
+    if len(short):
+        raise BadConfig(f"invalid {label}: segment {short[0]} has zero length")
+    return segs
 
 
 @dataclass
 class Scenario:
-    """Validated scenario shared by the whole pipeline."""
+    """Validated scenario shared by the whole pipeline.
+
+    Besides the fields, it holds ray_walls and departure_segments, the
+    (W, 2, 2) segment sets derived from them at construction.
+    """
 
     name: str
     frame_rate: float
-    walls: list[Segment]
-    entrances: list[Segment]
-    exits: list[Segment]
+    walls: np.ndarray  # segment sets are (W, 2, 2) endpoint pairs
+    entrances: np.ndarray
+    exits: np.ndarray
     clipping_polygon: np.ndarray
     measurement_area: np.ndarray
     measurement_width: float
     dt: float = 0.5
-    virtual_walls: list[Segment] = field(default_factory=list)
+    virtual_walls: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
     walkable_polygon: np.ndarray | None = None
     default_heading: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0]))
     smoothing: SmoothingConfig = field(default_factory=SmoothingConfig)
@@ -106,8 +128,12 @@ class Scenario:
             raise BadConfig(
                 f"frame_rate * dt must be a positive integer frame stride, got {stride}"
             )
-        if not self.exits:
+        for label in ("walls", "virtual_walls", "entrances", "exits"):
+            setattr(self, label, _segments(getattr(self, label), label))
+        if len(self.exits) == 0:
             raise BadConfig("at least one exit segment is required")
+        self.ray_walls = np.concatenate([self.walls, self.virtual_walls])
+        self.departure_segments = np.concatenate([self.exits, self.entrances])
         self.clipping_polygon = ensure_simple_polygon(self.clipping_polygon)
         self.measurement_area = ensure_simple_polygon(self.measurement_area)
         if not is_convex(self.measurement_area):
@@ -142,26 +168,9 @@ class Scenario:
     def feature_dim(self) -> int:
         return feature_dim(self.radar, self.rays)
 
-    @property
-    def ray_walls(self) -> list[Segment]:
-        """Walls seen by the forward ray scan (physical + virtual)."""
-        return list(self.walls) + list(self.virtual_walls)
-
-    @property
-    def radar_walls(self) -> list[Segment]:
-        """Walls that can become sector neighbors (physical only)."""
-        return list(self.walls)
-
-    @property
-    def departure_segments(self) -> list[Segment]:
-        """Crossing any of these ends a pedestrian's run (exits, then entrances)."""
-        return list(self.exits) + list(self.entrances)
-
     def diameter(self) -> float:
-        pts = [self.clipping_polygon]
-        for seg in self.walls + self.virtual_walls + self.entrances + self.exits:
-            pts.append(np.array([seg.a, seg.b]))
-        allpts = np.vstack(pts)
+        segs = (self.walls, self.virtual_walls, self.entrances, self.exits)
+        allpts = np.vstack([self.clipping_polygon] + [s.reshape(-1, 2) for s in segs])
         hi = allpts.max(axis=0)
         lo = allpts.min(axis=0)
         return float(np.hypot(*(hi - lo)))
@@ -170,23 +179,20 @@ class Scenario:
         return FeatureExtractor(
             radar=self.radar,
             rays=self.rays,
-            radar_walls=self.radar_walls,
+            radar_walls=self.walls,
             ray_walls=self.ray_walls,
             static_mode=self.static_velocity_mode,
         )
 
     def to_dict(self) -> dict:
-        def segs(items):
-            return [[list(map(float, s.a)), list(map(float, s.b))] for s in items]
-
         return {
             "name": self.name,
             "frame_rate": self.frame_rate,
             "dt": self.dt,
-            "walls": segs(self.walls),
-            "virtual_walls": segs(self.virtual_walls),
-            "entrances": segs(self.entrances),
-            "exits": segs(self.exits),
+            "walls": self.walls.tolist(),
+            "virtual_walls": self.virtual_walls.tolist(),
+            "entrances": self.entrances.tolist(),
+            "exits": self.exits.tolist(),
             "clipping_polygon": self.clipping_polygon.tolist(),
             "walkable_polygon": self.walkable_polygon.tolist(),
             "measurement_area": self.measurement_area.tolist(),
@@ -220,10 +226,10 @@ class Scenario:
                 name=str(doc.get("name", "scenario")),
                 frame_rate=float(doc["frame_rate"]),
                 dt=float(doc.get("dt", 0.5)),
-                walls=_segments(doc.get("walls", []), "walls"),
-                virtual_walls=_segments(doc.get("virtual_walls", []), "virtual_walls"),
-                entrances=_segments(doc.get("entrances", []), "entrances"),
-                exits=_segments(doc.get("exits", []), "exits"),
+                walls=doc.get("walls", []),
+                virtual_walls=doc.get("virtual_walls", []),
+                entrances=doc.get("entrances", []),
+                exits=doc.get("exits", []),
                 clipping_polygon=np.asarray(doc["clipping_polygon"], dtype=float),
                 walkable_polygon=(
                     np.asarray(doc["walkable_polygon"], dtype=float)

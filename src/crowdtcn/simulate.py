@@ -14,7 +14,11 @@ rows in sorted-id order. A window's prediction may differ from a
 single-window call by float32 rounding, because the batch shapes differ.
 A non-finite prediction raises NonFinitePrediction naming the pedestrians.
 
-A step that would carry a pedestrian through a wall is intercepted: the
+Each step finds every pedestrian's first wall crossing and first departure
+crossing, by motion parameter and then lowest segment index, with one
+geometry.crossing_params call on the scenario's wall array and one on its
+departure array. A step that would carry a pedestrian through a wall is
+intercepted (a departure reached no later than the wall wins): the
 pedestrian is placed a small standoff inside the wall at the crossing point,
 its recent velocities are rewritten to a blend of wall tangent and inward
 normal at its recent mean speed, and its stored feature frames are recomputed
@@ -35,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .features import FeatureExtractor, heading
-from .geometry import Segment, point_in_polygon
+from .geometry import crossing_params, point_in_polygon
 from .ingest import Trajectory
 from .scenario import Scenario
 
@@ -126,51 +130,17 @@ class _PedState:
     def steps_since_entry(self) -> int:
         return len(self.positions) - 1
 
-
-def _crossing_param(p0: np.ndarray, p1: np.ndarray, seg: Segment):
-    """Motion parameter in (0, 1] where p0->p1 crosses seg, else None.
-
-    Counts a strict side change and also a step that lands exactly on the
-    segment's line (t = 1), so a pedestrian can never come to rest on a wall
-    or departure line and slip over it undetected next step. Starting on the
-    line (side0 = 0) is not a crossing: that covers both entry positions on
-    the entrance segment and motion sliding along a boundary. Side values
-    within 1e-9 m of the line count as on it, so smoothing noise on seed
-    points that sit on a boundary (e.g. filter edge effects pushing an
-    entry position a few 1e-17 m outside) cannot fake a departure.
-    """
-    e = seg.b - seg.a
-    side0 = e[0] * (p0[1] - seg.a[1]) - e[1] * (p0[0] - seg.a[0])
-    side1 = e[0] * (p1[1] - seg.a[1]) - e[1] * (p1[0] - seg.a[0])
-    tol = 1e-9 * math.hypot(e[0], e[1])
-    if abs(side0) <= tol:
-        side0 = 0.0
-    if abs(side1) <= tol:
-        side1 = 0.0
-    if side0 == 0.0:
-        return None
-    if side1 != 0.0 and (side0 > 0) == (side1 > 0):
-        return None
-    d = p1 - p0
-    denom = d[0] * e[1] - d[1] * e[0]
-    if denom == 0.0:
-        return None
-    rel = seg.a - p0
-    t = (rel[0] * e[1] - rel[1] * e[0]) / denom
-    u = (rel[0] * d[1] - rel[1] * d[0]) / denom
-    if not (-1e-9 <= u <= 1.0 + 1e-9):
-        return None
-    return float(t)
-
-
-def _first_crossing(p0: np.ndarray, p1: np.ndarray, segments):
-    """(motion param, segment index) of the nearest proper crossing, else None."""
-    best = None
-    for i, seg in enumerate(segments):
-        t = _crossing_param(p0, p1, seg)
-        if t is not None and (best is None or t < best[0]):
-            best = (t, i)
-    return best
+    def trajectory(self, exit_step: int | None) -> SimulatedTrajectory:
+        """The path so far; exit_step is None while the pedestrian is active."""
+        return SimulatedTrajectory(
+            id=self.ped_id,
+            enter_step=self.enter_step,
+            positions=np.array(self.positions),
+            velocities=np.array(self.velocities).reshape(-1, 2),
+            exit_step=exit_step,
+            corrected_steps=tuple(self.corrected_steps),
+            exited=exit_step is not None,
+        )
 
 
 class SimWorld:
@@ -217,26 +187,23 @@ class SimWorld:
         # historical snapshots, world step -> (sorted ids, positions, velocities)
         self._snapshots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    @property
-    def population(self) -> int:
-        return len(self.pending) + len(self.active) + len(self.exited)
-
-    def _correct(self, st: _PedState, p_cur, v_hat, tentative, wall: Segment, t: int):
-        """Place the pedestrian standoff-inside the crossed wall and rewrite
-        its recent velocities and feature frames. Returns snapshot updates.
+    def _correct(self, st: _PedState, p_cur, v_hat, tentative, wall, t_hit, t: int):
+        """Place the pedestrian standoff-inside the crossed (2, 2) ``wall``,
+        which the step crosses at motion parameter ``t_hit``, and rewrite its
+        recent velocities and feature frames. Returns snapshot updates.
 
         The recomputed frames take the pedestrian's own position, velocity and
         heading from its rewritten history and everyone else from that step's
         snapshot, which still holds the pre-correction velocities."""
         cfg = self.config
-        e = wall.b - wall.a
+        a, b = wall
+        e = b - a
         # inward normal: the pedestrian came from the walkable side, so point
         # the wall's perpendicular back toward the pre-step position
-        side = e[0] * (p_cur[1] - wall.a[1]) - e[1] * (p_cur[0] - wall.a[0])
+        side = e[0] * (p_cur[1] - a[1]) - e[1] * (p_cur[0] - a[0])
         inward = np.array([-e[1], e[0]]) / np.hypot(e[0], e[1])
         if side < 0:
             inward = -inward
-        t_hit = _crossing_param(p_cur, tentative, wall)
         hit_point = p_cur + t_hit * (tentative - p_cur)
         corrected = hit_point + cfg.standoff * inward
         if not point_in_polygon(corrected, self.scenario.walkable_polygon, include_boundary=False):
@@ -334,29 +301,32 @@ class SimWorld:
         inside = point_in_polygon(
             tentatives, self.scenario.walkable_polygon, include_boundary=True
         )
+        # each step's first crossing by (t, lowest index); inf where none
+        walls, departures = self.scenario.walls, self.scenario.departure_segments
+        wall_t = crossing_params(pos, tentatives, walls[:, 0], walls[:, 1])
+        dep_t = crossing_params(pos, tentatives, departures[:, 0], departures[:, 1])
+        dep_t = dep_t.min(axis=1, initial=np.inf)
+        hit_t = wall_t.min(axis=1, initial=np.inf)
         exits: list[int] = []
         snapshot_updates: list[tuple] = []
         for i, (pid, st) in enumerate(zip(order, states)):
             p_cur, tentative = pos[i], tentatives[i]
-            dep = _first_crossing(p_cur, tentative, self.scenario.departure_segments)
-            hit = _first_crossing(p_cur, tentative, self.scenario.walls)
-            if dep is not None and (hit is None or dep[0] <= hit[0]):
-                st.positions.append(tentative)
-                st.velocities.append((tentative - p_cur) / cfg.dt)
+            if dep_t[i] < np.inf and dep_t[i] <= hit_t[i]:
                 exits.append(pid)
-            elif hit is not None:
+            elif hit_t[i] < np.inf:
+                wall = walls[np.argmin(wall_t[i])]
                 snapshot_updates += self._correct(
-                    st, p_cur, decisions[i], tentative, self.scenario.walls[hit[1]], t
+                    st, p_cur, decisions[i], tentative, wall, hit_t[i], t
                 )
+                continue
             elif not inside[i]:
                 raise NoInwardDirection(
                     f"pedestrian {pid} left the walkable region at step {t + 1} "
                     f"at ({tentative[0]:.3f}, {tentative[1]:.3f}) without crossing "
                     "a wall or departure segment"
                 )
-            else:
-                st.positions.append(tentative)
-                st.velocities.append((tentative - p_cur) / cfg.dt)
+            st.positions.append(tentative)
+            st.velocities.append((tentative - p_cur) / cfg.dt)
 
         # corrections commit after all decisions, so within a step nobody
         # observes another pedestrian's corrected history
@@ -364,34 +334,12 @@ class SimWorld:
             snap_vel[row] = velocity
 
         for pid in exits:
-            st = self.active.pop(pid)
-            self.exited[pid] = SimulatedTrajectory(
-                id=pid,
-                enter_step=st.enter_step,
-                positions=np.array(st.positions),
-                velocities=np.array(st.velocities).reshape(-1, 2),
-                exit_step=t + 1,
-                corrected_steps=tuple(st.corrected_steps),
-                exited=True,
-            )
+            self.exited[pid] = self.active.pop(pid).trajectory(exit_step=t + 1)
         self.clock = t + 1
 
     def unfinished(self) -> list[SimulatedTrajectory]:
         """Active pedestrians as truncated trajectories (cap diagnostics)."""
-        out = []
-        for pid, st in sorted(self.active.items()):
-            out.append(
-                SimulatedTrajectory(
-                    id=pid,
-                    enter_step=st.enter_step,
-                    positions=np.array(st.positions),
-                    velocities=np.array(st.velocities).reshape(-1, 2),
-                    exit_step=None,
-                    corrected_steps=tuple(st.corrected_steps),
-                    exited=False,
-                )
-            )
-        return out
+        return [st.trajectory(exit_step=None) for _, st in sorted(self.active.items())]
 
 
 @dataclass

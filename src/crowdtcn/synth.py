@@ -17,7 +17,6 @@ from pathlib import Path
 import numpy as np
 
 from .features import RadarConfig, RayScanConfig
-from .geometry import Segment
 from .ingest import RawTrack
 from .scenario import Scenario, SmoothingConfig
 
@@ -80,14 +79,14 @@ def corridor_scenario(
     meas = np.array(
         [[mid - half_span, -hw], [mid + half_span, -hw], [mid + half_span, hw], [mid - half_span, hw]]
     )
-    entrance = Segment((0.0, -hw), (0.0, hw))
+    entrance = ((0.0, -hw), (0.0, hw))
     return Scenario(
         name=name,
         frame_rate=frame_rate,
         dt=dt,
-        walls=[Segment((0.0, -hw), (length, -hw)), Segment((0.0, hw), (length, hw))],
+        walls=[((0.0, -hw), (length, -hw)), ((0.0, hw), (length, hw))],
         entrances=[entrance],
-        exits=[Segment((length, -hw), (length, hw))],
+        exits=[((length, -hw), (length, hw))],
         virtual_walls=[entrance],
         clipping_polygon=rect,
         measurement_area=meas,
@@ -121,19 +120,19 @@ def corner_scenario(
         [[0.0, 0.0], [lx, 0.0], [lx, ly], [lx - b, ly], [lx - b, b], [0.0, b]]
     )
     meas = np.array([[lx - b, 0.0], [lx, 0.0], [lx, b], [lx - b, b]])
-    entrance = Segment((0.0, 0.0), (0.0, b))
+    entrance = ((0.0, 0.0), (0.0, b))
     return Scenario(
         name=name,
         frame_rate=frame_rate,
         dt=dt,
         walls=[
-            Segment((0.0, 0.0), (lx, 0.0)),
-            Segment((lx, 0.0), (lx, ly)),
-            Segment((0.0, b), (lx - b, b)),
-            Segment((lx - b, b), (lx - b, ly)),
+            ((0.0, 0.0), (lx, 0.0)),
+            ((lx, 0.0), (lx, ly)),
+            ((0.0, b), (lx - b, b)),
+            ((lx - b, b), (lx - b, ly)),
         ],
         entrances=[entrance],
-        exits=[Segment((lx - b, ly), (lx, ly))],
+        exits=[((lx - b, ly), (lx, ly))],
         virtual_walls=[entrance],
         clipping_polygon=poly,
         measurement_area=meas,
@@ -174,21 +173,21 @@ def t_junction_scenario(
     meas = np.array(
         [[-sw, b], [sw, b], [sw, b + min(2.0, ly)], [-sw, b + min(2.0, ly)]]
     )
-    left = Segment((-l, 0.0), (-l, b))
-    right = Segment((l, 0.0), (l, b))
+    left = ((-l, 0.0), (-l, b))
+    right = ((l, 0.0), (l, b))
     return Scenario(
         name=name,
         frame_rate=frame_rate,
         dt=dt,
         walls=[
-            Segment((-l, 0.0), (l, 0.0)),
-            Segment((-l, b), (-sw, b)),
-            Segment((sw, b), (l, b)),
-            Segment((-sw, b), (-sw, b + ly)),
-            Segment((sw, b), (sw, b + ly)),
+            ((-l, 0.0), (l, 0.0)),
+            ((-l, b), (-sw, b)),
+            ((sw, b), (l, b)),
+            ((-sw, b), (-sw, b + ly)),
+            ((sw, b), (sw, b + ly)),
         ],
         entrances=[left, right],
-        exits=[Segment((-sw, b + ly), (sw, b + ly))],
+        exits=[((-sw, b + ly), (sw, b + ly))],
         virtual_walls=[left, right],
         clipping_polygon=poly,
         measurement_area=meas,

@@ -49,7 +49,6 @@ __all__ = [
     "adam_step",
     "compute_stats",
     "normalize_features",
-    "denormalize_features",
     "train",
     "save_model",
     "load_model",
@@ -475,10 +474,6 @@ def compute_stats(inputs: np.ndarray) -> NormStats:
 
 def normalize_features(x: np.ndarray, stats: NormStats) -> np.ndarray:
     return (x - stats.mean) / stats.std
-
-
-def denormalize_features(x: np.ndarray, stats: NormStats) -> np.ndarray:
-    return x * stats.std + stats.mean
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,8 @@ Everything here is deliberately written in the most direct way possible
 serve as an oracle for the production code without sharing its structure.
 """
 
+import math
+
 import numpy as np
 
 from crowdtcn.geometry import EPS_GEO, DegenerateSites, VoronoiCell, polygon_area
@@ -231,3 +233,46 @@ def voronoi_measures_loop(positions, speeds, walkable, measurement_area, width):
     rho = ratio_sum / polygon_area(measurement_area)
     vel = speed_sum / weight_sum
     return rho, vel, rho * vel * width
+
+
+def crossing_param(p0, p1, seg):
+    """Scalar motion parameter in (0, 1] where p0->p1 crosses seg, else None.
+
+    ``seg`` is a (2, 2) endpoint pair. A start within 1e-9 |b - a| of the
+    line is not a crossing; a landing on it (t = 1) is; parallel motion
+    never is; u may overshoot [0, 1] by 1e-9.
+    """
+    a, b = np.asarray(seg, dtype=float)
+    e = b - a
+    side0 = e[0] * (p0[1] - a[1]) - e[1] * (p0[0] - a[0])
+    side1 = e[0] * (p1[1] - a[1]) - e[1] * (p1[0] - a[0])
+    tol = 1e-9 * math.hypot(e[0], e[1])
+    if abs(side0) <= tol:
+        side0 = 0.0
+    if abs(side1) <= tol:
+        side1 = 0.0
+    if side0 == 0.0:
+        return None
+    if side1 != 0.0 and (side0 > 0) == (side1 > 0):
+        return None
+    d = p1 - p0
+    denom = d[0] * e[1] - d[1] * e[0]
+    if denom == 0.0:
+        return None
+    rel = a - p0
+    t = (rel[0] * e[1] - rel[1] * e[0]) / denom
+    u = (rel[0] * d[1] - rel[1] * d[0]) / denom
+    if not (-1e-9 <= u <= 1.0 + 1e-9):
+        return None
+    return float(t)
+
+
+def first_crossing(p0, p1, segments):
+    """(motion param, segment index) of the nearest crossing, else None; ties
+    go to the lowest index."""
+    best = None
+    for i, seg in enumerate(segments):
+        t = crossing_param(p0, p1, seg)
+        if t is not None and (best is None or t < best[0]):
+            best = (t, i)
+    return best

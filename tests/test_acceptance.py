@@ -38,7 +38,6 @@ from crowdtcn.features import (
     forward_wall_rays,
     radar_neighbors,
 )
-from crowdtcn.geometry import Segment
 from crowdtcn.ingest import Trajectory
 from crowdtcn.tcn import Architecture, backward, dilated_causal_conv, forward, init_params, loss
 
@@ -312,7 +311,7 @@ def test_criterion_3_geometry_matches_brute_force_oracles():
             if math.hypot(b[0] - a[0], b[1] - a[1]) < 1e-2:
                 b = a + np.array([1.0, 0.0])
             wall_pts.append(((float(a[0]), float(a[1])), (float(b[0]), float(b[1]))))
-        segs = [Segment(a, b) for a, b in wall_pts]
+        segs = np.array(wall_pts).reshape(-1, 2, 2)
         mode = StaticVelocityMode.MINUS_OWN if scene % 2 == 0 else StaticVelocityMode.ZERO
 
         got = radar_neighbors(p, v, head, others, others_vel, segs, cfg, mode)

@@ -337,6 +337,23 @@ def test_non_convex_measurement_area_is_exit_2(dataset_dir, tmp_path, capsys):
     assert not (tmp_path / "ev").exists()
 
 
+def test_non_finite_wall_is_exit_2(dataset_dir, tmp_path, capsys):
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    doc["walls"][0][1][1] = float("nan")
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    run = {
+        **MICRO,
+        "scenario": str(tmp_path / "scenario.json"),
+        "training_files": [str(dataset_dir / "train.txt")],
+        "testing_files": [str(dataset_dir / "test.txt")],
+        "output_dir": str(tmp_path / "out"),
+    }
+    (tmp_path / "run.json").write_text(json.dumps(run))
+    assert main(["train", "-c", str(tmp_path / "run.json")]) == EXIT_CONFIG
+    assert "invalid walls: non-finite coordinate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_nan_coordinate_is_exit_2(dataset_dir, tmp_path, capsys):
     lines = (dataset_dir / "test.txt").read_text().splitlines()
     row = next(i for i, line in enumerate(lines) if line.split()[:1] == ["1"]) + 2

@@ -16,7 +16,6 @@ from crowdtcn.features import (
     heading,
     radar_neighbors,
 )
-from crowdtcn.geometry import Segment
 
 
 class TestHeading:
@@ -94,7 +93,7 @@ class TestRadarNeighbors:
 
     def test_wall_neighbor_closest_point(self):
         cfg = RadarConfig(radius=1.2, sector_deg=90)
-        wall = Segment([-5, 1.0], [5, 1.0])
+        wall = np.array([[-5, 1.0], [5, 1.0]])
         res = radar_neighbors([0, 0], [1, 0], [1, 0], [], [], [wall], cfg)
         # sector 3 covers [90, 180): straight up; closest wall point is (0, 1)
         assert res.kinds[3] == NeighborKind.WALL
@@ -103,7 +102,7 @@ class TestRadarNeighbors:
 
     def test_pedestrian_preferred_over_farther_wall(self):
         cfg = RadarConfig(radius=1.2, sector_deg=90)
-        wall = Segment([-5, 1.0], [5, 1.0])
+        wall = np.array([[-5, 1.0], [5, 1.0]])
         res = radar_neighbors(
             [0, 0], [1, 0], [1, 0], [[0.0, 0.5]], [[0, 0]], [wall], cfg
         )
@@ -140,10 +139,10 @@ class TestRadarNeighbors:
                 b = a + rng.uniform(-4, 4, 2)
                 if np.linalg.norm(b - a) < 1e-2:
                     b = a + np.array([1.0, 0.0])
-                walls.append(Segment(a, b))
+                walls.append(np.array([a, b]))
             res = radar_neighbors(center, v, head, others, others_vel, walls, cfg)
             oracle = sampled_sector_neighbors(
-                center, head, others, [(w.a, w.b) for w in walls], cfg.radius, cfg.sector_deg
+                center, head, others, walls, cfg.radius, cfg.sector_deg
             )
             for j in range(cfg.n_sectors):
                 ped_c = oracle[j]["ped"]
@@ -182,7 +181,7 @@ class TestRadarNeighbors:
 class TestForwardRays:
     def test_corridor_analytic(self):
         cfg = RayScanConfig(step_deg=90, exit_distance=100.0)
-        walls = [Segment([-50, 1.5], [50, 1.5]), Segment([-50, -1.5], [50, -1.5])]
+        walls = np.array([[[-50, 1.5], [50, 1.5]], [[-50, -1.5], [50, -1.5]]])
         scan = forward_wall_rays([0, 0], [1, 0], walls, cfg)
         assert np.allclose(scan.rel_points[0], [0, 1.5], atol=1e-9)
         assert np.allclose(scan.rel_points[1], [100.0, 0.0], atol=1e-9)
@@ -212,13 +211,13 @@ class TestForwardRays:
                 b = a + rng.uniform(-5, 5, 2)
                 if np.linalg.norm(b - a) < 1e-2:
                     b = a + np.array([0.0, 1.0])
-                walls.append(Segment(a, b))
+                walls.append(np.array([a, b]))
             scan = forward_wall_rays(p, head, walls, cfg)
             head_ang = math.atan2(head[1], head[0])
             for k in range(cfg.n_rays):
                 ray_ang = head_ang + math.pi / 2 - k * math.radians(cfg.step_deg)
                 d = np.array([math.cos(ray_ang), math.sin(ray_ang)])
-                hit = nearest_ray_hit(p, d, [(w.a, w.b) for w in walls])
+                hit = nearest_ray_hit(p, d, walls)
                 if hit is None:
                     assert scan.wall_indices[k] == -1
                     assert np.allclose(scan.rel_points[k], cfg.exit_distance * d, atol=1e-9)
@@ -229,7 +228,7 @@ class TestForwardRays:
 
 class TestAssembledFrame:
     def make_extractor(self, sector_deg=18.0, step_deg=5.0):
-        walls = [Segment([-50, 1.5], [50, 1.5]), Segment([-50, -1.5], [50, -1.5])]
+        walls = np.array([[[-50, 1.5], [50, 1.5]], [[-50, -1.5], [50, -1.5]]])
         return FeatureExtractor(
             radar=RadarConfig(sector_deg=sector_deg),
             rays=RayScanConfig(step_deg=step_deg),
@@ -277,7 +276,7 @@ class TestAssembledFrame:
             v = rng.uniform(-1.5, 1.5, 2)
             others = pos + rng.uniform(-2, 2, (8, 2))
             ovel = rng.uniform(-1, 1, (8, 2))
-            walls = [Segment(pos + rng.uniform(-4, 4, 2), pos + rng.uniform(-4, 4, 2)) for _ in range(3)]
+            walls = pos + rng.uniform(-4, 4, (3, 2, 2))
             ex = FeatureExtractor(
                 radar=RadarConfig(),
                 rays=RayScanConfig(),
@@ -287,8 +286,8 @@ class TestAssembledFrame:
             ex_rot = FeatureExtractor(
                 radar=RadarConfig(),
                 rays=RayScanConfig(),
-                radar_walls=[Segment(rot @ w.a, rot @ w.b) for w in walls],
-                ray_walls=[Segment(rot @ w.a, rot @ w.b) for w in walls],
+                radar_walls=walls @ rot.T,
+                ray_walls=walls @ rot.T,
             )
             h = heading([v], [1, 0])
             base = ex.frame(pos, v, h, others, ovel)
@@ -306,13 +305,13 @@ class TestAssembledFrame:
         v = rng.uniform(-1.5, 1.5, 2)
         others = pos + rng.uniform(-2, 2, (6, 2))
         ovel = rng.uniform(-1, 1, (6, 2))
-        walls = [Segment(pos + rng.uniform(-4, 4, 2), pos + rng.uniform(-4, 4, 2)) for _ in range(3)]
+        walls = pos + rng.uniform(-4, 4, (3, 2, 2))
         ex = FeatureExtractor(RadarConfig(), RayScanConfig(), walls, walls)
         ex_shift = FeatureExtractor(
             RadarConfig(),
             RayScanConfig(),
-            [Segment(w.a + shift, w.b + shift) for w in walls],
-            [Segment(w.a + shift, w.b + shift) for w in walls],
+            walls + shift,
+            walls + shift,
         )
         h = heading([v], [1, 0])
         base = ex.frame(pos, v, h, others, ovel)
@@ -341,7 +340,7 @@ class TestBatchedFrames:
             b = a + rng.uniform(-5, 5, 2)
             if np.linalg.norm(b - a) < 1e-2:
                 b = a + np.array([1.0, 0.0])
-            walls.append(Segment(a, b))
+            walls.append(np.array([a, b]))
         return pos, vel, vel / np.linalg.norm(vel, axis=1, keepdims=True), walls
 
     @pytest.mark.parametrize("seed", range(3))

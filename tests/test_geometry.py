@@ -3,41 +3,64 @@ import pytest
 
 from crowdtcn.geometry import (
     DegenerateSites,
-    Ray,
-    Segment,
     SelfIntersecting,
     bounded_voronoi,
-    first_hit,
+    closest_points,
+    crossing_params,
+    first_hits,
     is_convex,
     point_in_polygon,
-    point_segment_distance,
     polygon_area,
     polygon_clip,
     polygon_clip_areas,
-    ray_segment_intersection,
+    ray_segment_params,
 )
-from oracles import bounded_voronoi_loop, convex_clip_loop, point_in_polygon_loop
+from oracles import (
+    bounded_voronoi_loop,
+    convex_clip_loop,
+    crossing_param,
+    first_crossing,
+    point_in_polygon_loop,
+    solve_ray_segment,
+)
 
 UNIT_SQUARE = np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]])
 L_SHAPE = np.array([[0.0, 0.0], [8.0, 0.0], [8.0, 3.0], [3.0, 3.0], [3.0, 6.0], [0.0, 6.0]])
+X_AXIS = np.array([[-1.0, 0.0], [1.0, 0.0]])
 
 
 def random_segment(rng, span=10.0):
+    """A (2, 2) endpoint pair at least 1e-3 long."""
     while True:
         a = rng.uniform(-span, span, 2)
         b = rng.uniform(-span, span, 2)
         if np.linalg.norm(a - b) > 1e-3:
-            return Segment(a, b)
+            return np.array([a, b])
+
+
+def ray_hit(origin, direction, seg):
+    """Intersection point of one ray and one segment, or None."""
+    origin, direction = np.asarray(origin, dtype=float), np.asarray(direction, dtype=float)
+    t, hit = ray_segment_params(origin, direction, seg[0], seg[1])
+    return origin + t * direction if hit else None
+
+
+def nearest_wall(origin, direction, walls):
+    """(point, wall index) of the first wall a ray hits, or None."""
+    walls = np.asarray(walls, dtype=float).reshape(-1, 2, 2)
+    pt, idx = first_hits(np.asarray(origin, dtype=float), np.asarray(direction, dtype=float),
+                         walls[:, 0], walls[:, 1])
+    return None if idx < 0 else (pt, int(idx))
 
 
 class TestPointSegmentDistance:
     def test_perpendicular_foot(self):
-        d, c = point_segment_distance((0, 1), Segment((-1, 0), (1, 0)))
+        d, c = closest_points(np.array([0.0, 1.0]), *X_AXIS)
         assert d == pytest.approx(1.0)
         assert np.allclose(c, [0, 0])
 
     def test_endpoint_clamp(self):
-        d, c = point_segment_distance((2, 0), Segment((-1, 0), (1, 0)))
+        d, c = closest_points(np.array([2.0, 0.0]), *X_AXIS)
         assert d == pytest.approx(1.0)
         assert np.allclose(c, [1, 0])
 
@@ -46,45 +69,35 @@ class TestPointSegmentDistance:
         rng = np.random.default_rng(7)
         ts = np.linspace(0.0, 1.0, 100_000)[:, None]
         for _ in range(50):
-            s = random_segment(rng)
+            a, b = random_segment(rng)
             p = rng.uniform(-12, 12, 2)
-            samples = s.a + ts * (s.b - s.a)
+            samples = a + ts * (b - a)
             oracle = np.linalg.norm(samples - p, axis=1).min()
-            d, c = point_segment_distance(p, s)
+            d, c = closest_points(p, a, b)
             assert abs(d - oracle) < 1e-4
             assert np.linalg.norm(p - c) == pytest.approx(d)
 
     def test_triangle_inequality_vs_endpoints(self):
         rng = np.random.default_rng(8)
         for _ in range(200):
-            s = random_segment(rng)
+            a, b = random_segment(rng)
             p = rng.uniform(-12, 12, 2)
-            d, _ = point_segment_distance(p, s)
-            da = np.linalg.norm(p - s.a)
-            db = np.linalg.norm(p - s.b)
+            d, _ = closest_points(p, a, b)
+            da = np.linalg.norm(p - a)
+            db = np.linalg.norm(p - b)
+            length = np.linalg.norm(b - a)
             assert d <= da + 1e-12 and d <= db + 1e-12
-            assert da <= d + s.length + 1e-9
-            assert db <= d + s.length + 1e-9
-
-
-def solve_ray_segment(r: Ray, s: Segment):
-    """Independent oracle: direct 2x2 linear solve of origin + t d = a + u (b - a)."""
-    mat = np.column_stack([r.direction, s.a - s.b])
-    if abs(np.linalg.det(mat)) < 1e-12:
-        return None
-    t, u = np.linalg.solve(mat, s.a - r.origin)
-    if t < 0 or u < 0 or u > 1:
-        return None
-    return r.origin + t * r.direction
+            assert da <= d + length + 1e-9
+            assert db <= d + length + 1e-9
 
 
 class TestRaySegmentIntersection:
     def test_straight_hit(self):
-        pt = ray_segment_intersection(Ray((0, 0), (1, 0)), Segment((2, -1), (2, 1)))
+        pt = ray_hit((0, 0), (1, 0), np.array([[2, -1], [2, 1]]))
         assert np.allclose(pt, [2, 0])
 
     def test_behind_origin(self):
-        pt = ray_segment_intersection(Ray((0, 0), (1, 0)), Segment((-2, -1), (-2, 1)))
+        pt = ray_hit((0, 0), (1, 0), np.array([[-2, -1], [-2, 1]]))
         assert pt is None
 
     def test_matches_linear_solve_oracle(self):
@@ -93,17 +106,17 @@ class TestRaySegmentIntersection:
         for _ in range(2000):
             s = random_segment(rng)
             ang = rng.uniform(0, 2 * np.pi)
-            r = Ray(rng.uniform(-10, 10, 2), (np.cos(ang), np.sin(ang)))
-            expect = solve_ray_segment(r, s)
-            got = ray_segment_intersection(r, s)
+            origin, direction = rng.uniform(-10, 10, 2), np.array([np.cos(ang), np.sin(ang)])
+            expect = solve_ray_segment(origin, direction, s[0], s[1])
+            got = ray_hit(origin, direction, s)
             if expect is None:
                 # implementation may legitimately report grazing/collinear hits
                 # that the strict solver rejects; only check agreement when the
                 # solver is well-conditioned
                 if got is not None:
-                    d = got - r.origin
-                    assert np.dot(d, r.direction) >= -1e-9
-                    dd, _ = point_segment_distance(got, s)
+                    d = got - origin
+                    assert np.dot(d, direction) >= -1e-9
+                    dd, _ = closest_points(got, s[0], s[1])
                     assert dd < 1e-6
                 continue
             assert got is not None
@@ -112,10 +125,11 @@ class TestRaySegmentIntersection:
         assert checked_hits > 200
 
     def test_collinear_overlap_returns_nearest(self):
-        pt = ray_segment_intersection(Ray((0, 0), (1, 0)), Segment((2, 0), (5, 0)))
+        seg = np.array([[2, 0], [5, 0]])
+        pt = ray_hit((0, 0), (1, 0), seg)
         assert np.allclose(pt, [2, 0])
         # origin inside the overlap
-        pt = ray_segment_intersection(Ray((3, 0), (1, 0)), Segment((2, 0), (5, 0)))
+        pt = ray_hit((3, 0), (1, 0), seg)
         assert np.allclose(pt, [3, 0])
 
     def test_rigid_transform_equivariance(self):
@@ -123,14 +137,13 @@ class TestRaySegmentIntersection:
         for _ in range(100):
             s = random_segment(rng)
             ang = rng.uniform(0, 2 * np.pi)
-            r = Ray(rng.uniform(-5, 5, 2), (np.cos(ang), np.sin(ang)))
-            pt = ray_segment_intersection(r, s)
+            origin, direction = rng.uniform(-5, 5, 2), np.array([np.cos(ang), np.sin(ang)])
+            pt = ray_hit(origin, direction, s)
             theta = rng.uniform(0, 2 * np.pi)
             rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
             shift = rng.uniform(-3, 3, 2)
-            r2 = Ray(rot @ r.origin + shift, rot @ r.direction)
-            s2 = Segment(rot @ s.a + shift, rot @ s.b + shift)
-            pt2 = ray_segment_intersection(r2, s2)
+            s2 = np.array([rot @ s[0] + shift, rot @ s[1] + shift])
+            pt2 = ray_hit(rot @ origin + shift, rot @ direction, s2)
             if pt is None:
                 assert pt2 is None
             else:
@@ -140,32 +153,32 @@ class TestRaySegmentIntersection:
 
 class TestFirstHit:
     def test_two_parallel_walls(self):
-        walls = [Segment((2, -1), (2, 1)), Segment((3, -1), (3, 1))]
-        hit = first_hit(Ray((0, 0), (1, 0)), walls)
+        walls = np.array([[[2, -1], [2, 1]], [[3, -1], [3, 1]]])
+        hit = nearest_wall((0, 0), (1, 0), walls)
         assert hit is not None
         pt, idx = hit
         assert np.allclose(pt, [2, 0])
         assert idx == 0
 
     def test_no_walls(self):
-        assert first_hit(Ray((0, 0), (1, 0)), []) is None
+        assert nearest_wall((0, 0), (1, 0), np.zeros((0, 2, 2))) is None
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(13)
         for _ in range(50):
             walls = [random_segment(rng, span=6.0) for _ in range(50)]
             ang = rng.uniform(0, 2 * np.pi)
-            r = Ray(rng.uniform(-2, 2, 2), (np.cos(ang), np.sin(ang)))
+            origin, direction = rng.uniform(-2, 2, 2), np.array([np.cos(ang), np.sin(ang)])
             # oracle: score all walls independently, keep the nearest
             best_t, best_idx = np.inf, None
             for i, w in enumerate(walls):
-                pt = ray_segment_intersection(r, w)
+                pt = ray_hit(origin, direction, w)
                 if pt is None:
                     continue
-                t = float(np.dot(pt - r.origin, r.direction))
+                t = float(np.dot(pt - origin, direction))
                 if t < best_t - 1e-9:
                     best_t, best_idx = t, i
-            hit = first_hit(r, walls)
+            hit = nearest_wall(origin, direction, walls)
             if best_idx is None:
                 assert hit is None
             else:
@@ -177,13 +190,103 @@ class TestFirstHit:
         for _ in range(100):
             walls = [random_segment(rng, span=5.0) for _ in range(8)]
             ang = rng.uniform(0, 2 * np.pi)
-            r = Ray(rng.uniform(-1, 1, 2), (np.cos(ang), np.sin(ang)))
-            hit = first_hit(r, walls)
-            d0 = np.inf if hit is None else np.linalg.norm(hit[0] - r.origin)
+            origin, direction = rng.uniform(-1, 1, 2), np.array([np.cos(ang), np.sin(ang)])
+            hit = nearest_wall(origin, direction, walls)
+            d0 = np.inf if hit is None else np.linalg.norm(hit[0] - origin)
             more = walls + [random_segment(rng, span=5.0)]
-            hit2 = first_hit(r, more)
-            d1 = np.inf if hit2 is None else np.linalg.norm(hit2[0] - r.origin)
+            hit2 = nearest_wall(origin, direction, more)
+            d1 = np.inf if hit2 is None else np.linalg.norm(hit2[0] - origin)
             assert d1 <= d0 + 1e-9
+
+
+def crossing_scene(rng, n_segments=8, n_steps=500):
+    """Segments and steps that exercise every crossing rule.
+
+    Half the segments have integer ends, so steps along them are exactly
+    parallel; segment 1 repeats segment 0, so their crossings tie. Steps come
+    in five kinds: free, starting on or within 2e-9 m of a segment's line
+    (either side of the 1e-9 tolerance), landing on or near it, parallel to
+    it, and passing through one of its ends (u near 0 or 1).
+    """
+    segs = [random_segment(rng, span=3.0) for _ in range(n_segments - n_segments // 2)]
+    while len(segs) < n_segments:
+        a, b = rng.integers(-3, 4, (2, 2)).astype(float)
+        if (a != b).any():
+            segs.append(np.array([a, b]))
+    segs[1] = segs[0].copy()
+    segs = np.array(segs)
+    p0 = rng.uniform(-4, 4, (n_steps, 2))
+    p1 = p0 + rng.uniform(-3, 3, (n_steps, 2))
+    kind = np.arange(n_steps) % 5
+    w = rng.integers(0, n_segments, n_steps)
+    e = segs[w, 1] - segs[w, 0]
+    normal = np.stack([-e[:, 1], e[:, 0]], axis=1) / np.linalg.norm(e, axis=1, keepdims=True)
+    off = np.where(rng.random((n_steps, 1)) < 0.5, 0.0, rng.uniform(-2e-9, 2e-9, (n_steps, 1)))
+    near = segs[w, 0] + rng.uniform(-0.5, 1.5, (n_steps, 1)) * e + off * normal
+    p0[kind == 1] = near[kind == 1]
+    p1[kind == 2] = near[kind == 2]
+    para = kind == 3
+    w[para] = rng.integers(n_segments - n_segments // 2, n_segments, para.sum())
+    p0[para] = np.round(p0[para])
+    p1[para] = p0[para] + 0.5 * (segs[w[para], 1] - segs[w[para], 0])
+    end = segs[w, rng.integers(0, 2, n_steps)]
+    p1[kind == 4] = p0[kind == 4] + 2.0 * (end[kind == 4] - p0[kind == 4])
+    return segs, p0, p1
+
+
+class TestCrossingParams:
+    def test_hand_cases(self):
+        seg = np.array([[[0.0, 0.0], [2.0, 0.0]]])
+        steps = {
+            "plain": ([1.0, -1.0], [1.0, 1.0], 0.5),
+            "start on the line": ([1.0, 0.0], [1.0, 1.0], np.inf),
+            "landing on the line": ([1.0, -1.0], [1.0, 0.0], 1.0),
+            "parallel": ([0.0, -1.0], [2.0, -1.0], np.inf),
+            "along the line": ([0.0, 0.0], [2.0, 0.0], np.inf),
+            "past the end": ([3.0, -1.0], [3.0, 1.0], np.inf),
+            "within the end slack": ([-1e-9, -1.0], [-1e-9, 1.0], 0.5),
+            "beyond the end slack": ([-1e-8, -1.0], [-1e-8, 1.0], np.inf),
+            "start within the tolerance": ([1.0, 1e-9], [1.0, -1.0], np.inf),
+            "start beyond the tolerance": ([1.0, 4e-9], [1.0, -4e-9], 0.5),
+            "same side": ([1.0, 1.0], [1.0, 2.0], np.inf),
+        }
+        p0 = np.array([v[0] for v in steps.values()])
+        p1 = np.array([v[1] for v in steps.values()])
+        got = crossing_params(p0, p1, seg[:, 0], seg[:, 1])
+        assert got[:, 0].tolist() == [v[2] for v in steps.values()]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_scalar_oracle_bitwise(self, seed):
+        rng = np.random.default_rng(4000 + seed)
+        segs, p0, p1 = crossing_scene(rng)
+        got = crossing_params(p0, p1, segs[:, 0], segs[:, 1])
+        want = np.array(
+            [[np.inf if (t := crossing_param(q0, q1, s)) is None else t for s in segs]
+             for q0, q1 in zip(p0, p1)]
+        )
+        assert got.shape == (len(p0), len(segs))
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        # the scene reaches every rule: landings, and crossings of both copies
+        assert (got == 1.0).any()
+        assert (np.isfinite(got[:, 0]) & (got[:, 0] == got[:, 1])).any()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_first_crossing_is_lowest_index_argmin(self, seed):
+        rng = np.random.default_rng(5000 + seed)
+        segs, p0, p1 = crossing_scene(rng)
+        got = crossing_params(p0, p1, segs[:, 0], segs[:, 1])
+        t, k = got.min(axis=1), got.argmin(axis=1)
+        for i in range(len(p0)):
+            want = first_crossing(p0[i], p1[i], segs)
+            assert (None if t[i] == np.inf else (t[i], k[i])) == want
+
+    def test_empty_segment_set(self):
+        p0, p1 = np.zeros((3, 2)), np.ones((3, 2))
+        got = crossing_params(p0, p1, np.zeros((0, 2)), np.zeros((0, 2)))
+        assert got.shape == (3, 0)
+        assert got.min(axis=1, initial=np.inf).tolist() == [np.inf] * 3
+        walls = np.zeros((0, 2, 2))
+        assert crossing_params(p0[:0], p1[:0], walls[:, 0], walls[:, 1]).shape == (0, 0)
 
 
 class TestPolygonOps:

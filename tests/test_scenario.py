@@ -1,0 +1,65 @@
+"""Validation of the scenario's segment sets."""
+
+import copy
+
+import numpy as np
+import pytest
+
+from crowdtcn.scenario import BadConfig, Scenario
+from crowdtcn.synth import corridor_scenario
+
+SEGMENT_FIELDS = ("walls", "virtual_walls", "entrances", "exits")
+
+
+def _flat(segs):
+    return segs[0]  # one endpoint pair without the enclosing list
+
+
+def _ragged(segs):
+    segs[0][1].append(0.0)
+    return segs
+
+
+def _coordinate(value):
+    def put(segs):
+        segs[0][1][0] = value
+        return segs
+
+    return put
+
+
+def _zero_length(segs):
+    segs[-1][1] = list(segs[-1][0])
+    return segs
+
+
+DEFECTS = {
+    "flat": (_flat, "expected a list of"),
+    "ragged": (_ragged, ""),
+    "nan": (_coordinate(float("nan")), "non-finite coordinate"),
+    "inf": (_coordinate(float("inf")), "non-finite coordinate"),
+    "zero-length": (_zero_length, "has zero length"),
+}
+
+
+def test_segments_load_as_arrays():
+    doc = corridor_scenario().to_dict()
+    scn = Scenario.from_dict(doc)
+    for name in SEGMENT_FIELDS:
+        segs = getattr(scn, name)
+        assert segs.dtype == float and segs.shape == (len(doc[name]), 2, 2)
+        assert segs.tolist() == doc[name]
+    assert np.array_equal(scn.ray_walls, np.concatenate([scn.walls, scn.virtual_walls]))
+    assert np.array_equal(scn.departure_segments, np.concatenate([scn.exits, scn.entrances]))
+    no_walls = Scenario.from_dict({**doc, "walls": [], "virtual_walls": []})
+    assert no_walls.walls.shape == no_walls.ray_walls.shape == (0, 2, 2)
+
+
+@pytest.mark.parametrize("defect", sorted(DEFECTS))
+@pytest.mark.parametrize("name", SEGMENT_FIELDS)
+def test_bad_segments_name_the_field(name, defect):
+    doc = corridor_scenario().to_dict()
+    spoil, message = DEFECTS[defect]
+    doc[name] = spoil(copy.deepcopy(doc[name]))
+    with pytest.raises(BadConfig, match=f"invalid {name}: .*{message}"):
+        Scenario.from_dict(doc)

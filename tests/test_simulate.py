@@ -5,8 +5,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from crowdtcn import simulate
 from crowdtcn.features import RadarConfig, RayScanConfig, heading
-from crowdtcn.geometry import Segment
+from crowdtcn.geometry import crossing_params
 from crowdtcn.ingest import (
     Trajectory,
     build_samples,
@@ -38,14 +39,14 @@ def corridor(half_width=2.0, length=12.0, walls=True):
         frame_rate=2.0,
         walls=(
             [
-                Segment((0, -half_width), (length, -half_width)),
-                Segment((0, half_width), (length, half_width)),
+                ((0, -half_width), (length, -half_width)),
+                ((0, half_width), (length, half_width)),
             ]
             if walls
             else []
         ),
-        entrances=[Segment((0, -half_width), (0, half_width))],
-        exits=[Segment((length, -half_width), (length, half_width))],
+        entrances=[((0, -half_width), (0, half_width))],
+        exits=[((length, -half_width), (length, half_width))],
         clipping_polygon=np.array(poly, dtype=float),
         measurement_area=np.array(
             [[4, -half_width], [8, -half_width], [8, half_width], [4, half_width]],
@@ -269,6 +270,27 @@ def test_one_predict_call_per_step_in_sorted_id_order():
     assert len(clocks) == len(set(clocks))
     assert all(ready for _, ready in calls)
     assert [1, 2, 5, 9] in [ready for _, ready in calls]
+
+
+def test_two_crossing_kernel_calls_per_step(monkeypatch):
+    sc = corridor()
+    calls = []
+
+    def counted(p0, p1, a, b):
+        calls.append((world.clock, len(a)))
+        return crossing_params(p0, p1, a, b)
+
+    monkeypatch.setattr(simulate, "crossing_params", counted)
+    v = np.array([0.5, 0.0])
+    seeds = [make_seed(pid, pid, (1.0, 0.5 * pid - 1.0), v, 4) for pid in range(4)]
+    world = SimWorld(sc, constant_model([0.5, 0.25], sc), seeds, CFG)
+    steps = 0
+    while world.pending or world.active:
+        world.step()
+        steps += 1
+    assert world.total_corrections > 0 and len(world.exited) == 4
+    # each step: the two walls, then the exit and the entrance
+    assert calls == [(t, 2) for t in range(steps) for _ in range(2)]
 
 
 def test_batched_rows_match_single_window_predict():

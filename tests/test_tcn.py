@@ -15,7 +15,6 @@ from crowdtcn.tcn import (
     adam_step,
     backward,
     compute_stats,
-    denormalize_features,
     dilated_causal_conv,
     effective_kernel,
     forward,
@@ -458,12 +457,11 @@ def test_adam_rejects_mismatched_keys():
 # -------------------------------------------------------------- normalization
 
 
-def test_normalize_round_trip():
+def test_normalize_matches_formula():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(10, 4, 6)) * 3 + 1
     stats = compute_stats(x)
-    back = denormalize_features(normalize_features(x, stats), stats)
-    np.testing.assert_allclose(back, x, rtol=1e-12)
+    np.testing.assert_array_equal(normalize_features(x, stats), (x - stats.mean) / stats.std)
 
 
 def test_normalize_stats_values():
