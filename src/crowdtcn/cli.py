@@ -148,9 +148,15 @@ class RunConfig:
             learning_rate=self.learning_rate,
             eval_every=self.eval_every,
             seed=self.seed,
-            dropout=self.dropout,
             dtype=self.dtype,
         )
+
+
+def _split_ratio(value) -> tuple:
+    ratio = tuple(value)
+    if len(ratio) != 2 or not all(type(v) is int and v > 0 for v in ratio):
+        raise ValueError(f"must be two positive integers, got {value!r}")
+    return ratio
 
 
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
@@ -202,37 +208,48 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
             out.append(p)
         return out
 
-    window = int(doc.get("window", 8))
+    def value(key, convert, default):
+        try:
+            return convert(doc.get(key, default))
+        except (TypeError, ValueError) as exc:
+            raise BadConfig(f"bad {key!r} in run config {path}: {exc}") from exc
+
+    window = value("window", int, 8)
     sim_section = doc.get("sim", {})
     if not isinstance(sim_section, dict):
         raise BadConfig("'sim' must be an object")
     try:
         sim = SimConfig(dt=scenario.dt, window=window, **sim_section)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise BadConfig(f"bad 'sim' section: {exc}") from exc
 
-    return RunConfig(
+    cfg = RunConfig(
         base_dir=base,
         scenario=scenario,
         scenario_doc=scenario_doc,
         training_files=file_list("training_files"),
         testing_files=file_list("testing_files"),
         output_dir=(base / doc.get("output_dir", "out")).resolve(),
-        seed=int(doc.get("seed", 0)),
+        seed=value("seed", int, 0),
         window=window,
-        iterations=int(doc.get("iterations", 3000)),
-        batch_size=int(doc.get("batch_size", 128)),
-        learning_rate=float(doc.get("learning_rate", 1e-4)),
-        eval_every=int(doc.get("eval_every", 50)),
-        dropout=float(doc.get("dropout", 0.1)),
-        dtype=str(doc.get("dtype", "float32")),
-        channels=tuple(doc.get("channels", (32, 64, 96))),
-        kernel_size=int(doc.get("kernel_size", 8)),
-        dilations=tuple(doc.get("dilations", (1, 2, 4))),
-        split_ratio=tuple(doc.get("split_ratio", (4, 1))),
+        iterations=value("iterations", int, 3000),
+        batch_size=value("batch_size", int, 128),
+        learning_rate=value("learning_rate", float, 1e-4),
+        eval_every=value("eval_every", int, 50),
+        dropout=value("dropout", float, 0.1),
+        dtype=value("dtype", str, "float32"),
+        channels=value("channels", tuple, (32, 64, 96)),
+        kernel_size=value("kernel_size", int, 8),
+        dilations=value("dilations", tuple, (1, 2, 4)),
+        split_ratio=value("split_ratio", _split_ratio, (4, 1)),
         sim=sim,
         sweep_grid=doc.get("sweep", {}),
     )
+    try:
+        cfg.train_config()
+    except ValueError as exc:
+        raise BadConfig(f"run config {path}: {exc}") from exc
+    return cfg
 
 
 def _with_ray_params(cfg: RunConfig, exit_distance: float, step_deg: float) -> RunConfig:
@@ -328,43 +345,52 @@ def _write_profile_tables(out_dir: Path, series_list) -> None:
     (out_dir / "fd.csv").write_text("\n".join(fd_lines) + "\n")
 
 
-def _train_pipeline(cfg: RunConfig) -> tuple:
+def _train_stage(cfg: RunConfig) -> tuple:
+    """Train on the training files; writes model.bin and training_log.csv.
+    Returns (model, log rows, dataset split)."""
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if not cfg.training_files:
         raise BadConfig("no training_files configured")
     samples = _collect_samples(cfg, cfg.training_files)
     dataset = split(samples, seed=cfg.seed, ratio=cfg.split_ratio)
     model, rows = train(dataset, cfg.train_config(), cfg.architecture())
-    return model, rows, len(samples), len(dataset.training), len(dataset.validation)
-
-
-def cmd_train(args) -> int:
-    cfg = load_run_config(args.config, _overrides(args))
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    model, rows, n_samples, n_train, n_val = _train_pipeline(cfg)
-    artifact = cfg.output_dir / "model.bin"
-    save_model(artifact, model)
+    save_model(cfg.output_dir / "model.bin", model)
     write_training_log(cfg.output_dir / "training_log.csv", rows)
-    meta = model.meta
-    print(f"samples: {n_samples} ({n_train} training, {n_val} validation)")
-    print(f"final train loss: {rows[-1][1]:.6g}")
-    print(
-        f"validation loss: initial {meta['initial_val_loss']:.6g}, "
-        f"best {meta['best_val_loss']:.6g}, final {meta['final_val_loss']:.6g}"
-    )
-    print(f"model: {artifact}")
-    return EXIT_OK
+    return model, rows, dataset
 
 
-def _simulate_pipeline(cfg: RunConfig, model) -> list[tuple[str, dict, object]]:
-    """Simulate every testing file; returns (stem, seed trajectories, result)."""
+def _simulate_stage(cfg: RunConfig, model, report_extra: dict) -> list[tuple[str, dict, object]]:
+    """Simulate every testing file; writes <stem>.sim.txt and <stem>.report.json
+    (the run's report plus report_extra). Returns (stem, seeds, result) per file."""
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     if not cfg.testing_files:
         raise BadConfig("no testing_files configured")
     outputs = []
     for f in cfg.testing_files:
         seeds = load_trajectories(f, cfg.scenario)
         result = run(cfg.scenario, seeds, model, cfg.sim)
+        write_trajectory_file(
+            cfg.output_dir / f"{f.stem}.sim.txt",
+            sorted(result.trajectories, key=lambda t: t.id),
+        )
+        _write_json(cfg.output_dir / f"{f.stem}.report.json", {**result.report, **report_extra})
         outputs.append((f.stem, seeds, result))
     return outputs
+
+
+def cmd_train(args) -> int:
+    cfg = load_run_config(args.config, _overrides(args))
+    model, rows, dataset = _train_stage(cfg)
+    meta = model.meta
+    n_train, n_val = len(dataset.training), len(dataset.validation)
+    print(f"samples: {n_train + n_val} ({n_train} training, {n_val} validation)")
+    print(f"final train loss: {rows[-1][1]:.6g}")
+    print(
+        f"validation loss: initial {meta['initial_val_loss']:.6g}, "
+        f"best {meta['best_val_loss']:.6g}, final {meta['final_val_loss']:.6g}"
+    )
+    print(f"model: {cfg.output_dir / 'model.bin'}")
+    return EXIT_OK
 
 
 def cmd_simulate(args) -> int:
@@ -375,19 +401,14 @@ def cmd_simulate(args) -> int:
         raise BadConfig(f"model artifact not found: {args.artifact}")
     except ValueError as exc:
         raise BadConfig(f"cannot load model artifact {args.artifact}: {exc}")
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     status = EXIT_OK
-    for stem, _seeds, result in _simulate_pipeline(cfg, model):
-        traj_path = cfg.output_dir / f"{stem}.sim.txt"
-        write_trajectory_file(traj_path, sorted(result.trajectories, key=lambda t: t.id))
-        report = dict(result.report)
-        report["artifact"] = str(args.artifact)
-        _write_json(cfg.output_dir / f"{stem}.report.json", report)
+    for stem, _seeds, result in _simulate_stage(cfg, model, {"artifact": str(args.artifact)}):
+        report = result.report
         flag = " (step cap exceeded)" if result.step_cap_exceeded else ""
         print(
             f"{stem}: {len(result.trajectories)} pedestrians, "
             f"{report['steps_run']} steps, {report['total_corrections']} "
-            f"boundary corrections{flag} -> {traj_path}"
+            f"boundary corrections{flag} -> {cfg.output_dir / f'{stem}.sim.txt'}"
         )
         if result.step_cap_exceeded:
             status = EXIT_RUNTIME
@@ -405,21 +426,14 @@ def cmd_evaluate(args) -> int:
     _write_json(out / "metrics.json", doc)
     series = [
         profiles(
-            expt.values(),
+            trajectories.values(),
             scenario.walkable_polygon,
             scenario.measurement_area,
             scenario.measurement_width,
-            label="experiment",
+            label=label,
             simple_density=args.simple_density,
-        ),
-        profiles(
-            sim.values(),
-            scenario.walkable_polygon,
-            scenario.measurement_area,
-            scenario.measurement_width,
-            label="simulation",
-            simple_density=args.simple_density,
-        ),
+        )
+        for label, trajectories in (("experiment", expt), ("simulation", sim))
     ]
     _write_profile_tables(out, series)
     _print_metrics(doc)
@@ -483,17 +497,9 @@ def _sweep_one(task: tuple) -> dict:
         cfg = load_run_config(config_path, overrides)
         cfg = _with_ray_params(cfg, exit_distance, step_deg)
         cfg = replace(cfg, output_dir=cfg.output_dir / label)
-        cfg.output_dir.mkdir(parents=True, exist_ok=True)
-        model, rows, *_ = _train_pipeline(cfg)
-        save_model(cfg.output_dir / "model.bin", model)
-        write_training_log(cfg.output_dir / "training_log.csv", rows)
+        model, *_ = _train_stage(cfg)
         per_file = []
-        for stem, seeds, result in _simulate_pipeline(cfg, model):
-            write_trajectory_file(
-                cfg.output_dir / f"{stem}.sim.txt",
-                sorted(result.trajectories, key=lambda t: t.id),
-            )
-            _write_json(cfg.output_dir / f"{stem}.report.json", dict(result.report))
+        for stem, seeds, result in _simulate_stage(cfg, model, {}):
             sim_trajs = {tr.id: tr for tr in result.trajectories}
             doc = _metric_doc(TrajectoryPair(seeds, sim_trajs), cfg.scenario.dt)
             _write_json(cfg.output_dir / f"{stem}.metrics.json", doc)

@@ -346,14 +346,3 @@ class FeatureExtractor:
         )
         scan = forward_wall_rays(position, heading_vec, self.ray_walls, self.rays)
         return assemble_frame(velocity, neighbors, scan)
-
-    def frame_labels(self) -> list[str]:
-        """Column names matching the flattened feature order."""
-        labels = ["v_x", "v_y"]
-        for j in range(self.radar.n_sectors):
-            labels += [f"nbr{j}_rvx", f"nbr{j}_rvy"]
-        for j in range(self.radar.n_sectors):
-            labels += [f"nbr{j}_rx", f"nbr{j}_ry"]
-        for k in range(self.rays.n_rays):
-            labels += [f"ray{k}_rx", f"ray{k}_ry"]
-        return labels

@@ -155,9 +155,6 @@ class Scenario:
                 f"rays.exit_distance ({self.rays.exit_distance} m) must exceed the "
                 f"scenario diameter ({diameter:.3f} m)"
             )
-        # Dimension identity of the flattened feature vector, checked at load.
-        expected = 2 + 4 * self.radar.n_sectors + 2 * self.rays.n_rays
-        assert self.feature_dim == expected
 
     @property
     def frame_stride(self) -> int:

@@ -11,7 +11,9 @@ Everything is implemented directly on numpy arrays: forward inference, exact
 reverse-mode gradients (including the weight-norm reparameterization and the
 norm-loss subgradient), and Adam. Parameters live in a flat name -> array
 dict so optimizer state, serialization, and gradient checks can iterate over
-them uniformly.
+them uniformly. A main-path layer (conv, bias, ReLU, dropout) is written once,
+in `_conv_layer` and its reverse `_conv_layer_backward`; every convolution,
+the 1x1 skip included, goes through `_conv_causal` and `_conv_causal_backward`.
 
 Convolution indexing: a kernel tap g pairs output step e with input step
 e - dilation * g, with inputs before the window start treated as zero, so
@@ -22,9 +24,10 @@ step e never depends on inputs after e.
 from __future__ import annotations
 
 import json
+import math
 import struct
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -184,21 +187,6 @@ def dilated_causal_conv(inputs, kernel, dilation: int) -> np.ndarray:
     return out[0].T
 
 
-def _block_param_names(m: int, cin: int, cout: int) -> dict[str, str]:
-    names = {
-        "v1": f"b{m}c1_v",
-        "g1": f"b{m}c1_g",
-        "bias1": f"b{m}c1_b",
-        "v2": f"b{m}c2_v",
-        "g2": f"b{m}c2_g",
-        "bias2": f"b{m}c2_b",
-    }
-    if cin != cout:
-        names["skip_w"] = f"b{m}s_w"
-        names["skip_b"] = f"b{m}s_b"
-    return names
-
-
 def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
     """Uniform +-1/sqrt(fan_in) directions; gains equal to the initial norms
     so the effective kernels match their initialization; zero biases."""
@@ -213,19 +201,47 @@ def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np
     q = arch.kernel_size
     for m in range(arch.n_blocks):
         cin, cout = arch.block_channels(m)
-        names = _block_param_names(m, cin, cout)
-        for tag, c_in_layer in (("1", cin), ("2", cout)):
+        for prefix, c_in_layer in ((f"b{m}c1", cin), (f"b{m}c2", cout)):
             v = uniform((cout, c_in_layer, q), c_in_layer * q)
-            params[names[f"v{tag}"]] = v
-            params[names[f"g{tag}"]] = _norms_per_channel(v).astype(dtype)
-            params[names[f"bias{tag}"]] = np.zeros(cout, dtype=dtype)
+            params[f"{prefix}_v"] = v
+            params[f"{prefix}_g"] = _norms_per_channel(v).astype(dtype)
+            params[f"{prefix}_b"] = np.zeros(cout, dtype=dtype)
         if cin != cout:
-            params[names["skip_w"]] = uniform((cout, cin), cin)
-            params[names["skip_b"]] = np.zeros(cout, dtype=dtype)
+            params[f"b{m}s_w"] = uniform((cout, cin), cin)
+            params[f"b{m}s_b"] = np.zeros(cout, dtype=dtype)
     c_last = arch.channels[-1]
     params["out_w"] = uniform((2, c_last), c_last)
     params["out_b"] = np.zeros(2, dtype=dtype)
     return params
+
+
+def _conv_layer(z, params, prefix: str, dilation: int, dropout: float, rng):
+    """Weight-normed causal conv (f"{prefix}_v", f"{prefix}_g"), bias f"{prefix}_b",
+    ReLU, then dropout when dropout > 0. Returns (output, (a, mask, w)) with the
+    pre-activation a and effective kernel w that _conv_layer_backward needs."""
+    w = effective_kernel(params[f"{prefix}_v"], params[f"{prefix}_g"])
+    a = _conv_causal(z, w, dilation) + params[f"{prefix}_b"][None, :, None]
+    r = np.maximum(a, 0)
+    mask = None
+    if dropout > 0.0:
+        mask = ((rng.random(r.shape) >= dropout) / (1.0 - dropout)).astype(z.dtype)
+        r = r * mask
+    return r, (a, mask, w)
+
+
+def _conv_layer_backward(d_r, z, params, grads, prefix: str, dilation: int, cache) -> np.ndarray:
+    """Reverse of _conv_layer: adds the parameter gradients into grads and
+    returns the gradient in the layer input z."""
+    a, mask, w = cache
+    if mask is not None:
+        d_r = d_r * mask
+    d_a = d_r * (a > 0)
+    grads[f"{prefix}_b"] += d_a.sum(axis=(0, 2), dtype=np.float64).astype(d_a.dtype)
+    d_z, d_w = _conv_causal_backward(d_a, z, w, dilation)
+    d_g, d_v = weight_norm_backward(d_w, params[f"{prefix}_v"], params[f"{prefix}_g"])
+    grads[f"{prefix}_g"] += d_g
+    grads[f"{prefix}_v"] += d_v
+    return d_z
 
 
 def residual_block_forward(
@@ -247,44 +263,21 @@ def residual_block_forward(
     cin, cout = arch.block_channels(m)
     if z.shape[1] != cin:
         raise ShapeMismatch(f"block {m} expects {cin} channels, got {z.shape[1]}")
-    names = _block_param_names(m, cin, cout)
     h = arch.dilations[m]
-    dtype = z.dtype
-
-    w1 = effective_kernel(params[names["v1"]], params[names["g1"]])
-    a1 = _conv_causal(z, w1, h) + params[names["bias1"]][None, :, None]
-    r1 = np.maximum(a1, 0)
-    if training and arch.dropout > 0.0:
-        if rng is None:
-            raise ValueError("training-mode dropout needs an rng")
-        mask1 = ((rng.random(r1.shape) >= arch.dropout) / (1.0 - arch.dropout)).astype(dtype)
-    else:
-        mask1 = None
-    d1 = r1 * mask1 if mask1 is not None else r1
-
-    w2 = effective_kernel(params[names["v2"]], params[names["g2"]])
-    a2 = _conv_causal(d1, w2, h) + params[names["bias2"]][None, :, None]
-    r2 = np.maximum(a2, 0)
-    if training and arch.dropout > 0.0:
-        mask2 = ((rng.random(r2.shape) >= arch.dropout) / (1.0 - arch.dropout)).astype(dtype)
-    else:
-        mask2 = None
-    d2 = r2 * mask2 if mask2 is not None else r2
-
+    dropout = arch.dropout if training else 0.0
+    if dropout > 0.0 and rng is None:
+        raise ValueError("training-mode dropout needs an rng")
+    d1, c1 = _conv_layer(z, params, f"b{m}c1", h, dropout, rng)
+    d2, c2 = _conv_layer(d1, params, f"b{m}c2", h, dropout, rng)
     if cin != cout:
-        skip = (
-            np.einsum("oc,bct->bot", params[names["skip_w"]], z, optimize=True)
-            + params[names["skip_b"]][None, :, None]
-        )
+        skip = _conv_causal(z, params[f"b{m}s_w"][:, :, None], 1)
+        skip = skip + params[f"b{m}s_b"][None, :, None]
     else:
         skip = z
     s = d2 + skip
-    out = np.maximum(s, 0)
     if cache is not None:
-        cache.update(
-            z=z, a1=a1, d1=d1, a2=a2, s=s, mask1=mask1, mask2=mask2, w1=w1, w2=w2
-        )
-    return out
+        cache.update(z=z, d1=d1, s=s, c1=c1, c2=c2, a1=c1[0], a2=c2[0])
+    return np.maximum(s, 0)
 
 
 def _residual_block_backward(
@@ -296,35 +289,17 @@ def _residual_block_backward(
     cache: dict,
 ) -> np.ndarray:
     cin, cout = arch.block_channels(m)
-    names = _block_param_names(m, cin, cout)
     h = arch.dilations[m]
-    z, a1, d1, a2, s = cache["z"], cache["a1"], cache["d1"], cache["a2"], cache["s"]
-
-    ds = d_out * (s > 0)
-    # skip path
+    z = cache["z"]
+    ds = d_out * (cache["s"] > 0)
     if cin != cout:
-        grads[names["skip_w"]] += np.einsum("bot,bct->oc", ds, z, optimize=True)
-        grads[names["skip_b"]] += ds.sum(axis=(0, 2), dtype=np.float64).astype(ds.dtype)
-        d_z = np.einsum("oc,bot->bct", params[names["skip_w"]], ds, optimize=True)
+        d_skip, d_kernel = _conv_causal_backward(ds, z, params[f"b{m}s_w"][:, :, None], 1)
+        grads[f"b{m}s_w"] += d_kernel[:, :, 0]
+        grads[f"b{m}s_b"] += ds.sum(axis=(0, 2), dtype=np.float64).astype(ds.dtype)
     else:
-        d_z = ds.copy()
-    # main path, second layer
-    d_r2 = ds * cache["mask2"] if cache["mask2"] is not None else ds
-    d_a2 = d_r2 * (a2 > 0)
-    grads[names["bias2"]] += d_a2.sum(axis=(0, 2), dtype=np.float64).astype(ds.dtype)
-    d_d1, d_w2 = _conv_causal_backward(d_a2, d1, cache["w2"], h)
-    dg2, dv2 = weight_norm_backward(d_w2, params[names["v2"]], params[names["g2"]])
-    grads[names["g2"]] += dg2
-    grads[names["v2"]] += dv2
-    # main path, first layer
-    d_r1 = d_d1 * cache["mask1"] if cache["mask1"] is not None else d_d1
-    d_a1 = d_r1 * (a1 > 0)
-    grads[names["bias1"]] += d_a1.sum(axis=(0, 2), dtype=np.float64).astype(ds.dtype)
-    d_z1, d_w1 = _conv_causal_backward(d_a1, z, cache["w1"], h)
-    dg1, dv1 = weight_norm_backward(d_w1, params[names["v1"]], params[names["g1"]])
-    grads[names["g1"]] += dg1
-    grads[names["v1"]] += dv1
-    return d_z + d_z1
+        d_skip = ds
+    d_d1 = _conv_layer_backward(ds, cache["d1"], params, grads, f"b{m}c2", h, cache["c2"])
+    return d_skip + _conv_layer_backward(d_d1, z, params, grads, f"b{m}c1", h, cache["c1"])
 
 
 def forward(
@@ -362,10 +337,7 @@ def forward(
 
 def loss(pred: np.ndarray, target: np.ndarray) -> float:
     """Batch mean of the Euclidean norm of the residuals."""
-    if len(pred) == 0:
-        raise EmptyBatch("loss over an empty batch")
-    r = pred.astype(np.float64) - target.astype(np.float64)
-    return float(np.sqrt((r * r).sum(axis=1)).mean())
+    return loss_and_grad_output(pred, target)[0]
 
 
 def loss_and_grad_output(pred: np.ndarray, target: np.ndarray):
@@ -483,8 +455,16 @@ class TrainConfig:
     learning_rate: float = 1e-4
     eval_every: int = 50
     seed: int = 0
-    dropout: float = 0.1
     dtype: str = "float32"
+
+    def __post_init__(self):
+        for name, low in (("iterations", 0), ("batch_size", 1), ("eval_every", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):
+            raise ValueError(f"learning_rate must be finite and >= 0, got {self.learning_rate}")
+        if self.dtype not in ("float32", "float64"):
+            raise ValueError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
 
 @dataclass
@@ -537,7 +517,7 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
     val_x, val_y = _stack_samples(split.validation)
     w, f = train_x.shape[1], train_x.shape[2]
     if arch is None:
-        arch = Architecture(feature_dim=f, window=w, dropout=config.dropout)
+        arch = Architecture(feature_dim=f, window=w)
     elif arch.feature_dim != f or arch.window != w:
         raise ShapeMismatch(
             f"architecture expects ({arch.window}, {arch.feature_dim}) windows, data is ({w}, {f})"
@@ -577,15 +557,7 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
         state = adam_step(params, grads, state)
         last_train = value
     meta = {
-        "train_config": {
-            "iterations": config.iterations,
-            "batch_size": config.batch_size,
-            "learning_rate": config.learning_rate,
-            "eval_every": config.eval_every,
-            "seed": config.seed,
-            "dropout": config.dropout,
-            "dtype": config.dtype,
-        },
+        "train_config": asdict(config),
         "best_val_loss": best_val,
         "initial_val_loss": log[0][2],
         "final_val_loss": log[-1][2],
@@ -619,14 +591,7 @@ def save_model(path, model: Model) -> None:
     header = {
         "format": MODEL_FORMAT,
         "version": MODEL_VERSION,
-        "arch": {
-            "feature_dim": model.arch.feature_dim,
-            "window": model.arch.window,
-            "channels": list(model.arch.channels),
-            "kernel_size": model.arch.kernel_size,
-            "dilations": list(model.arch.dilations),
-            "dropout": model.arch.dropout,
-        },
+        "arch": asdict(model.arch),
         "meta": model.meta,
         "tensors": [
             {"name": name, "shape": list(arr.shape), "dtype": str(arr.dtype)}
@@ -654,14 +619,8 @@ def load_model(path) -> Model:
     if header.get("format") != MODEL_FORMAT:
         raise ValueError(f"unexpected artifact format tag {header.get('format')!r}")
     a = header["arch"]
-    arch = Architecture(
-        feature_dim=a["feature_dim"],
-        window=a["window"],
-        channels=tuple(a["channels"]),
-        kernel_size=a["kernel_size"],
-        dilations=tuple(a["dilations"]),
-        dropout=a["dropout"],
-    )
+    a.update(channels=tuple(a["channels"]), dilations=tuple(a["dilations"]))
+    arch = Architecture(**a)
     offset = 12 + head_len
     params: dict[str, np.ndarray] = {}
     stats_arrays: dict[str, np.ndarray] = {}

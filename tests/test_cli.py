@@ -112,6 +112,43 @@ def test_run_config_validation(dataset_dir, tmp_path):
         load_run_config(missing)
 
 
+def _run_config(dataset_dir, path, **changes):
+    doc = {**MICRO, "scenario": str(dataset_dir / "scenario.json"), **changes}
+    doc["training_files"] = [str(dataset_dir / "train.txt")]
+    doc["testing_files"] = [str(dataset_dir / "test.txt")]
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("iterations", "many"),
+        ("seed", "x"),
+        ("channels", 5),
+        ("split_ratio", [4]),
+        ("split_ratio", [4, 0]),
+        ("eval_every", 0),
+        ("batch_size", 0),
+        ("iterations", -1),
+        ("learning_rate", -1.0),
+        ("dtype", "bogus"),
+        ("sim", {"standoff": -1}),
+    ],
+)
+def test_run_config_bad_value_names_its_key(dataset_dir, tmp_path, key, value):
+    path = _run_config(dataset_dir, tmp_path / "bad.json", **{key: value})
+    with pytest.raises(BadConfig, match=key):
+        load_run_config(path)
+
+
+def test_bad_run_config_value_is_exit_2(dataset_dir, tmp_path, capsys):
+    path = _run_config(dataset_dir, tmp_path / "bad.json", eval_every=0)
+    rc = main(["train", "-c", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "eval_every" in capsys.readouterr().err
+
+
 def test_run_config_ray_overrides(dataset_dir, tmp_path):
     doc = {**MICRO, "scenario": str(dataset_dir / "scenario.json"), "rays": {"step_deg": 5.0}}
     doc["training_files"] = [str(dataset_dir / "train.txt")]
@@ -436,6 +473,21 @@ def test_sweep_single_combo_matches_pipeline(dataset_dir, tmp_path):
     assert rc == EXIT_OK
     assert (out / "20-18" / "model.bin").read_bytes() == (
         tmp_path / "ref" / "model.bin"
+    ).read_bytes()
+    rc = main(
+        [
+            "simulate",
+            "-c",
+            str(dataset_dir / "micro.json"),
+            "--output-dir",
+            str(tmp_path / "ref"),
+            "--artifact",
+            str(tmp_path / "ref" / "model.bin"),
+        ]
+    )
+    assert rc == EXIT_OK
+    assert (out / "20-18" / "test.sim.txt").read_bytes() == (
+        tmp_path / "ref" / "test.sim.txt"
     ).read_bytes()
     row = (out / "sweep.csv").read_text().splitlines()[1]
     metrics = json.loads((out / "20-18" / "test.metrics.json").read_text())

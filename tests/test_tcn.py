@@ -1,5 +1,7 @@
 """Tests for the temporal convolutional network and its training loop."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -537,6 +539,19 @@ def test_train_returns_best_validation_params():
     held = loss(forward(model.params, arch, xn, training=False), vy.astype(np.float32))
     assert held == pytest.approx(model.meta["best_val_loss"], rel=1e-5)
     assert model.meta["best_val_loss"] <= min(row[2] for row in log) + 1e-12
+
+
+def test_train_records_its_config_and_takes_dropout_from_the_architecture():
+    arch = _small_arch(dropout=0.25)
+    split = _make_split(20, arch.window, arch.feature_dim, 25, lambda w: w[-1, :2])
+    cfg = TrainConfig(iterations=2, batch_size=4, eval_every=1, seed=4)
+    model, _ = train(split, cfg, arch=arch)
+    assert model.meta["train_config"] == dataclasses.asdict(cfg)
+    assert "dropout" not in model.meta["train_config"]
+    assert model.arch.dropout == 0.25
+    # without an architecture, training uses Architecture's default dropout
+    model, _ = train(split, cfg)
+    assert model.arch.dropout == Architecture(feature_dim=arch.feature_dim).dropout == 0.1
 
 
 def test_train_rejects_empty_sets():
