@@ -49,11 +49,12 @@ print(f"boundary corrections: {r['total_corrections']}, "
 print("\nper-pedestrian travel (simulated vs recorded):")
 for sim in result.trajectories:
     rec = seeds[sim.id]
-    sim_t = sim.travel_steps * scenario.dt
-    rec_t = (len(rec.positions) - 1) * scenario.dt
+    sim_t = sim.n_steps * scenario.dt
+    rec_t = rec.n_steps * scenario.dt
     end = sim.positions[-1]
+    exited = r["pedestrians"][str(sim.id)]["exited"]
     print(f"  ped {sim.id}: {sim_t:5.1f} s vs {rec_t:5.1f} s, "
-          f"exited={sim.exited} at ({end[0]:5.2f}, {end[1]:5.2f})")
+          f"exited={exited} at ({end[0]:5.2f}, {end[1]:5.2f})")
 
 sim = result.trajectories[0]
 print(f"\npedestrian {sim.id} simulated path (every 4th step):")

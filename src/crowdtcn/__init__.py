@@ -53,7 +53,7 @@ from .ingest import (
     write_trajectory_file,
 )
 from .scenario import BadConfig, Scenario, SmoothingConfig, load_scenario
-from .simulate import SimConfig, SimResult, SimWorld, SimulatedTrajectory, run
+from .simulate import SimConfig, SimResult, SimWorld, run
 from .synth import (
     GEOMETRIES,
     SyntheticDataset,
@@ -123,7 +123,6 @@ __all__ = [
     "SimConfig",
     "SimResult",
     "SimWorld",
-    "SimulatedTrajectory",
     "run",
     # evaluate
     "MeasurementSeries",

@@ -17,6 +17,7 @@ import argparse
 import copy
 import json
 import logging
+import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -215,11 +216,11 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
             raise BadConfig(f"bad {key!r} in run config {path}: {exc}") from exc
 
     window = value("window", int, 8)
-    sim_section = doc.get("sim", {})
-    if not isinstance(sim_section, dict):
-        raise BadConfig("'sim' must be an object")
+    for section in ("sim", "sweep"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise BadConfig(f"{section!r} must be an object")
     try:
-        sim = SimConfig(dt=scenario.dt, window=window, **sim_section)
+        sim = SimConfig(dt=scenario.dt, window=window, **doc.get("sim", {}))
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"bad 'sim' section: {exc}") from exc
 
@@ -369,10 +370,7 @@ def _simulate_stage(cfg: RunConfig, model, report_extra: dict) -> list[tuple[str
     for f in cfg.testing_files:
         seeds = load_trajectories(f, cfg.scenario)
         result = run(cfg.scenario, seeds, model, cfg.sim)
-        write_trajectory_file(
-            cfg.output_dir / f"{f.stem}.sim.txt",
-            sorted(result.trajectories, key=lambda t: t.id),
-        )
+        write_trajectory_file(cfg.output_dir / f"{f.stem}.sim.txt", result.trajectories)
         _write_json(cfg.output_dir / f"{f.stem}.report.json", {**result.report, **report_extra})
         outputs.append((f.stem, seeds, result))
     return outputs
@@ -500,8 +498,7 @@ def _sweep_one(task: tuple) -> dict:
         model, *_ = _train_stage(cfg)
         per_file = []
         for stem, seeds, result in _simulate_stage(cfg, model, {}):
-            sim_trajs = {tr.id: tr for tr in result.trajectories}
-            doc = _metric_doc(TrajectoryPair(seeds, sim_trajs), cfg.scenario.dt)
+            doc = _metric_doc(TrajectoryPair(seeds, result.trajectories), cfg.scenario.dt)
             _write_json(cfg.output_dir / f"{stem}.metrics.json", doc)
             per_file.append(doc)
         row.update(_pooled_metrics(per_file))
@@ -524,6 +521,15 @@ _SWEEP_COLUMNS = [
 ]
 
 
+def _finite_numbers(key: str, values) -> list[float]:
+    """A sweep axis as floats; BadConfig naming ``key`` unless all are finite numbers."""
+    if not isinstance(values, list) or not all(
+        type(v) in (int, float) and math.isfinite(v) for v in values
+    ):
+        raise BadConfig(f"bad {key!r} in the sweep: expected finite numbers, got {values!r}")
+    return [float(v) for v in values]
+
+
 def cmd_sweep(args) -> int:
     overrides = _overrides(args)
     cfg = load_run_config(args.config, overrides)
@@ -535,12 +541,16 @@ def cmd_sweep(args) -> int:
             "sweep needs exit distances and ray step angles "
             "(--exit-distances/--step-degs or a 'sweep' config section)"
         )
-    jobs = args.jobs or int(grid.get("jobs", 1))
+    exit_distances = _finite_numbers("exit_distances", exit_distances)
+    step_degs = _finite_numbers("step_degs", step_degs)
+    jobs = grid.get("jobs", 1) if args.jobs is None else args.jobs
+    if type(jobs) is not int or jobs < 1:
+        raise BadConfig(f"bad 'jobs' in the sweep: expected an integer >= 1, got {jobs!r}")
     tasks = []
     for de in exit_distances:
         for beta in step_degs:
             label = f"{de:g}-{beta:g}"
-            tasks.append((str(args.config), overrides, float(de), float(beta), label))
+            tasks.append((str(args.config), overrides, de, beta, label))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))

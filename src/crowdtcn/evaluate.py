@@ -75,9 +75,9 @@ def _as_map(trajectories) -> dict:
 class TrajectoryPair:
     """Experimental and simulated trajectory sets matched by pedestrian id.
 
-    Accepts dicts keyed by id or iterables of objects with id, enter_step,
-    and positions. Every simulated id must exist in the experiment set (the
-    reverse need not hold: pedestrians can be dropped from a simulation).
+    Accepts dicts keyed by id or iterables of ingest.Trajectory, recorded
+    or simulated alike. Every simulated id must exist in the experiment set
+    (the reverse need not hold: pedestrians can be dropped from a simulation).
     """
 
     experiment: dict
@@ -93,14 +93,6 @@ class TrajectoryPair:
     @property
     def matched_ids(self) -> list:
         return sorted(self.simulation)
-
-
-def _travel_steps(tr) -> int:
-    return len(tr.positions) - 1
-
-
-def _last_step(tr) -> int:
-    return tr.enter_step + _travel_steps(tr)
 
 
 def nearest_rank_percentile(values, q: float) -> float:
@@ -150,7 +142,7 @@ def ete_pete(pair: TrajectoryPair, dt: float = 0.5) -> tuple[float, float]:
         raise EmptySet("egress-time error needs both trajectory sets nonempty")
 
     def egress_steps(trs) -> int:
-        return max(_last_step(t) for t in trs.values()) - min(
+        return max(t.last_step for t in trs.values()) - min(
             t.enter_step for t in trs.values()
         )
 
@@ -165,8 +157,8 @@ def tte_ptte(pair: TrajectoryPair, dt: float = 0.5) -> tuple[MetricTable, Metric
     tte_values: dict = {}
     ptte_values: dict = {}
     for ped in pair.matched_ids:
-        expt_steps = _travel_steps(pair.experiment[ped])
-        sim_steps = _travel_steps(pair.simulation[ped])
+        expt_steps = pair.experiment[ped].n_steps
+        sim_steps = pair.simulation[ped].n_steps
         err = abs(sim_steps - expt_steps) * dt
         tte_values[ped] = err
         ptte_values[ped] = _ratio(err, expt_steps * dt)
@@ -285,14 +277,14 @@ def profiles(
     flow: list[float] = []
     if trs:
         lo = min(tr.enter_step for tr in trs)
-        hi = max(_last_step(tr) for tr in trs)
+        hi = max(tr.last_step for tr in trs)
         for t in range(lo, hi + 1):
             positions = []
             speeds = []
             for tr in trs:
                 local = t - tr.enter_step
                 # entry-step pedestrians have no arrival velocity yet
-                if local < 1 or local > _travel_steps(tr):
+                if local < 1 or local > tr.n_steps:
                     continue
                 positions.append(tr.positions[local])
                 v = tr.velocities[local - 1]

@@ -55,10 +55,6 @@ class VoronoiCell:
     site_index: int
 
 
-def _cross(u: np.ndarray, v: np.ndarray) -> float:
-    return float(u[0] * v[1] - u[1] * v[0])
-
-
 def closest_points(p, a, b) -> tuple[np.ndarray, np.ndarray]:
     """Distances from points ``p`` to segments ``a``-``b`` and the closest points.
 
@@ -161,27 +157,27 @@ def _signed_area(pts: np.ndarray) -> float:
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
 
 
-def _segments_properly_intersect(a, b, c, d) -> bool:
-    # Proper crossing: interiors intersect at a single point.
-    d1 = _cross(d - c, a - c)
-    d2 = _cross(d - c, b - c)
-    d3 = _cross(b - a, c - a)
-    d4 = _cross(b - a, d - a)
-    return ((d1 > EPS_GEO and d2 < -EPS_GEO) or (d1 < -EPS_GEO and d2 > EPS_GEO)) and (
-        (d3 > EPS_GEO and d4 < -EPS_GEO) or (d3 < -EPS_GEO and d4 > EPS_GEO)
-    )
-
-
 def _check_simple(pts: np.ndarray) -> None:
+    """Raise SelfIntersecting for the first non-adjacent edge pair (i, j), i < j,
+    whose interiors cross at a single point: each edge's endpoints lie strictly
+    (beyond EPS_GEO) on opposite sides of the other edge's line. All pairs are
+    tested at once."""
     n = len(pts)
-    for i in range(n):
-        a, b = pts[i], pts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            c, d = pts[j], pts[(j + 1) % n]
-            if _segments_properly_intersect(a, b, c, d):
-                raise SelfIntersecting(f"edges {i} and {j} cross")
+    idx = np.arange(n)
+    nxt = (idx + 1) % n
+    e = pts[nxt] - pts
+    # side[k, p]: cross product placing vertex p against edge k's line
+    rel = pts[None] - pts[:, None]
+    side = e[:, None, 0] * rel[..., 1] - e[:, None, 1] * rel[..., 0]
+    # straddle[k, p]: edge p's endpoints lie on opposite sides of edge k's line
+    after = side[:, nxt]
+    straddle = (np.minimum(side, after) < -EPS_GEO) & (np.maximum(side, after) > EPS_GEO)
+    pairs = idx[:, None] + 2 <= idx[None]
+    pairs[0, n - 1] = False  # the closing edge meets edge 0
+    hits = np.argwhere(pairs & straddle & straddle.T)
+    if len(hits):
+        i, j = hits[0]
+        raise SelfIntersecting(f"edges {i} and {j} cross")
 
 
 def ensure_simple_polygon(polygon) -> np.ndarray:

@@ -341,8 +341,8 @@ def load_step_trajectories(path, dt: float = 0.5, spec: ColumnSpec = ColumnSpec(
 def write_trajectory_file(path, trajectories) -> None:
     """Write trajectories in the standard text format: id, index, x, y.
 
-    Accepts anything with id, enter_step, and positions attributes; the index
-    column counts one unit per row starting at enter_step. Floats are written
+    Takes Trajectory objects, recorded or simulated; the index column counts
+    one unit per row starting at enter_step. Floats are written
     with repr, so values round-trip bit-exactly through parse_trajectories and
     identical inputs yield byte-identical files.
     """

@@ -24,9 +24,13 @@ its recent velocities are rewritten to a blend of wall tangent and inward
 normal at its recent mean speed, and its stored feature frames are recomputed
 from the historical snapshots so later predictions see the corrected history.
 
-Positions integrate as p[t+1] = p[t] + dt * v[t+1]; the stored velocity is
-re-derived from the committed displacement so that identity holds exactly in
-floating point (boundary corrections excepted; those steps are logged).
+Positions integrate as p[t+1] = p[t] + dt * v[t+1]. The internal velocity
+history, which drives the features, is re-derived from each committed
+displacement, except over the span a boundary correction rewrites. Returned
+paths are plain ingest.Trajectory objects whose velocities are the
+displacement rates np.diff(positions) / dt, exactly what
+ingest.load_step_trajectories rebuilds from the written file; exit steps and
+corrected steps are in the run report only.
 """
 
 from __future__ import annotations
@@ -49,7 +53,6 @@ __all__ = [
     "NoInwardDirection",
     "NonFinitePrediction",
     "SimConfig",
-    "SimulatedTrajectory",
     "SimResult",
     "SimWorld",
     "run",
@@ -96,27 +99,6 @@ class SimConfig:
 
 
 @dataclass
-class SimulatedTrajectory:
-    """Finished or truncated simulated path of one pedestrian."""
-
-    id: int
-    enter_step: int
-    positions: np.ndarray  # (n, 2)
-    velocities: np.ndarray  # (n - 1, 2) arrival velocities
-    exit_step: int | None
-    corrected_steps: tuple
-    exited: bool
-
-    @property
-    def travel_steps(self) -> int:
-        return len(self.positions) - 1
-
-    @property
-    def last_step(self) -> int:
-        return self.enter_step + self.travel_steps
-
-
-@dataclass
 class _PedState:
     ped_id: int
     enter_step: int
@@ -125,21 +107,21 @@ class _PedState:
     velocities: list = field(default_factory=list)
     frames: list = field(default_factory=list)
     corrected_steps: list = field(default_factory=list)
+    exit_step: int | None = None
 
     @property
     def steps_since_entry(self) -> int:
         return len(self.positions) - 1
 
-    def trajectory(self, exit_step: int | None) -> SimulatedTrajectory:
-        """The path so far; exit_step is None while the pedestrian is active."""
-        return SimulatedTrajectory(
+    def trajectory(self, dt: float) -> Trajectory:
+        """The path so far, with displacement-rate velocities."""
+        positions = np.array(self.positions)
+        return Trajectory(
             id=self.ped_id,
             enter_step=self.enter_step,
-            positions=np.array(self.positions),
-            velocities=np.array(self.velocities).reshape(-1, 2),
-            exit_step=exit_step,
-            corrected_steps=tuple(self.corrected_steps),
-            exited=exit_step is not None,
+            positions=positions,
+            velocities=np.diff(positions, axis=0) / dt,
+            dt=dt,
         )
 
 
@@ -181,7 +163,7 @@ class SimWorld:
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate pedestrian ids in seed data")
         self.active: dict[int, _PedState] = {}
-        self.exited: dict[int, SimulatedTrajectory] = {}
+        self.exited: dict[int, _PedState] = {}
         self.clock: int = self.pending[0].enter_step if self.pending else 0
         self.total_corrections: int = 0
         # historical snapshots, world step -> (sorted ids, positions, velocities)
@@ -334,17 +316,14 @@ class SimWorld:
             snap_vel[row] = velocity
 
         for pid in exits:
-            self.exited[pid] = self.active.pop(pid).trajectory(exit_step=t + 1)
+            st = self.exited[pid] = self.active.pop(pid)
+            st.exit_step = t + 1
         self.clock = t + 1
-
-    def unfinished(self) -> list[SimulatedTrajectory]:
-        """Active pedestrians as truncated trajectories (cap diagnostics)."""
-        return [st.trajectory(exit_step=None) for _, st in sorted(self.active.items())]
 
 
 @dataclass
 class SimResult:
-    trajectories: list
+    trajectories: list[Trajectory]  # sorted by id
     report: dict
 
     @property
@@ -398,18 +377,17 @@ def run(scenario: Scenario, seeds, model, config: SimConfig = SimConfig()) -> Si
     report["step_cap_exceeded"] = bool(world.pending or world.active)
     report["not_activated"] = sorted(st.ped_id for st in world.pending)
 
-    trajectories = sorted(
-        list(world.exited.values()) + world.unfinished(), key=lambda tr: tr.id
-    )
-    for tr in trajectories:
-        report["pedestrians"][str(tr.id)] = {
-            "enter_step": int(tr.enter_step),
-            "exit_step": None if tr.exit_step is None else int(tr.exit_step),
-            "exited": bool(tr.exited),
-            "travel_steps": int(tr.travel_steps),
-            "corrections": len(tr.corrected_steps),
-            "corrected_steps": [int(s) for s in tr.corrected_steps],
+    states = sorted((world.exited | world.active).values(), key=lambda st: st.ped_id)
+    for st in states:
+        report["pedestrians"][str(st.ped_id)] = {
+            "enter_step": int(st.enter_step),
+            "exit_step": None if st.exit_step is None else int(st.exit_step),
+            "exited": st.exit_step is not None,
+            "travel_steps": int(st.steps_since_entry),
+            "corrections": len(st.corrected_steps),
+            "corrected_steps": [int(s) for s in st.corrected_steps],
         }
     report["total_corrections"] = int(world.total_corrections)
+    trajectories = [st.trajectory(config.dt) for st in states]
     report["wall_time_s"] = time.monotonic() - t_start
-    return SimResult(trajectories=trajectories, report=report)
+    return SimResult(trajectories, report)

@@ -153,6 +153,34 @@ def point_in_polygon_loop(p, polygon, include_boundary=True):
     return inside
 
 
+def first_self_crossing_loop(polygon):
+    """First (i, j), i < j, of non-adjacent edges whose interiors cross, or None.
+
+    Pairwise loop with scalar cross products: a crossing needs each edge's
+    endpoints strictly (beyond EPS_GEO) on opposite sides of the other's line.
+    """
+    pts = np.asarray(polygon, dtype=float)
+    n = len(pts)
+
+    def cross(u, v):
+        return float(u[0] * v[1] - u[1] * v[0])
+
+    def straddles(s, t):
+        return (s > EPS_GEO and t < -EPS_GEO) or (s < -EPS_GEO and t > EPS_GEO)
+
+    for i in range(n):
+        a, b = pts[i], pts[(i + 1) % n]
+        for j in range(i + 1, n):
+            if (j + 1) % n == i or (i + 1) % n == j:
+                continue
+            c, d = pts[j], pts[(j + 1) % n]
+            if straddles(cross(d - c, a - c), cross(d - c, b - c)) and straddles(
+                cross(b - a, c - a), cross(b - a, d - a)
+            ):
+                return i, j
+    return None
+
+
 def clip_halfplane_loop(pts, point, normal):
     """Per-vertex Sutherland-Hodgman step keeping (x - point) . normal <= 0."""
     if len(pts) == 0:

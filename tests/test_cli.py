@@ -449,6 +449,33 @@ def test_sweep_grid_runs_and_records_failures(dataset_dir, tmp_path):
     assert (out / "20-36" / "test.metrics.json").exists()
 
 
+GRID = {"exit_distances": [20], "step_degs": [18]}
+
+
+@pytest.mark.parametrize(
+    "section, flags, key",
+    [
+        ({**GRID, "jobs": "x"}, [], "jobs"),
+        ({**GRID, "jobs": 0}, [], "jobs"),
+        ({**GRID, "jobs": 1.5}, [], "jobs"),
+        (GRID, ["--jobs", "0"], "jobs"),
+        (5, [], "sweep"),
+        ({**GRID, "exit_distances": ["far"]}, [], "exit_distances"),
+        ({**GRID, "exit_distances": 20}, [], "exit_distances"),
+        ({**GRID, "step_degs": [float("inf")]}, [], "step_degs"),
+        (GRID, ["--step-degs", "nan"], "step_degs"),
+    ],
+)
+def test_malformed_sweep_is_exit_2_naming_its_key(
+    dataset_dir, tmp_path, capsys, section, flags, key
+):
+    path = _run_config(dataset_dir, tmp_path / "sweep.json", sweep=section)
+    rc = main(["sweep", "-c", str(path), "--output-dir", str(tmp_path / "out"), *flags])
+    assert rc == EXIT_CONFIG
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_single_combo_matches_pipeline(dataset_dir, tmp_path):
     out = tmp_path / "sweep1"
     rc = main(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from crowdtcn.geometry import (
+    EPS_GEO,
     DegenerateSites,
     SelfIntersecting,
     bounded_voronoi,
@@ -20,6 +21,7 @@ from oracles import (
     convex_clip_loop,
     crossing_param,
     first_crossing,
+    first_self_crossing_loop,
     point_in_polygon_loop,
     solve_ray_segment,
 )
@@ -301,6 +303,40 @@ class TestPolygonOps:
         bowtie = [[0, 0], [1, 1], [1, 0], [0, 1]]
         with pytest.raises(SelfIntersecting):
             polygon_clip(bowtie, UNIT_SQUARE)
+
+    def test_self_crossing_check_matches_loop(self):
+        """The array check names the same first edge pair as the pairwise loop,
+        on random, integer-grid and near-tolerance polygons."""
+        rng = np.random.default_rng(11)
+        big = 100.0 * np.array([[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]])
+        verdicts = {"simple": 0, "crossing": 0}
+        for trial in range(600):
+            n = 4 + trial % 6
+            if trial % 3 == 0:
+                poly = rng.integers(0, 4, (n, 2)).astype(float)  # exact collinear touches
+            else:
+                # a convex polygon, then one vertex moved onto a non-adjacent
+                # edge's line, off it by a few EPS_GEO (or anywhere at random)
+                angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+                poly = np.column_stack([np.cos(angles), np.sin(angles)]) * rng.uniform(0.5, 5.0)
+                k, i = rng.choice(n, 2, replace=False)
+                a, b = poly[i], poly[(i + 1) % n]
+                if k not in (i, (i + 1) % n):
+                    e = b - a
+                    normal = np.array([-e[1], e[0]]) / np.hypot(e[0], e[1]) ** 2
+                    offset = rng.choice([-2.0, -1.0, -0.5, 0.0, 0.5, 1.0, 2.0]) * EPS_GEO
+                    poly[k] = a + rng.uniform(-0.5, 1.5) * e + offset * normal
+                if trial % 3 == 2:
+                    poly[k] = rng.uniform(-5.0, 5.0, 2)
+            want = first_self_crossing_loop(poly)
+            if want is None:
+                polygon_clip(poly, big)
+                verdicts["simple"] += 1
+            else:
+                with pytest.raises(SelfIntersecting, match=rf"^edges {want[0]} and {want[1]} cross$"):
+                    polygon_clip(poly, big)
+                verdicts["crossing"] += 1
+        assert min(verdicts.values()) > 50
 
     def test_non_convex_clip_rejected(self):
         with pytest.raises(ValueError, match="convex"):

@@ -11,6 +11,7 @@ from crowdtcn.geometry import crossing_params
 from crowdtcn.ingest import (
     Trajectory,
     build_samples,
+    load_step_trajectories,
     load_trajectories,
     parse_trajectories,
     write_trajectory_file,
@@ -116,12 +117,13 @@ def test_constant_model_follows_kinematics_exactly():
     result = run(sc, [seed], model, CFG)
     assert not result.step_cap_exceeded
     (tr,) = result.trajectories
-    assert tr.exited and tr.exit_step == 44  # (12 - 1) / (dt * vx)
+    entry = result.report["pedestrians"]["1"]
+    assert entry["exited"] and entry["exit_step"] == 44  # (12 - 1) / (dt * vx)
     expected = np.array([[1.0 + 0.25 * k, 0.0] for k in range(45)])
     np.testing.assert_array_equal(tr.positions, expected)
     # exact kinematic identity p[t+1] - p[t] = dt * v[t+1]
     np.testing.assert_array_equal(np.diff(tr.positions, axis=0), DT * tr.velocities)
-    assert tr.corrected_steps == ()
+    assert entry["corrected_steps"] == []
 
 
 def test_exit_within_seed_window_matches_experiment():
@@ -130,8 +132,9 @@ def test_exit_within_seed_window_matches_experiment():
     model = constant_model([1.0, 0.0], sc)
     result = run(sc, [seed], model, CFG)
     (tr,) = result.trajectories
+    entry = result.report["pedestrians"]["2"]
     # lands exactly on the exit line at step 2, still inside the seed window
-    assert tr.exited and tr.exit_step == 2
+    assert entry["exited"] and entry["exit_step"] == 2
     np.testing.assert_array_equal(tr.positions, seed.positions[:3])
 
 
@@ -141,7 +144,7 @@ def test_departure_through_entrance():
     model = constant_model([-1.0, 0.0], sc)  # turns around after seeding
     result = run(sc, [seed], model, CFG)
     (tr,) = result.trajectories
-    assert tr.exited
+    assert result.report["pedestrians"]["3"]["exited"]
     # last committed position is past the entrance line, the one before inside
     assert tr.positions[-1][0] < 0.0 < tr.positions[-2][0]
 
@@ -166,6 +169,42 @@ def test_boundary_correction_hand_case():
     np.testing.assert_allclose(st.frames[4][:2], expected_dir, atol=1e-12)
     # postcondition: strictly inside the walkable region
     assert abs(st.positions[6][1]) < 1.5
+
+
+def corrected_run():
+    """The hand case above run to the end, beside a walker on a straight lane.
+
+    The model repeats the hand case's velocity while the last frame's velocity
+    still climbs and walks along x otherwise, so pedestrian 4 is corrected
+    once, at step 6, and both pedestrians exit."""
+    sc = corridor(half_width=1.5, length=20.0)
+    v = np.array([0.6, 0.8])
+    seeds = [make_seed(4, 0, (1.0, -0.9), v, 4), make_seed(2, 1, (1.0, 0.0), (1.0, 0.0), 4)]
+    model = StubModel(lambda w: v if w[-1, 1] > 0 else [1.0, 0.0], sc.feature_dim)
+    result = run(sc, seeds, model, CFG)
+    assert result.report["pedestrians"]["4"]["corrected_steps"][0] == 6
+    return result
+
+
+def test_returned_velocities_are_displacement_rates_after_corrections():
+    result = corrected_run()
+    assert [tr.id for tr in result.trajectories] == [2, 4]
+    for tr in result.trajectories:
+        assert isinstance(tr, Trajectory)
+        np.testing.assert_array_equal(tr.velocities, np.diff(tr.positions, axis=0) / DT)
+
+
+def test_written_file_loads_back_as_the_returned_trajectories(tmp_path):
+    result = corrected_run()
+    path = tmp_path / "sim.txt"
+    write_trajectory_file(path, result.trajectories)
+    loaded = load_step_trajectories(path, dt=DT)
+    assert sorted(loaded) == [tr.id for tr in result.trajectories]
+    for tr in result.trajectories:
+        back = loaded[tr.id]
+        assert (back.enter_step, back.dt) == (tr.enter_step, tr.dt)
+        np.testing.assert_array_equal(back.positions, tr.positions)
+        np.testing.assert_array_equal(back.velocities, tr.velocities)
 
 
 def test_same_step_corrections_see_pre_step_history():
@@ -341,7 +380,8 @@ def test_on_boundary_parallel_motion_is_not_corrected():
     model = constant_model([1.0, 0.0], sc)
     result = run(sc, [seed], model, CFG)
     (tr,) = result.trajectories
-    assert tr.exited and tr.corrected_steps == ()
+    entry = result.report["pedestrians"]["5"]
+    assert entry["exited"] and entry["corrected_steps"] == []
     assert np.all(tr.positions[:, 1] == 1.5)
 
 
@@ -394,12 +434,13 @@ def test_conservation_and_report():
     model = constant_model([0.5, 0.0], sc)
     result = run(sc, seeds, model, CFG)
     assert len(result.trajectories) == 3
-    assert all(tr.exited for tr in result.trajectories)
+    entries = result.report["pedestrians"]
+    assert all(entries[str(tr.id)]["exited"] for tr in result.trajectories)
     assert result.report["not_activated"] == []
     for tr in result.trajectories:
-        entry = result.report["pedestrians"][str(tr.id)]
-        assert entry["travel_steps"] == tr.travel_steps
-        assert entry["exit_step"] == tr.exit_step
+        entry = entries[str(tr.id)]
+        assert entry["travel_steps"] == tr.n_steps
+        assert entry["exit_step"] == tr.last_step
 
 
 def test_permutation_of_seed_order_is_bit_identical():
@@ -445,8 +486,9 @@ def test_step_cap_flags_and_returns_partial_results():
     assert result.step_cap_exceeded
     assert result.report["steps_run"] == result.report["step_cap"]
     (tr,) = result.trajectories
-    assert not tr.exited and tr.exit_step is None
-    assert result.report["pedestrians"]["9"]["exited"] is False
+    entry = result.report["pedestrians"]["9"]
+    assert entry["exited"] is False and entry["exit_step"] is None
+    assert entry["travel_steps"] == tr.n_steps
 
 
 def test_trajectory_file_round_trip(tmp_path):
