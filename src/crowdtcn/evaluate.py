@@ -207,9 +207,16 @@ def voronoi_measures(
     inside M divided by its area, with their plain mean speed.
 
     The measurement area must be convex (ValueError otherwise); all cells are
-    clipped by it at once. The walkable region is checked once for
-    self-crossing (SelfIntersecting).
+    clipped by it at once. The walkable region must not cross itself
+    (SelfIntersecting).
     """
+    if not simple_density:
+        ensure_simple_polygon(walkable)
+    return _step_measures(positions, speeds, walkable, measurement_area, width, simple_density)
+
+
+def _step_measures(positions, speeds, walkable, measurement_area, width, simple_density):
+    """voronoi_measures for a walkable region already checked for self-crossing."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     speeds = np.asarray(speeds, dtype=float).reshape(-1)
     if len(positions) != len(speeds):
@@ -228,7 +235,6 @@ def voronoi_measures(
         vel = float(np.mean(speeds[inside], dtype=np.float64))
         return rho, vel, rho * vel * width
 
-    ensure_simple_polygon(walkable)
     cells = bounded_voronoi(positions, walkable)
     inter = polygon_clip_areas([cell.polygon for cell in cells], measurement_area)
     hit = inter > 0.0
@@ -268,8 +274,11 @@ def profiles(
     """Evaluate voronoi_measures at every step spanned by the trajectories.
 
     Steps where no pedestrian (with a defined arrival velocity) intersects the
-    measurement area are absent from the series rather than zero-filled.
+    measurement area are absent from the series rather than zero-filled. The
+    walkable region is checked for self-crossing once, not at every step.
     """
+    if not simple_density:
+        ensure_simple_polygon(walkable)
     trs = list(_as_map(trajectories).values())
     steps: list[int] = []
     rho: list[float] = []
@@ -289,13 +298,8 @@ def profiles(
                 positions.append(tr.positions[local])
                 v = tr.velocities[local - 1]
                 speeds.append(float(np.hypot(v[0], v[1])))
-            sample = voronoi_measures(
-                np.asarray(positions, dtype=float).reshape(-1, 2),
-                speeds,
-                walkable,
-                measurement_area,
-                width,
-                simple_density=simple_density,
+            sample = _step_measures(
+                positions, speeds, walkable, measurement_area, width, simple_density
             )
             if sample is None:
                 continue

@@ -215,6 +215,10 @@ def test_voronoi_self_crossing_walkable_rejected():
     bowtie = np.array([[0.0, 0.0], [10.0, 10.0], [10.0, 0.0], [0.0, 10.0]])
     with pytest.raises(SelfIntersecting):
         voronoi_measures([[2.0, 5.0], [8.0, 5.0]], [1.0, 1.0], bowtie, SQUARE, 10.0)
+    # profiles checks the region once, before its per-step loop
+    tr = Trajectory(1, 0, np.array([[2.0, 5.0], [2.0, 5.0]]), np.zeros((1, 2)))
+    with pytest.raises(SelfIntersecting):
+        profiles([tr], bowtie, SQUARE, width=10.0)
 
 
 def test_voronoi_non_convex_measurement_area_rejected():

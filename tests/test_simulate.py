@@ -86,6 +86,19 @@ def make_seed(pid, enter, start, velocity, n):
 CFG = SimConfig(window=3)
 
 
+def run_world(scenario, seeds, model, max_steps=1000):
+    """Step a SimWorld until everyone has left; returns the final states by id.
+
+    Unlike run, this keeps the internal velocity history that feeds the
+    features."""
+    world = SimWorld(scenario, model, seeds, CFG)
+    for _ in range(max_steps):
+        if not (world.pending or world.active):
+            return world.exited
+        world.step()
+    raise AssertionError(f"pedestrians still walking after {max_steps} steps")
+
+
 def test_empty_step_advances_only_clock():
     sc = corridor()
     model = constant_model([0.5, 0.0], sc)
@@ -121,8 +134,11 @@ def test_constant_model_follows_kinematics_exactly():
     assert entry["exited"] and entry["exit_step"] == 44  # (12 - 1) / (dt * vx)
     expected = np.array([[1.0 + 0.25 * k, 0.0] for k in range(45)])
     np.testing.assert_array_equal(tr.positions, expected)
-    # exact kinematic identity p[t+1] - p[t] = dt * v[t+1]
-    np.testing.assert_array_equal(np.diff(tr.positions, axis=0), DT * tr.velocities)
+    # exact kinematic identity p[t+1] - p[t] = dt * v[t+1] in the history
+    # that feeds the features
+    st = run_world(sc, [seed], model)[1]
+    np.testing.assert_array_equal(st.positions, expected)
+    np.testing.assert_array_equal(np.diff(st.positions, axis=0), DT * np.array(st.velocities))
     assert entry["corrected_steps"] == []
 
 
@@ -184,14 +200,6 @@ def corrected_run():
     result = run(sc, seeds, model, CFG)
     assert result.report["pedestrians"]["4"]["corrected_steps"][0] == 6
     return result
-
-
-def test_returned_velocities_are_displacement_rates_after_corrections():
-    result = corrected_run()
-    assert [tr.id for tr in result.trajectories] == [2, 4]
-    for tr in result.trajectories:
-        assert isinstance(tr, Trajectory)
-        np.testing.assert_array_equal(tr.velocities, np.diff(tr.positions, axis=0) / DT)
 
 
 def test_written_file_loads_back_as_the_returned_trajectories(tmp_path):
@@ -509,6 +517,12 @@ def test_simulated_velocities_are_displacement_rates():
     sc = corridor()
     seed = make_seed(1, 0, (1.0, 0.0), (0.5, 0.0), 4)
     model = constant_model([1.0 / 3.0, 0.01], sc)
-    result = run(sc, [seed], model, CFG)
-    (tr,) = result.trajectories
-    np.testing.assert_array_equal(np.diff(tr.positions, axis=0), DT * tr.velocities)
+    st = run_world(sc, [seed], model)[1]
+    assert st.corrected_steps == []
+    np.testing.assert_array_equal(np.diff(st.positions, axis=0), DT * np.array(st.velocities))
+    # returned trajectories carry displacement rates, across a correction too
+    result = corrected_run()
+    assert [tr.id for tr in result.trajectories] == [2, 4]
+    for tr in result.trajectories:
+        assert isinstance(tr, Trajectory)
+        np.testing.assert_array_equal(tr.velocities, np.diff(tr.positions, axis=0) / DT)
