@@ -181,6 +181,9 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     for key, value in (overrides or {}).items():
         if value is not None:
             doc[key] = value
+    for section in ("radar", "rays", "sim", "sweep"):
+        if not isinstance(doc.get(section, {}), dict):
+            raise BadConfig(f"{section!r} must be an object")
 
     base = path.parent.resolve()
     if "scenario" not in doc:
@@ -216,9 +219,6 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
             raise BadConfig(f"bad {key!r} in run config {path}: {exc}") from exc
 
     window = value("window", int, 8)
-    for section in ("sim", "sweep"):
-        if not isinstance(doc.get(section, {}), dict):
-            raise BadConfig(f"{section!r} must be an object")
     try:
         sim = SimConfig(dt=scenario.dt, window=window, **doc.get("sim", {}))
     except (TypeError, ValueError) as exc:
@@ -591,7 +591,10 @@ def cmd_synth(args) -> int:
         kwargs["step_deg"] = args.step_deg
     if args.exit_distance is not None:
         kwargs["exit_distance"] = args.exit_distance
-    dataset = builder(**kwargs)
+    try:
+        dataset = builder(**kwargs)
+    except ValueError as exc:  # e.g. a ray step that does not divide 180
+        raise BadConfig(str(exc)) from exc
     paths = write_dataset(dataset, args.out)
     run_doc = {
         "scenario": paths["scenario"].name,

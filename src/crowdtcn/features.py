@@ -67,8 +67,8 @@ class StaticVelocityMode(enum.Enum):
 
 
 def _positive(value: float, name: str) -> float:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
+    if not 0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and finite, got {value}")
     return float(value)
 
 

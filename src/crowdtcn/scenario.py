@@ -36,6 +36,7 @@ lengths are meters, angles degrees, times seconds.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -119,10 +120,10 @@ class Scenario:
     static_velocity_mode: StaticVelocityMode = StaticVelocityMode.MINUS_OWN
 
     def __post_init__(self):
-        if self.frame_rate <= 0:
-            raise BadConfig(f"frame_rate must be positive, got {self.frame_rate}")
-        if self.dt <= 0:
-            raise BadConfig(f"dt must be positive, got {self.dt}")
+        for label in ("frame_rate", "dt", "measurement_width"):
+            value = getattr(self, label)
+            if not 0 < value < math.inf:
+                raise BadConfig(f"{label} must be positive and finite, got {value}")
         stride = self.frame_rate * self.dt
         if abs(stride - round(stride)) > 1e-9 or round(stride) < 1:
             raise BadConfig(
@@ -142,8 +143,6 @@ class Scenario:
             self.walkable_polygon = self.clipping_polygon.copy()
         else:
             self.walkable_polygon = ensure_simple_polygon(self.walkable_polygon)
-        if self.measurement_width <= 0:
-            raise BadConfig("measurement_width must be positive")
         head = np.asarray(self.default_heading, dtype=float)
         norm = float(np.hypot(head[0], head[1]))
         if norm == 0.0:

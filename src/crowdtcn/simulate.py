@@ -86,6 +86,10 @@ class SimConfig:
     drop_short_seeds: bool = False
 
     def __post_init__(self):
+        for name in ("dt", "standoff", "tangent_blend", "inward_blend", "step_cap_factor"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.dt <= 0 or self.window < 1:
             raise ValueError("dt must be positive and window at least 1")
         if self.standoff <= 0:

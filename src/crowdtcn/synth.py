@@ -16,30 +16,28 @@ from pathlib import Path
 
 import numpy as np
 
-from .features import RadarConfig, RayScanConfig
+from .features import RayScanConfig
 from .ingest import RawTrack
-from .scenario import Scenario, SmoothingConfig
+from .scenario import Scenario
 
 __all__ = [
-    "SyntheticDataset",
-    "corridor_scenario",
-    "corner_scenario",
-    "t_junction_scenario",
-    "corridor_dataset",
-    "corner_dataset",
-    "t_junction_dataset",
-    "write_raw_tracks",
-    "write_dataset",
-    "GEOMETRIES",
+    "SyntheticDataset", "corridor_scenario", "corner_scenario", "t_junction_scenario",
+    "corridor_dataset", "corner_dataset", "t_junction_dataset", "write_raw_tracks",
+    "write_dataset", "GEOMETRIES",
 ]
 
+FRAME_RATE = 16.0
+SPEED_RANGE = (1.0, 1.4)
 # keep walkers off the walls so radar sectors see walls without touching them
 LANE_MARGIN = 0.35
 # walk this far past the departure line; clipping trims the outside samples
 OVERSHOOT = 0.6
+CORRIDOR_HALF_WIDTH = 2.0
+# T-junction: each arm is 6 m long, the stem 6 m; arms and stem are 2.4 m wide
+T_ARM, T_WIDTH, T_STEM = 6.0, 2.4, 6.0
 
 
-def _walk_polyline(waypoints, speed: float, frame_rate: float) -> np.ndarray:
+def _walk_polyline(waypoints, speed: float) -> np.ndarray:
     """Positions along a polyline at constant speed, one row per raw frame."""
     pts = np.asarray(waypoints, dtype=float)
     vecs = np.diff(pts, axis=0)
@@ -47,155 +45,81 @@ def _walk_polyline(waypoints, speed: float, frame_rate: float) -> np.ndarray:
     if (lengths <= 0).any():
         raise ValueError("polyline has a zero-length segment")
     bounds = np.concatenate([[0.0], np.cumsum(lengths)])
-    total = float(bounds[-1])
-    step = speed / frame_rate
-    n = int(math.floor(total / step)) + 1
-    out = np.empty((n, 2))
-    for k in range(n):
-        s = k * step
-        i = min(int(np.searchsorted(bounds, s, side="right")) - 1, len(lengths) - 1)
-        out[k] = pts[i] + (s - bounds[i]) / lengths[i] * vecs[i]
-    return out
+    step = speed / FRAME_RATE
+    s = np.arange(int(math.floor(float(bounds[-1]) / step)) + 1) * step
+    i = np.minimum(np.searchsorted(bounds, s, side="right") - 1, len(lengths) - 1)
+    return pts[i] + ((s - bounds[i]) / lengths[i])[:, None] * vecs[i]
+
+
+def _scenario(
+    name, walls, entrances, exit_, polygon, area, width, heading, step_deg, exit_distance
+) -> Scenario:
+    """A 16 fps scenario with default dt, radar and smoothing; entrances are virtual walls."""
+    return Scenario(
+        name=name,
+        frame_rate=FRAME_RATE,
+        walls=walls,
+        entrances=entrances,
+        exits=[exit_],
+        virtual_walls=entrances,
+        clipping_polygon=polygon,
+        measurement_area=area,
+        measurement_width=width,
+        default_heading=np.array(heading),
+        rays=RayScanConfig(step_deg=step_deg, exit_distance=exit_distance),
+    )
 
 
 def corridor_scenario(
-    *,
-    name: str = "synthetic-corridor",
-    length: float = 10.0,
-    half_width: float = 2.0,
-    frame_rate: float = 16.0,
-    dt: float = 0.5,
-    sector_deg: float = 18.0,
-    step_deg: float = 18.0,
-    exit_distance: float = 20.0,
-    radar_radius: float = 1.2,
-    smoothing: SmoothingConfig | None = None,
+    *, length: float = 10.0, step_deg: float = 18.0, exit_distance: float = 20.0
 ) -> Scenario:
-    """Straight corridor: entrance at x=0, exit at x=length, walls at y=±half_width."""
-    hw = half_width
-    rect = np.array([[0.0, -hw], [length, -hw], [length, hw], [0.0, hw]])
-    mid = length / 2.0
-    half_span = min(1.0, length / 4.0)
-    meas = np.array(
-        [[mid - half_span, -hw], [mid + half_span, -hw], [mid + half_span, hw], [mid - half_span, hw]]
-    )
-    entrance = ((0.0, -hw), (0.0, hw))
-    return Scenario(
-        name=name,
-        frame_rate=frame_rate,
-        dt=dt,
-        walls=[((0.0, -hw), (length, -hw)), ((0.0, hw), (length, hw))],
-        entrances=[entrance],
-        exits=[((length, -hw), (length, hw))],
-        virtual_walls=[entrance],
-        clipping_polygon=rect,
-        measurement_area=meas,
-        measurement_width=2.0 * hw,
-        default_heading=np.array([1.0, 0.0]),
-        smoothing=smoothing if smoothing is not None else SmoothingConfig(),
-        radar=RadarConfig(radius=radar_radius, sector_deg=sector_deg),
-        rays=RayScanConfig(step_deg=step_deg, exit_distance=exit_distance),
+    """Straight corridor: entrance at x=0, exit at x=length, walls at y=±2."""
+    hw = CORRIDOR_HALF_WIDTH
+    mid, half = length / 2.0, min(1.0, length / 4.0)
+    return _scenario(
+        "synthetic-corridor",
+        [((0.0, -hw), (length, -hw)), ((0.0, hw), (length, hw))],
+        [((0.0, -hw), (0.0, hw))],
+        ((length, -hw), (length, hw)),
+        [[0.0, -hw], [length, -hw], [length, hw], [0.0, hw]],
+        [[mid - half, -hw], [mid + half, -hw], [mid + half, hw], [mid - half, hw]],
+        2.0 * hw, [1.0, 0.0], step_deg, exit_distance,
     )
 
 
 def corner_scenario(
-    *,
-    name: str = "synthetic-corner",
-    arm_length: float = 8.0,
-    width: float = 2.4,
-    frame_rate: float = 16.0,
-    dt: float = 0.5,
-    sector_deg: float = 18.0,
-    step_deg: float = 18.0,
+    *, arm_length: float = 8.0, width: float = 2.4, step_deg: float = 18.0,
     exit_distance: float = 20.0,
-    radar_radius: float = 1.2,
-    smoothing: SmoothingConfig | None = None,
 ) -> Scenario:
     """Right-angle corner: walk east along the lower arm, turn north, exit at the top."""
-    lx = ly = arm_length
-    b = width
-    if b >= lx:
+    a, b = arm_length, width
+    if b >= a:
         raise ValueError("width must be smaller than arm_length")
-    poly = np.array(
-        [[0.0, 0.0], [lx, 0.0], [lx, ly], [lx - b, ly], [lx - b, b], [0.0, b]]
-    )
-    meas = np.array([[lx - b, 0.0], [lx, 0.0], [lx, b], [lx - b, b]])
-    entrance = ((0.0, 0.0), (0.0, b))
-    return Scenario(
-        name=name,
-        frame_rate=frame_rate,
-        dt=dt,
-        walls=[
-            ((0.0, 0.0), (lx, 0.0)),
-            ((lx, 0.0), (lx, ly)),
-            ((0.0, b), (lx - b, b)),
-            ((lx - b, b), (lx - b, ly)),
-        ],
-        entrances=[entrance],
-        exits=[((lx - b, ly), (lx, ly))],
-        virtual_walls=[entrance],
-        clipping_polygon=poly,
-        measurement_area=meas,
-        measurement_width=b,
-        default_heading=np.array([1.0, 0.0]),
-        smoothing=smoothing if smoothing is not None else SmoothingConfig(),
-        radar=RadarConfig(radius=radar_radius, sector_deg=sector_deg),
-        rays=RayScanConfig(step_deg=step_deg, exit_distance=exit_distance),
+    return _scenario(
+        "synthetic-corner",
+        [((0.0, 0.0), (a, 0.0)), ((a, 0.0), (a, a)),
+         ((0.0, b), (a - b, b)), ((a - b, b), (a - b, a))],
+        [((0.0, 0.0), (0.0, b))],
+        ((a - b, a), (a, a)),
+        [[0.0, 0.0], [a, 0.0], [a, a], [a - b, a], [a - b, b], [0.0, b]],
+        [[a - b, 0.0], [a, 0.0], [a, b], [a - b, b]],
+        b, [1.0, 0.0], step_deg, exit_distance,
     )
 
 
-def t_junction_scenario(
-    *,
-    name: str = "synthetic-t-junction",
-    arm_length: float = 6.0,
-    width: float = 2.4,
-    stem_length: float = 6.0,
-    stem_width: float = 2.4,
-    frame_rate: float = 16.0,
-    dt: float = 0.5,
-    sector_deg: float = 18.0,
-    step_deg: float = 18.0,
-    exit_distance: float = 20.0,
-    radar_radius: float = 1.2,
-    smoothing: SmoothingConfig | None = None,
-) -> Scenario:
+def t_junction_scenario(*, step_deg: float = 18.0, exit_distance: float = 20.0) -> Scenario:
     """T-junction: inflows from both arm ends merge and exit through the top stem."""
-    l, b, ly = arm_length, width, stem_length
-    sw = stem_width / 2.0
-    if sw >= l:
-        raise ValueError("stem_width must be smaller than 2 * arm_length")
-    poly = np.array(
-        [
-            [-l, 0.0], [l, 0.0], [l, b], [sw, b],
-            [sw, b + ly], [-sw, b + ly], [-sw, b], [-l, b],
-        ]
-    )
-    meas = np.array(
-        [[-sw, b], [sw, b], [sw, b + min(2.0, ly)], [-sw, b + min(2.0, ly)]]
-    )
-    left = ((-l, 0.0), (-l, b))
-    right = ((l, 0.0), (l, b))
-    return Scenario(
-        name=name,
-        frame_rate=frame_rate,
-        dt=dt,
-        walls=[
-            ((-l, 0.0), (l, 0.0)),
-            ((-l, b), (-sw, b)),
-            ((sw, b), (l, b)),
-            ((-sw, b), (-sw, b + ly)),
-            ((sw, b), (sw, b + ly)),
-        ],
-        entrances=[left, right],
-        exits=[((-sw, b + ly), (sw, b + ly))],
-        virtual_walls=[left, right],
-        clipping_polygon=poly,
-        measurement_area=meas,
-        measurement_width=stem_width,
-        default_heading=np.array([0.0, 1.0]),
-        smoothing=smoothing if smoothing is not None else SmoothingConfig(),
-        radar=RadarConfig(radius=radar_radius, sector_deg=sector_deg),
-        rays=RayScanConfig(step_deg=step_deg, exit_distance=exit_distance),
+    l, b, top = T_ARM, T_WIDTH, T_WIDTH + T_STEM
+    sw = T_WIDTH / 2.0
+    return _scenario(
+        "synthetic-t-junction",
+        [((-l, 0.0), (l, 0.0)), ((-l, b), (-sw, b)), ((sw, b), (l, b)),
+         ((-sw, b), (-sw, top)), ((sw, b), (sw, top))],
+        [((-l, 0.0), (-l, b)), ((l, 0.0), (l, b))],
+        ((-sw, top), (sw, top)),
+        [[-l, 0.0], [l, 0.0], [l, b], [sw, b], [sw, top], [-sw, top], [-sw, b], [-l, b]],
+        [[-sw, b], [sw, b], [sw, b + 2.0], [-sw, b + 2.0]],
+        T_WIDTH, [0.0, 1.0], step_deg, exit_distance,
     )
 
 
@@ -208,112 +132,75 @@ class SyntheticDataset:
     testing: list[RawTrack]
 
 
-def _generate(rng, scenario, count: int, path_fn, gap_steps=(1, 2)) -> list[RawTrack]:
+def _dataset(scenario, seed, n_train, n_test, path_fn) -> SyntheticDataset:
     """Walkers entering one after another with a random 1-2 step stagger.
 
-    path_fn(rng, j) -> (waypoints, speed) for walker j. Entry frames are
-    multiples of the resample stride so all pedestrians share step phase.
+    path_fn(rng, j) -> waypoints for walker j. Each walker draws its path,
+    then its speed, then its stagger. Entry frames are multiples of the
+    resample stride so all pedestrians share step phase.
     """
-    stride = scenario.frame_stride
-    tracks = []
-    frame = 0
-    for j in range(count):
-        waypoints, speed = path_fn(rng, j)
-        positions = _walk_polyline(waypoints, speed, scenario.frame_rate)
-        frames = frame + np.arange(len(positions))
-        tracks.append(RawTrack(id=j + 1, frames=frames, positions=positions))
-        frame += stride * int(rng.integers(gap_steps[0], gap_steps[1] + 1))
-    return tracks
+    rng = np.random.default_rng(seed)
+
+    def walkers(count):
+        tracks, frame = [], 0
+        for j in range(count):
+            waypoints = path_fn(rng, j)
+            positions = _walk_polyline(waypoints, rng.uniform(*SPEED_RANGE))
+            frames = frame + np.arange(len(positions))
+            tracks.append(RawTrack(id=j + 1, frames=frames, positions=positions))
+            frame += scenario.frame_stride * int(rng.integers(1, 3))
+        return tracks
+
+    return SyntheticDataset(scenario, walkers(n_train), walkers(n_test))
 
 
 def corridor_dataset(
-    *,
-    n_train: int = 50,
-    n_test: int = 12,
-    seed: int = 0,
-    speed_range: tuple[float, float] = (1.0, 1.4),
-    length: float = 10.0,
-    half_width: float = 2.0,
-    **scenario_kw,
+    *, n_train: int = 50, n_test: int = 12, seed: int = 0, length: float = 10.0,
+    step_deg: float = 18.0, exit_distance: float = 20.0,
 ) -> SyntheticDataset:
     """Lane walkers crossing a corridor at constant per-pedestrian speed."""
-    scenario = corridor_scenario(length=length, half_width=half_width, **scenario_kw)
-    rng = np.random.default_rng(seed)
+    hw = CORRIDOR_HALF_WIDTH
 
     def path(rng, _j):
-        y = rng.uniform(-half_width + LANE_MARGIN, half_width - LANE_MARGIN)
-        speed = rng.uniform(*speed_range)
-        return [(0.0, y), (length + OVERSHOOT, y)], speed
+        y = rng.uniform(-hw + LANE_MARGIN, hw - LANE_MARGIN)
+        return [(0.0, y), (length + OVERSHOOT, y)]
 
-    return SyntheticDataset(
-        scenario=scenario,
-        training=_generate(rng, scenario, n_train, path),
-        testing=_generate(rng, scenario, n_test, path),
-    )
+    scenario = corridor_scenario(length=length, step_deg=step_deg, exit_distance=exit_distance)
+    return _dataset(scenario, seed, n_train, n_test, path)
 
 
 def corner_dataset(
-    *,
-    n_train: int = 40,
-    n_test: int = 10,
-    seed: int = 0,
-    speed_range: tuple[float, float] = (1.0, 1.4),
-    arm_length: float = 8.0,
-    width: float = 2.4,
-    **scenario_kw,
+    *, n_train: int = 40, n_test: int = 10, seed: int = 0, arm_length: float = 8.0,
+    width: float = 2.4, step_deg: float = 18.0, exit_distance: float = 20.0,
 ) -> SyntheticDataset:
     """Walkers entering the lower arm, turning the corner, leaving at the top."""
-    scenario = corner_scenario(arm_length=arm_length, width=width, **scenario_kw)
-    rng = np.random.default_rng(seed)
 
     def path(rng, _j):
         y = rng.uniform(LANE_MARGIN, width - LANE_MARGIN)
         xt = rng.uniform(arm_length - width + LANE_MARGIN, arm_length - LANE_MARGIN)
-        speed = rng.uniform(*speed_range)
-        return [(0.0, y), (xt, y), (xt, arm_length + OVERSHOOT)], speed
+        return [(0.0, y), (xt, y), (xt, arm_length + OVERSHOOT)]
 
-    return SyntheticDataset(
-        scenario=scenario,
-        training=_generate(rng, scenario, n_train, path),
-        testing=_generate(rng, scenario, n_test, path),
+    scenario = corner_scenario(
+        arm_length=arm_length, width=width, step_deg=step_deg, exit_distance=exit_distance
     )
+    return _dataset(scenario, seed, n_train, n_test, path)
 
 
 def t_junction_dataset(
-    *,
-    n_train: int = 40,
-    n_test: int = 10,
-    seed: int = 0,
-    speed_range: tuple[float, float] = (1.0, 1.4),
-    arm_length: float = 6.0,
-    width: float = 2.4,
-    stem_length: float = 6.0,
-    stem_width: float = 2.4,
-    **scenario_kw,
+    *, n_train: int = 40, n_test: int = 10, seed: int = 0, step_deg: float = 18.0,
+    exit_distance: float = 20.0,
 ) -> SyntheticDataset:
     """Two opposing streams merging into the stem; walkers alternate sides."""
-    scenario = t_junction_scenario(
-        arm_length=arm_length,
-        width=width,
-        stem_length=stem_length,
-        stem_width=stem_width,
-        **scenario_kw,
-    )
-    rng = np.random.default_rng(seed)
-    sw = stem_width / 2.0
+    sw = T_WIDTH / 2.0
 
     def path(rng, j):
-        x0 = -arm_length if j % 2 == 0 else arm_length
-        y = rng.uniform(LANE_MARGIN, width - LANE_MARGIN)
+        y = rng.uniform(LANE_MARGIN, T_WIDTH - LANE_MARGIN)
         xt = rng.uniform(-sw + LANE_MARGIN, sw - LANE_MARGIN)
-        speed = rng.uniform(*speed_range)
-        return [(x0, y), (xt, y), (xt, width + stem_length + OVERSHOOT)], speed
+        x0 = -T_ARM if j % 2 == 0 else T_ARM
+        return [(x0, y), (xt, y), (xt, T_WIDTH + T_STEM + OVERSHOOT)]
 
-    return SyntheticDataset(
-        scenario=scenario,
-        training=_generate(rng, scenario, n_train, path),
-        testing=_generate(rng, scenario, n_test, path),
-    )
+    scenario = t_junction_scenario(step_deg=step_deg, exit_distance=exit_distance)
+    return _dataset(scenario, seed, n_train, n_test, path)
 
 
 GEOMETRIES = {

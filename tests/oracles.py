@@ -304,3 +304,18 @@ def first_crossing(p0, p1, segments):
         if t is not None and (best is None or t < best[0]):
             best = (t, i)
     return best
+
+
+def walk_polyline_loop(waypoints, speed, frame_rate):
+    """Constant-speed samples along a polyline, one frame at a time."""
+    pts = np.asarray(waypoints, dtype=float)
+    vecs = np.diff(pts, axis=0)
+    lengths = np.hypot(vecs[:, 0], vecs[:, 1])
+    bounds = np.concatenate([[0.0], np.cumsum(lengths)])
+    step = speed / frame_rate
+    out = np.empty((int(math.floor(float(bounds[-1]) / step)) + 1, 2))
+    for k in range(len(out)):
+        s = k * step
+        i = min(int(np.searchsorted(bounds, s, side="right")) - 1, len(lengths) - 1)
+        out[k] = pts[i] + (s - bounds[i]) / lengths[i] * vecs[i]
+    return out

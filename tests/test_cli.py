@@ -87,6 +87,12 @@ def test_synth_is_deterministic(tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 
 
+@pytest.mark.parametrize("flag, value", [("--step-deg", "7"), ("--exit-distance", "5")])
+def test_synth_bad_ray_setting_is_exit_2(tmp_path, capsys, flag, value):
+    assert main(["synth", "--out", str(tmp_path), flag, value]) == EXIT_CONFIG
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
+
+
 def test_run_config_validation(dataset_dir, tmp_path):
     cfg = load_run_config(dataset_dir / "micro.json")
     assert cfg.scenario.feature_dim == 104
@@ -134,6 +140,8 @@ def _run_config(dataset_dir, path, **changes):
         ("learning_rate", -1.0),
         ("dtype", "bogus"),
         ("sim", {"standoff": -1}),
+        ("radar", 5),
+        ("rays", 5),
     ],
 )
 def test_run_config_bad_value_names_its_key(dataset_dir, tmp_path, key, value):
@@ -388,6 +396,41 @@ def test_non_finite_wall_is_exit_2(dataset_dir, tmp_path, capsys):
     (tmp_path / "run.json").write_text(json.dumps(run))
     assert main(["train", "-c", str(tmp_path / "run.json")]) == EXIT_CONFIG
     assert "invalid walls: non-finite coordinate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "command, section, key, value",
+    [
+        ("train", "rays", "exit_distance", float("inf")),
+        ("train", "radar", "sector_deg", float("inf")),
+        ("train", None, "frame_rate", float("inf")),
+        ("simulate", "sim", "step_cap_factor", float("inf")),
+        ("simulate", "sim", "standoff", float("nan")),
+        ("evaluate", None, "measurement_width", float("nan")),
+    ],
+)
+def test_non_finite_setting_is_exit_2(
+    trained_dir, tmp_path, capsys, command, section, key, value
+):
+    # section None puts the value in the scenario file, otherwise in the run config
+    scenario = json.loads((trained_dir / "scenario.json").read_text())
+    changes = {"scenario": str(tmp_path / "scenario.json"), "output_dir": str(tmp_path / "out")}
+    if section is None:
+        scenario[key] = value
+    else:
+        changes[section] = {key: value}
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    config = _run_config(trained_dir, tmp_path / "run.json", **changes)
+    if command == "evaluate":
+        rc = _evaluate(trained_dir, tmp_path / "out", scenario=tmp_path / "scenario.json")
+    else:
+        argv = [command, "-c", str(config)]
+        if command == "simulate":
+            argv += ["--artifact", str(trained_dir / "out" / "model.bin")]
+        rc = main(argv)
+    assert rc == EXIT_CONFIG
+    assert key in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

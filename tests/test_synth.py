@@ -1,5 +1,7 @@
 """Tests for the synthetic scenario and trajectory generators."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from crowdtcn.geometry import point_in_polygon, polygon_area
 from crowdtcn.ingest import build_samples, load_trajectories, parse_trajectories
 from crowdtcn.synth import (
     GEOMETRIES,
+    _walk_polyline,
     corner_dataset,
     corner_scenario,
     corridor_dataset,
@@ -16,6 +19,7 @@ from crowdtcn.synth import (
     write_dataset,
     write_raw_tracks,
 )
+from oracles import walk_polyline_loop
 
 
 def test_scenario_geometry_and_feature_dim():
@@ -46,6 +50,55 @@ def test_generation_is_deterministic(tmp_path):
         assert a[key].read_bytes() == b[key].read_bytes()
     c = write_dataset(corridor_dataset(seed=8, n_train=6, n_test=3), tmp_path / "c")
     assert a["training"].read_bytes() != c["training"].read_bytes()
+
+
+# SHA-256 of scenario.json, train.txt and test.txt. Every synthetic path
+# segment is axis-aligned, so np.hypot is exact and the bytes do not depend
+# on the platform's libm.
+PINNED_DIGESTS = [
+    ("corridor", {}, (
+        "bdceeddfc1d00ae5c0912c69e9b0be93a582026e6d9be436ef07e28bc543cd43",
+        "052b4d96b7279e35ca1776d7c3eb79a1298e7223919569aa7ce3583919a5dbc4",
+        "e8bb11bad40b1bc6bf59966e613a7c4c309ce42c41f99f5e6b43c6ee842b7d3c",
+    )),
+    ("corner", {}, (
+        "47905611d8d4476ddd49f726e2ff364fec769434debb534abadafdd984364bc9",
+        "0a50763e547de78665926bd395ebfcc92ba6e1e8c5229825093a256d1de9132a",
+        "2fe19a26a9b1770762fc19de36e8905fd1cfded200a9b47239e2092d843158ee",
+    )),
+    ("t-junction", {}, (
+        "32dce8bb8db929567ab30242eae6c15c8f545f5a48cbb76642a88c87f6cf839e",
+        "8a8e4b6430d6fcf4fd9e64c913f1b63825fc9fc75616c9c5481158e318b9753d",
+        "10ce6087adbaa6153e855634b692fed6b88e164d806d32827afbc24242a2b6b0",
+    )),
+    ("t-junction", {"step_deg": 5, "exit_distance": 30}, (
+        "0cce177f7878c8910745452ed506d3020a9ed341e7d04a1b2d5dacbc0ec85601",
+        "8a8e4b6430d6fcf4fd9e64c913f1b63825fc9fc75616c9c5481158e318b9753d",
+        "10ce6087adbaa6153e855634b692fed6b88e164d806d32827afbc24242a2b6b0",
+    )),
+]
+
+
+@pytest.mark.parametrize("name, extra, digests", PINNED_DIGESTS)
+def test_dataset_bytes_are_pinned(tmp_path, name, extra, digests):
+    ds = GEOMETRIES[name](seed=3, n_train=4, n_test=2, **extra)
+    paths = write_dataset(ds, tmp_path)
+    keys = ("scenario", "training", "testing")
+    got = tuple(hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in keys)
+    assert got == digests
+
+
+def test_walk_polyline_matches_loop():
+    rng = np.random.default_rng(0)
+    cases = [([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], 1.0)]  # samples land on a bound
+    for _ in range(200):
+        pts = rng.uniform(-5.0, 5.0, size=(int(rng.integers(2, 6)), 2))
+        cases.append((pts, rng.uniform(0.2, 2.0)))
+    for waypoints, speed in cases:
+        got = _walk_polyline(waypoints, speed)
+        assert np.array_equal(got, walk_polyline_loop(waypoints, speed, frame_rate=16.0))
+    with pytest.raises(ValueError, match="zero-length segment"):
+        _walk_polyline([(0.0, 0.0), (1.0, 0.0), (1.0, 0.0)], 1.0)
 
 
 def test_raw_files_round_trip(tmp_path):
