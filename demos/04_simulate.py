@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from crowdtcn.ingest import build_samples, load_trajectories, split
-from crowdtcn.simulate import SimConfig, run
+from crowdtcn.simulate import run
 from crowdtcn.synth import corridor_dataset, write_dataset
 from crowdtcn.tcn import Architecture, TrainConfig, train
 
@@ -38,7 +38,8 @@ model, _ = train(
 )
 
 seeds = load_trajectories(paths["testing"], scenario)
-result = run(scenario, seeds, model, SimConfig(dt=scenario.dt, window=8))
+# the step is the scenario's dt and the lookback window the model's
+result = run(scenario, seeds, model)
 
 r = result.report
 print(f"simulated {len(r['pedestrians'])} pedestrians in {r['steps_run']} steps "

@@ -14,14 +14,13 @@ Set CROWDTCN_LOG=debug|info|warning to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import logging
 import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -37,6 +36,7 @@ from .evaluate import (
     tde,
     tte_ptte,
 )
+from .features import RayScanConfig
 from .ingest import (
     NonMonotonicFrames,
     ParseError,
@@ -83,37 +83,15 @@ _CONFIG_ERRORS = (
     OSError,
 )
 
-_KNOWN_KEYS = {
-    "scenario",
-    "training_files",
-    "testing_files",
-    "output_dir",
-    "seed",
-    "window",
-    "iterations",
-    "batch_size",
-    "learning_rate",
-    "eval_every",
-    "dropout",
-    "dtype",
-    "channels",
-    "kernel_size",
-    "dilations",
-    "split_ratio",
-    "radar",
-    "rays",
-    "sim",
-    "sweep",
-}
-
-
 @dataclass
 class RunConfig:
-    """One validated run document; all paths are resolved absolute."""
+    """One validated run document; all paths are resolved absolute.
 
-    base_dir: Path
+    Training and network settings left out of the document take the
+    defaults of TrainConfig and Architecture.
+    """
+
     scenario: Scenario
-    scenario_doc: dict
     training_files: list[Path]
     testing_files: list[Path]
     output_dir: Path
@@ -130,27 +108,35 @@ class RunConfig:
     dilations: tuple
     split_ratio: tuple
     sim: SimConfig
-    sweep_grid: dict
+    sweep: dict
+
+    def _settings(self, cls) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _MODEL_DEFAULTS}
 
     def architecture(self) -> Architecture:
-        return Architecture(
-            feature_dim=self.scenario.feature_dim,
-            window=self.window,
-            channels=self.channels,
-            kernel_size=self.kernel_size,
-            dilations=self.dilations,
-            dropout=self.dropout,
-        )
+        return Architecture(feature_dim=self.scenario.feature_dim, **self._settings(Architecture))
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            iterations=self.iterations,
-            batch_size=self.batch_size,
-            learning_rate=self.learning_rate,
-            eval_every=self.eval_every,
-            seed=self.seed,
-            dtype=self.dtype,
-        )
+        return TrainConfig(**self._settings(TrainConfig))
+
+
+# the run document's keys: RunConfig's fields plus the scenario overrides
+_KNOWN_KEYS = {f.name for f in fields(RunConfig)} | {"radar", "rays"}
+
+# training and network settings, with the defaults of their config classes
+_MODEL_DEFAULTS = {
+    f.name: f.default
+    for cls in (TrainConfig, Architecture)
+    for f in fields(cls)
+    if f.default is not MISSING
+}
+
+
+def _integer(value) -> int:
+    """int(value), refusing to truncate a fractional number."""
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"expected an integer, got {value}")
+    return int(value)
 
 
 def _split_ratio(value) -> tuple:
@@ -188,20 +174,11 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     base = path.parent.resolve()
     if "scenario" not in doc:
         raise BadConfig(f"run config {path} is missing the 'scenario' path")
-    scenario_path = (base / doc["scenario"]).resolve()
-    if not scenario_path.exists():
-        raise BadConfig(f"scenario file not found: {scenario_path}")
-    try:
-        scenario_doc = json.loads(scenario_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise BadConfig(f"scenario file {scenario_path} is not valid JSON: {exc}") from exc
     # run-config radar/rays sections override the scenario's own values
-    for section in ("radar", "rays"):
-        if section in doc:
-            merged = dict(scenario_doc.get(section, {}))
-            merged.update(doc[section])
-            scenario_doc[section] = merged
-    scenario = Scenario.from_dict(scenario_doc)
+    scenario = load_scenario(
+        (base / doc["scenario"]).resolve(),
+        {section: doc[section] for section in ("radar", "rays") if section in doc},
+    )
 
     def file_list(key):
         out = []
@@ -218,48 +195,31 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise BadConfig(f"bad {key!r} in run config {path}: {exc}") from exc
 
-    window = value("window", int, 8)
+    settings = {
+        key: value(key, _integer if type(default) is int else type(default), default)
+        for key, default in _MODEL_DEFAULTS.items()
+    }
     try:
-        sim = SimConfig(dt=scenario.dt, window=window, **doc.get("sim", {}))
+        sim = SimConfig(**doc.get("sim", {}))
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"bad 'sim' section: {exc}") from exc
 
     cfg = RunConfig(
-        base_dir=base,
         scenario=scenario,
-        scenario_doc=scenario_doc,
         training_files=file_list("training_files"),
         testing_files=file_list("testing_files"),
         output_dir=(base / doc.get("output_dir", "out")).resolve(),
-        seed=value("seed", int, 0),
-        window=window,
-        iterations=value("iterations", int, 3000),
-        batch_size=value("batch_size", int, 128),
-        learning_rate=value("learning_rate", float, 1e-4),
-        eval_every=value("eval_every", int, 50),
-        dropout=value("dropout", float, 0.1),
-        dtype=value("dtype", str, "float32"),
-        channels=value("channels", tuple, (32, 64, 96)),
-        kernel_size=value("kernel_size", int, 8),
-        dilations=value("dilations", tuple, (1, 2, 4)),
         split_ratio=value("split_ratio", _split_ratio, (4, 1)),
         sim=sim,
-        sweep_grid=doc.get("sweep", {}),
+        sweep=doc.get("sweep", {}),
+        **settings,
     )
     try:
         cfg.train_config()
+        cfg.architecture()
     except ValueError as exc:
         raise BadConfig(f"run config {path}: {exc}") from exc
     return cfg
-
-
-def _with_ray_params(cfg: RunConfig, exit_distance: float, step_deg: float) -> RunConfig:
-    """A copy of cfg whose scenario uses the given ray-scan parameters."""
-    doc = copy.deepcopy(cfg.scenario_doc)
-    doc.setdefault("rays", {})
-    doc["rays"]["exit_distance"] = float(exit_distance)
-    doc["rays"]["step_deg"] = float(step_deg)
-    return replace(cfg, scenario=Scenario.from_dict(doc), scenario_doc=doc)
 
 
 def _json_default(value):
@@ -493,8 +453,8 @@ def _sweep_one(task: tuple) -> dict:
     }
     try:
         cfg = load_run_config(config_path, overrides)
-        cfg = _with_ray_params(cfg, exit_distance, step_deg)
-        cfg = replace(cfg, output_dir=cfg.output_dir / label)
+        scenario = replace(cfg.scenario, rays=RayScanConfig(step_deg, exit_distance))
+        cfg = replace(cfg, scenario=scenario, output_dir=cfg.output_dir / label)
         model, *_ = _train_stage(cfg)
         per_file = []
         for stem, seeds, result in _simulate_stage(cfg, model, {}):
@@ -533,7 +493,7 @@ def _finite_numbers(key: str, values) -> list[float]:
 def cmd_sweep(args) -> int:
     overrides = _overrides(args)
     cfg = load_run_config(args.config, overrides)
-    grid = cfg.sweep_grid
+    grid = cfg.sweep
     exit_distances = args.exit_distances or grid.get("exit_distances")
     step_degs = args.step_degs or grid.get("step_degs")
     if not exit_distances or not step_degs:
@@ -602,11 +562,11 @@ def cmd_synth(args) -> int:
         "testing_files": [paths["testing"].name],
         "output_dir": "out",
         "seed": args.seed,
-        "window": 8,
+        "window": _MODEL_DEFAULTS["window"],
         "iterations": 800,
         "batch_size": 64,
         "learning_rate": 1e-3,
-        "eval_every": 50,
+        "eval_every": _MODEL_DEFAULTS["eval_every"],
     }
     config_path = Path(args.out) / "run.json"
     _write_json(config_path, run_doc)

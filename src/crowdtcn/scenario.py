@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -181,79 +181,74 @@ class Scenario:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "frame_rate": self.frame_rate,
-            "dt": self.dt,
-            "walls": self.walls.tolist(),
-            "virtual_walls": self.virtual_walls.tolist(),
-            "entrances": self.entrances.tolist(),
-            "exits": self.exits.tolist(),
-            "clipping_polygon": self.clipping_polygon.tolist(),
-            "walkable_polygon": self.walkable_polygon.tolist(),
-            "measurement_area": self.measurement_area.tolist(),
-            "measurement_width": self.measurement_width,
-            "default_heading": self.default_heading.tolist(),
-            "smoothing": {
-                "enabled": self.smoothing.enabled,
-                "window": self.smoothing.window,
-                "polyorder": self.smoothing.polyorder,
-                "before_resample": self.smoothing.before_resample,
-            },
-            "radar": {"radius": self.radar.radius, "sector_deg": self.radar.sector_deg},
-            "rays": {
-                "step_deg": self.rays.step_deg,
-                "exit_distance": self.rays.exit_distance,
-            },
-            "static_velocity_mode": self.static_velocity_mode.value,
-        }
+        """The document from_dict reads back: one JSON value per field."""
+        return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
 
     def save(self, path) -> None:
         Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":
+        """Validate a scenario document: one key per field. An absent key
+        takes the field's default, and an absent segment list is empty."""
+        doc = _object(doc, "scenario")
+        given = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
         try:
-            smoothing = SmoothingConfig(**doc.get("smoothing", {}))
-            radar = RadarConfig(**doc.get("radar", {}))
-            rays = RayScanConfig(**doc.get("rays", {}))
-            mode = StaticVelocityMode(doc.get("static_velocity_mode", "minus_own_velocity"))
-            return cls(
-                name=str(doc.get("name", "scenario")),
-                frame_rate=float(doc["frame_rate"]),
-                dt=float(doc.get("dt", 0.5)),
-                walls=doc.get("walls", []),
-                virtual_walls=doc.get("virtual_walls", []),
-                entrances=doc.get("entrances", []),
-                exits=doc.get("exits", []),
-                clipping_polygon=np.asarray(doc["clipping_polygon"], dtype=float),
-                walkable_polygon=(
-                    np.asarray(doc["walkable_polygon"], dtype=float)
-                    if doc.get("walkable_polygon") is not None
-                    else None
-                ),
-                measurement_area=np.asarray(doc["measurement_area"], dtype=float),
-                measurement_width=float(doc["measurement_width"]),
-                default_heading=np.asarray(doc.get("default_heading", [1.0, 0.0]), dtype=float),
-                smoothing=smoothing,
-                radar=radar,
-                rays=rays,
-                static_velocity_mode=mode,
-            )
-        except KeyError as exc:
-            raise BadConfig(f"missing required scenario field {exc}") from exc
+            for key, convert in _FROM_JSON.items():
+                if key in given:
+                    given[key] = convert(given[key])
+            sections = {key: make(**_section(doc, key)) for key, make in _SECTIONS.items()}
+            return cls(**{"name": "scenario", **_NO_SEGMENTS, **given, **sections})
         except (TypeError, ValueError) as exc:
             if isinstance(exc, BadConfig):
                 raise
             raise BadConfig(str(exc)) from exc
 
 
-def load_scenario(path) -> Scenario:
+# document values that change type before validation, and the sections
+_FROM_JSON = {
+    "name": str,
+    "frame_rate": float,
+    "dt": float,
+    "measurement_width": float,
+    "static_velocity_mode": StaticVelocityMode,
+}
+_SECTIONS = {"smoothing": SmoothingConfig, "radar": RadarConfig, "rays": RayScanConfig}
+_NO_SEGMENTS = {"walls": [], "entrances": [], "exits": []}
+
+
+def _to_json(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, StaticVelocityMode):
+        return value.value
+    return asdict(value) if is_dataclass(value) else value
+
+
+def _object(value, label: str) -> dict:
+    if not isinstance(value, dict):
+        raise BadConfig(f"{label} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _section(doc: dict, name: str) -> dict:
+    return _object(doc.get(name, {}), f"scenario section {name!r}")
+
+
+def load_scenario(path, sections: dict | None = None) -> Scenario:
+    """Read and validate a scenario file.
+
+    ``sections`` maps section names (such as "radar" or "rays") to values
+    that override the file's own, merged in before validation, so an
+    override can repair a value the file alone would fail on.
+    """
     p = Path(path)
     if not p.exists():
         raise BadConfig(f"scenario file not found: {p}")
     try:
-        doc = json.loads(p.read_text())
+        doc = _object(json.loads(p.read_text()), f"scenario file {p}")
     except json.JSONDecodeError as exc:
         raise BadConfig(f"scenario file {p} is not valid JSON: {exc}") from exc
+    for name, values in (sections or {}).items():
+        doc[name] = {**_section(doc, name), **values}
     return Scenario.from_dict(doc)

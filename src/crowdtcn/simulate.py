@@ -64,7 +64,7 @@ class MissingSeedData(ValueError):
 
 
 class ModelShapeMismatch(ValueError):
-    """Model architecture disagrees with the scenario or simulation config."""
+    """Model architecture disagrees with the scenario."""
 
 
 class NoInwardDirection(RuntimeError):
@@ -77,8 +77,9 @@ class NonFinitePrediction(RuntimeError):
 
 @dataclass(frozen=True)
 class SimConfig:
-    dt: float = 0.5
-    window: int = 8
+    """Correction and step-cap settings. The time step is the scenario's dt
+    and the lookback window is the model's arch.window."""
+
     standoff: float = 0.05
     tangent_blend: float = 0.7
     inward_blend: float = 0.3
@@ -86,12 +87,10 @@ class SimConfig:
     drop_short_seeds: bool = False
 
     def __post_init__(self):
-        for name in ("dt", "standoff", "tangent_blend", "inward_blend", "step_cap_factor"):
+        for name in ("standoff", "tangent_blend", "inward_blend", "step_cap_factor"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")
-        if self.dt <= 0 or self.window < 1:
-            raise ValueError("dt must be positive and window at least 1")
         if self.standoff <= 0:
             raise ValueError("standoff must be positive")
         if self.step_cap_factor < 1:
@@ -144,17 +143,11 @@ class SimWorld:
                 f"model expects {model.arch.feature_dim} features, "
                 f"scenario produces {scenario.feature_dim}"
             )
-        if model.arch.window != config.window:
-            raise ModelShapeMismatch(
-                f"model lookback window is {model.arch.window}, config says {config.window}"
-            )
-        if abs(scenario.dt - config.dt) > 0:
-            raise ModelShapeMismatch(
-                f"scenario step is {scenario.dt} s, config says {config.dt} s"
-            )
         self.scenario = scenario
         self.model = model
         self.config = config
+        self.dt = scenario.dt
+        self.window = model.arch.window
         self.extractor: FeatureExtractor = scenario.extractor()
         self.pending: list[_PedState] = sorted(
             (
@@ -209,8 +202,8 @@ class SimWorld:
         direction = cfg.tangent_blend * tangent + cfg.inward_blend * inward
         direction = direction / np.hypot(direction[0], direction[1])
 
-        st.velocities.append((tentative - p_cur) / cfg.dt)
-        k = min(cfg.window, len(st.velocities))
+        st.velocities.append((tentative - p_cur) / self.dt)
+        k = min(self.window, len(st.velocities))
         mean_speed = float(
             np.mean([np.hypot(v[0], v[1]) for v in st.velocities[-k:]], dtype=np.float64)
         )
@@ -237,7 +230,6 @@ class SimWorld:
     def step(self) -> None:
         """Advance the world from its clock t to t + 1."""
         t = self.clock
-        cfg = self.config
         while self.pending and self.pending[0].enter_step == t:
             st = self.pending.pop(0)
             st.positions.append(np.asarray(st.seed.positions[0], dtype=float).copy())
@@ -249,7 +241,7 @@ class SimWorld:
         vel = np.array([st.velocities[-1] if st.velocities else (0.0, 0.0) for st in states])
         vel = vel.reshape(-1, 2)
         self._snapshots[t] = (np.array(order, dtype=int), pos, vel)
-        for old in [s for s in self._snapshots if s < t - cfg.window + 1]:
+        for old in [s for s in self._snapshots if s < t - self.window + 1]:
             del self._snapshots[old]
 
         # one frame call for everyone past the entry step, against the snapshot
@@ -267,12 +259,12 @@ class SimWorld:
         ready = []
         for i, st in enumerate(states):
             s = st.steps_since_entry
-            if s >= cfg.window:
+            if s >= self.window:
                 ready.append(i)
             else:
                 decisions[i] = st.seed.velocities[s]
         if ready:
-            windows = np.array([states[i].frames[-cfg.window :] for i in ready])
+            windows = np.array([states[i].frames[-self.window :] for i in ready])
             predicted = np.asarray(self.model.predict(windows), dtype=float)
             finite = np.isfinite(predicted).all(axis=1)
             if not finite.all():
@@ -283,7 +275,7 @@ class SimWorld:
                 )
             decisions[ready] = predicted
 
-        tentatives = pos + cfg.dt * decisions
+        tentatives = pos + self.dt * decisions
         inside = point_in_polygon(
             tentatives, self.scenario.walkable_polygon, include_boundary=True
         )
@@ -312,7 +304,7 @@ class SimWorld:
                     "a wall or departure segment"
                 )
             st.positions.append(tentative)
-            st.velocities.append((tentative - p_cur) / cfg.dt)
+            st.velocities.append((tentative - p_cur) / self.dt)
 
         # corrections commit after all decisions, so within a step nobody
         # observes another pedestrian's corrected history
@@ -344,13 +336,14 @@ def run(scenario: Scenario, seeds, model, config: SimConfig = SimConfig()) -> Si
     """
     t_start = time.monotonic()
     seeds = list(seeds.values()) if isinstance(seeds, Mapping) else list(seeds)
-    short = [tr.id for tr in seeds if len(tr.positions) < config.window + 1]
+    window = model.arch.window
+    short = [tr.id for tr in seeds if len(tr.positions) < window + 1]
     if short and not config.drop_short_seeds:
         raise MissingSeedData(
-            f"seed trajectories must cover window + 1 = {config.window + 1} "
+            f"seed trajectories must cover window + 1 = {window + 1} "
             f"positions; too short: {short}"
         )
-    usable = [tr for tr in seeds if len(tr.positions) >= config.window + 1]
+    usable = [tr for tr in seeds if len(tr.positions) >= window + 1]
 
     report: dict = {
         "scenario": scenario.name,
@@ -392,6 +385,6 @@ def run(scenario: Scenario, seeds, model, config: SimConfig = SimConfig()) -> Si
             "corrected_steps": [int(s) for s in st.corrected_steps],
         }
     report["total_corrections"] = int(world.total_corrections)
-    trajectories = [st.trajectory(config.dt) for st in states]
+    trajectories = [st.trajectory(scenario.dt) for st in states]
     report["wall_time_s"] = time.monotonic() - t_start
     return SimResult(trajectories, report)

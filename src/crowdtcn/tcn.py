@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import struct
 import time
 from dataclasses import asdict, dataclass, field
@@ -89,6 +90,10 @@ class Architecture:
     def __post_init__(self):
         if len(self.channels) != len(self.dilations):
             raise ShapeMismatch("need one dilation per block")
+        for name in ("channels", "dilations"):
+            values = getattr(self, name)
+            if not all(isinstance(v, numbers.Integral) and v >= 1 for v in values):
+                raise ShapeMismatch(f"{name} must be positive integers, got {values}")
         if self.feature_dim < 1 or self.window < 1 or self.kernel_size < 1:
             raise ShapeMismatch("feature_dim, window, and kernel_size must be positive")
         if not 0.0 <= self.dropout < 1.0:
@@ -612,6 +617,8 @@ def load_model(path) -> Model:
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
         raise ValueError(f"{path} is not a model artifact (bad magic)")
+    if len(raw) < 12:
+        raise ValueError(f"{path} is truncated: {len(raw)} bytes, preamble needs 12")
     version, head_len = struct.unpack("<II", raw[4:12])
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model format version {version}")

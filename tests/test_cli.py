@@ -16,7 +16,8 @@ import pytest
 
 from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_run_config, main
 from crowdtcn.scenario import BadConfig, Scenario
-from crowdtcn.tcn import load_model, save_model
+from crowdtcn.simulate import SimConfig
+from crowdtcn.tcn import Architecture, TrainConfig, load_model, save_model
 
 
 MICRO = {
@@ -97,7 +98,6 @@ def test_run_config_validation(dataset_dir, tmp_path):
     cfg = load_run_config(dataset_dir / "micro.json")
     assert cfg.scenario.feature_dim == 104
     assert cfg.channels == (6, 8)
-    assert cfg.sim.window == 8
 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({**MICRO, "bogus_key": 1}))
@@ -142,12 +142,35 @@ def _run_config(dataset_dir, path, **changes):
         ("sim", {"standoff": -1}),
         ("radar", 5),
         ("rays", 5),
+        ("channels", [0, 8]),
+        ("channels", [6.5, 8]),
+        ("dilations", [-1, 2]),
+        ("dilations", [0, 2]),
+        ("window", 7.5),
     ],
 )
 def test_run_config_bad_value_names_its_key(dataset_dir, tmp_path, key, value):
     path = _run_config(dataset_dir, tmp_path / "bad.json", **{key: value})
     with pytest.raises(BadConfig, match=key):
         load_run_config(path)
+
+
+def test_run_config_defaults_are_the_config_classes(dataset_dir, tmp_path):
+    doc = {
+        "scenario": str(dataset_dir / "scenario.json"),
+        "training_files": [str(dataset_dir / "train.txt")],
+        "testing_files": [str(dataset_dir / "test.txt")],
+    }
+    (tmp_path / "bare.json").write_text(json.dumps(doc))
+    cfg = load_run_config(tmp_path / "bare.json")
+    assert cfg.train_config() == TrainConfig()
+    assert cfg.architecture() == Architecture(feature_dim=cfg.scenario.feature_dim)
+    assert cfg.sim == SimConfig()
+    # an integral number is accepted for an integer key, and kept an int
+    path = _run_config(dataset_dir, tmp_path / "integral.json", window=8.0, iterations=40.0)
+    cfg = load_run_config(path)
+    assert (cfg.window, cfg.iterations) == (8, 40)
+    assert type(cfg.window) is int and type(cfg.iterations) is int
 
 
 def test_bad_run_config_value_is_exit_2(dataset_dir, tmp_path, capsys):
@@ -165,6 +188,19 @@ def test_run_config_ray_overrides(dataset_dir, tmp_path):
     p.write_text(json.dumps(doc))
     cfg = load_run_config(p)
     assert cfg.scenario.feature_dim == 156  # 37 rays instead of 11
+
+    # the sections merge before validation: a run-config exit distance
+    # repairs a scenario whose own is too short, and its step angle stays
+    scenario = json.loads((dataset_dir / "scenario.json").read_text())
+    scenario["rays"]["exit_distance"] = 5.0
+    (tmp_path / "short.json").write_text(json.dumps(scenario))
+    with pytest.raises(BadConfig, match="exit_distance"):
+        load_run_config(_run_config(dataset_dir, p, scenario=str(tmp_path / "short.json")))
+    path = _run_config(
+        dataset_dir, p, scenario=str(tmp_path / "short.json"), rays={"exit_distance": 50.0}
+    )
+    rays = load_run_config(path).scenario.rays
+    assert (rays.step_deg, rays.exit_distance) == (scenario["rays"]["step_deg"], 50.0)
 
 
 def test_train_writes_artifact_and_log(trained_dir, capsys):
@@ -231,6 +267,18 @@ def test_simulate_writes_trajectories_and_report(trained_dir):
         ]
     )
     assert sim.read_bytes() == before
+
+
+def test_simulate_takes_the_window_from_the_artifact(trained_dir, tmp_path):
+    # the run config's window is for training; the artifact (window 8) decides
+    artifact = str(trained_dir / "out" / "model.bin")
+    for window in (8, 4):
+        config = _run_config(
+            trained_dir, tmp_path / f"w{window}.json", window=window, output_dir=f"out{window}"
+        )
+        assert main(["simulate", "-c", str(config), "--artifact", artifact]) == EXIT_OK
+    sims = [(tmp_path / f"out{w}" / "test.sim.txt").read_bytes() for w in (8, 4)]
+    assert sims[0] == sims[1]
 
 
 def test_simulate_shape_mismatch_is_config_error(trained_dir, tmp_path):
@@ -431,6 +479,50 @@ def test_non_finite_setting_is_exit_2(
         rc = main(argv)
     assert rc == EXIT_CONFIG
     assert key in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate"])
+def test_scenario_that_is_not_an_object_is_exit_2(trained_dir, tmp_path, capsys, command):
+    (tmp_path / "scenario.json").write_text(json.dumps([1, 2]))
+    changes = {"scenario": str(tmp_path / "scenario.json"), "output_dir": str(tmp_path / "out")}
+    config = _run_config(trained_dir, tmp_path / "run.json", **changes)
+    if command == "evaluate":
+        rc = _evaluate(trained_dir, tmp_path / "out", scenario=tmp_path / "scenario.json")
+    else:
+        rc = main(["train", "-c", str(config)])
+    assert rc == EXIT_CONFIG
+    assert "must be a JSON object, got list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section, merged",
+    [("smoothing", False), ("radar", False), ("rays", False), ("radar", True), ("rays", True)],
+)
+def test_scenario_section_that_is_not_an_object_is_exit_2(
+    trained_dir, tmp_path, capsys, section, merged
+):
+    # merged: the run config has its own section of that name to merge in
+    scenario = json.loads((trained_dir / "scenario.json").read_text())
+    scenario[section] = 5
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    changes = {"scenario": str(tmp_path / "scenario.json"), "output_dir": str(tmp_path / "out")}
+    if merged:
+        changes[section] = {}
+    config = _run_config(trained_dir, tmp_path / "run.json", **changes)
+    assert main(["train", "-c", str(config)]) == EXIT_CONFIG
+    assert f"{section!r} must be a JSON object, got int" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_truncated_artifact_is_exit_2(trained_dir, tmp_path, capsys):
+    for size in (8, 100):
+        cut = tmp_path / f"cut{size}.bin"
+        cut.write_bytes((trained_dir / "out" / "model.bin").read_bytes()[:size])
+        argv = ["simulate", "-c", str(trained_dir / "micro.json"), "--artifact", str(cut)]
+        assert main(argv + ["--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+        assert "cannot load model artifact" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

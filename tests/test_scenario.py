@@ -1,10 +1,12 @@
 """Validation of the scenario's segment sets."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from crowdtcn.features import RayScanConfig
 from crowdtcn.scenario import BadConfig, Scenario
 from crowdtcn.synth import corridor_scenario
 
@@ -63,3 +65,25 @@ def test_bad_segments_name_the_field(name, defect):
     doc[name] = spoil(copy.deepcopy(doc[name]))
     with pytest.raises(BadConfig, match=f"invalid {name}: .*{message}"):
         Scenario.from_dict(doc)
+
+
+@pytest.mark.parametrize("step_deg, exit_distance", [(18.0, 30.0), (5.0, 100.0), (90.0, 20.0)])
+def test_replaced_rays_match_a_reloaded_document(step_deg, exit_distance):
+    scn = corridor_scenario()
+    rays = RayScanConfig(step_deg=step_deg, exit_distance=exit_distance)
+    swapped = replace(scn, rays=rays)
+    doc = scn.to_dict()
+    doc["rays"] = {"step_deg": step_deg, "exit_distance": exit_distance}
+    reloaded = Scenario.from_dict(doc)
+    assert swapped.rays == reloaded.rays == rays
+    assert swapped.to_dict() == reloaded.to_dict()
+    assert swapped.feature_dim == reloaded.feature_dim
+    for name in ("ray_walls", "departure_segments"):
+        np.testing.assert_array_equal(getattr(swapped, name), getattr(reloaded, name))
+    assert scn.rays == RayScanConfig(step_deg=18.0, exit_distance=20.0)  # untouched
+
+
+def test_replaced_rays_are_validated():
+    scn = corridor_scenario()
+    with pytest.raises(BadConfig, match="must exceed the scenario diameter"):
+        replace(scn, rays=RayScanConfig(exit_distance=scn.diameter()))

@@ -613,6 +613,15 @@ def test_artifact_rejects_garbage(tmp_path):
         load_model(bad)
 
 
+@pytest.mark.parametrize("size", [4, 8, 11])
+def test_artifact_shorter_than_its_preamble_is_rejected(tmp_path, size):
+    path = tmp_path / "model.bin"
+    save_model(path, _tiny_model())
+    path.write_bytes(path.read_bytes()[:size])
+    with pytest.raises(ValueError, match="truncated"):
+        load_model(path)
+
+
 def test_predict_single_window_shape():
     model = _tiny_model()
     rng = np.random.default_rng(25)
