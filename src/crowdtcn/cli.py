@@ -174,6 +174,8 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     base = path.parent.resolve()
     if "scenario" not in doc:
         raise BadConfig(f"run config {path} is missing the 'scenario' path")
+    if not isinstance(doc["scenario"], str):
+        raise BadConfig(f"'scenario' must be a path string, got {doc['scenario']!r}")
     # run-config radar/rays sections override the scenario's own values
     scenario = load_scenario(
         (base / doc["scenario"]).resolve(),
@@ -181,8 +183,11 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     )
 
     def file_list(key):
+        names = doc.get(key, [])
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise BadConfig(f"{key!r} must be a list of path strings, got {names!r}")
         out = []
-        for name in doc.get(key, []):
+        for name in names:
             p = (base / name).resolve()
             if not p.exists():
                 raise BadConfig(f"{key} entry not found: {p}")

@@ -143,7 +143,14 @@ class Scenario:
             self.walkable_polygon = self.clipping_polygon.copy()
         else:
             self.walkable_polygon = ensure_simple_polygon(self.walkable_polygon)
-        head = np.asarray(self.default_heading, dtype=float)
+        try:
+            head = np.asarray(self.default_heading, dtype=float)
+        except (TypeError, ValueError) as exc:
+            raise BadConfig(f"invalid default_heading: {exc}") from exc
+        if head.shape != (2,) or not np.isfinite(head).all():
+            raise BadConfig(
+                f"default_heading must be two finite numbers [x, y], got {self.default_heading!r}"
+            )
         norm = float(np.hypot(head[0], head[1]))
         if norm == 0.0:
             raise BadConfig("default_heading must be nonzero")

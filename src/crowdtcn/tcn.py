@@ -9,16 +9,28 @@ block to the two velocity components.
 
 Everything is implemented directly on numpy arrays: forward inference, exact
 reverse-mode gradients (including the weight-norm reparameterization and the
-norm-loss subgradient), and Adam. Parameters live in a flat name -> array
-dict so optimizer state, serialization, and gradient checks can iterate over
-them uniformly. A main-path layer (conv, bias, ReLU, dropout) is written once,
-in `_conv_layer` and its reverse `_conv_layer_backward`; every convolution,
-the 1x1 skip included, goes through `_conv_causal` and `_conv_causal_backward`.
+norm-loss subgradient), and Adam.
 
 Convolution indexing: a kernel tap g pairs output step e with input step
 e - dilation * g, with inputs before the window start treated as zero, so
 each layer sees dilation * (kernel_size - 1) + 1 steps of history and output
 step e never depends on inputs after e.
+
+Layout. Activations are time-major, (B, T, C), from the (B, w, F) feature
+windows to the readout. A causal convolution copies its input once into an
+im2col matrix (B*T, q*Cin) whose row (b, e) holds the input steps
+e - dilation*g of every tap g, and is then one GEMM against the (Cout, q*Cin)
+kernel matrix; its backward is two GEMMs (kernel and im2col gradients) and a
+col2im shift-add. Taps with dilation*g >= T read only the zero padding and are
+left out. The 1x1 skip is one GEMM. A main-path layer (conv, bias, ReLU,
+dropout) is written once, in `_conv_layer` and its reverse
+`_conv_layer_backward`. Weight norm is computed once per layer per forward
+pass, in the parameter dtype, and each block draws both dropout masks in one
+call. `residual_block_forward` keeps the channels-first (B, C, T) interface
+and converts at its boundary.
+
+Parameters live in a name -> array dict so serialization and gradient checks
+can iterate over them; Adam updates each tensor and its moments in place.
 """
 
 from __future__ import annotations
@@ -109,69 +121,66 @@ class Architecture:
 
 
 def _norms_per_channel(v: np.ndarray) -> np.ndarray:
-    """Frobenius norm of each output channel's slice, in float64."""
-    flat = v.reshape(len(v), -1).astype(np.float64)
+    """Frobenius norm of each output channel's slice, in v's dtype."""
+    flat = v.reshape(len(v), -1)
     return np.sqrt((flat * flat).sum(axis=1))
 
 
 def effective_kernel(v: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Weight normalization: W = g * v / ||v|| per output channel."""
+    """Weight normalization: W = g * v / ||v|| per output channel, in v's dtype."""
     norms = _norms_per_channel(v)
     if (norms == 0).any():
         raise ValueError("weight-norm direction tensor has a zero channel")
-    scale = (g.astype(np.float64) / norms).astype(v.dtype)
+    scale = (g / norms).astype(v.dtype, copy=False)
     return v * scale.reshape((-1,) + (1,) * (v.ndim - 1))
 
 
 def weight_norm_backward(d_kernel: np.ndarray, v: np.ndarray, g: np.ndarray):
-    """Gradients through W = g * v / ||v||: returns (d_g, d_v)."""
+    """Gradients through W = g * v / ||v||: returns (d_g, d_v), with
+    d_g = <d_kernel, v> / ||v|| and d_v = (g / ||v||) * (d_kernel - d_g * v / ||v||).
+    """
     norms = _norms_per_channel(v)
     shape = (-1,) + (1,) * (v.ndim - 1)
-    v64 = v.astype(np.float64)
-    d64 = d_kernel.astype(np.float64)
-    vhat = v64 / norms.reshape(shape)
-    inner = (d64.reshape(len(v), -1) * vhat.reshape(len(v), -1)).sum(axis=1)
-    d_g = inner.astype(g.dtype)
-    d_v = (g.astype(np.float64) / norms).reshape(shape) * (
-        d64 - inner.reshape(shape) * vhat
-    )
-    return d_g, d_v.astype(v.dtype)
+    scale = g / norms
+    d_g = (d_kernel * v).reshape(len(v), -1).sum(axis=1) / norms
+    d_v = scale.reshape(shape) * d_kernel
+    d_v -= (scale * d_g / norms).reshape(shape) * v
+    return d_g.astype(g.dtype, copy=False), d_v.astype(v.dtype, copy=False)
 
 
-def _conv_causal(z: np.ndarray, kernel: np.ndarray, dilation: int) -> np.ndarray:
-    """Batched dilated causal convolution: (B, Cin, T) -> (B, Cout, T)."""
-    B, cin, T = z.shape
-    cout, cin_k, q = kernel.shape
-    if cin != cin_k:
-        raise ShapeMismatch(f"input has {cin} channels, kernel expects {cin_k}")
-    out = np.zeros((B, cout, T), dtype=z.dtype)
+def _taps(kernel_size: int, dilation: int, T: int) -> int:
+    """Kernel taps that reach an input step inside a window of T steps."""
+    return min(kernel_size, (T - 1) // dilation + 1)
+
+
+def _im2col(z: np.ndarray, dilation: int, q: int) -> np.ndarray:
+    """(B, T, C) -> (B*T, q*C): row (b, e), column (g, c) holds z[b, e - dilation*g, c],
+    zero where that step falls before the window start."""
+    B, T, C = z.shape
+    cols = np.empty((B, T, q, C), dtype=z.dtype)
     for g in range(q):
         shift = dilation * g
-        if shift >= T:
-            break
-        out[:, :, shift:] += np.einsum(
-            "oc,bct->bot", kernel[:, :, g], z[:, :, : T - shift], optimize=True
-        )
-    return out
+        cols[:, :shift, g] = 0
+        cols[:, shift:, g] = z[:, : T - shift]
+    return cols.reshape(B * T, q * C)
 
 
-def _conv_causal_backward(d_out: np.ndarray, z: np.ndarray, kernel: np.ndarray, dilation: int):
-    """Gradients of _conv_causal: returns (d_z, d_kernel)."""
-    B, cin, T = z.shape
-    cout, _, q = kernel.shape
-    d_z = np.zeros_like(z)
-    d_kernel = np.zeros_like(kernel)
+def _col2im(d_cols: np.ndarray, shape, dilation: int, q: int) -> np.ndarray:
+    """Adjoint of _im2col: adds each column's gradient onto the step it read.
+    Returns the (B*T, C) gradient of the (B, T, C) input."""
+    B, T, C = shape
+    d_z = np.zeros(shape, dtype=d_cols.dtype)
+    d_cols = d_cols.reshape(B, T, q, C)
     for g in range(q):
         shift = dilation * g
-        if shift >= T:
-            break
-        d_kernel[:, :, g] = np.einsum(
-            "bot,bct->oc", d_out[:, :, shift:], z[:, :, : T - shift], optimize=True
-        )
-        d_z[:, :, : T - shift] += np.einsum(
-            "oc,bot->bct", kernel[:, :, g], d_out[:, :, shift:], optimize=True
-        )
-    return d_z, d_kernel
+        d_z[:, : T - shift] += d_cols[:, shift:, g]
+    return d_z.reshape(B * T, C)
+
+
+def _kernel_matrix(kernel: np.ndarray, q: int) -> np.ndarray:
+    """(Cout, Cin, k) kernel -> (Cout, q*Cin) GEMM matrix of its first q taps,
+    columns in _im2col's (g, c) order."""
+    return kernel[:, :, :q].transpose(0, 2, 1).reshape(len(kernel), -1)
 
 
 def dilated_causal_conv(inputs, kernel, dilation: int) -> np.ndarray:
@@ -188,8 +197,10 @@ def dilated_causal_conv(inputs, kernel, dilation: int) -> np.ndarray:
     kernel = np.asarray(kernel)
     if kernel.ndim != 3:
         raise ShapeMismatch("kernel must be (Cout, Cin, q)")
-    out = _conv_causal(z.T[None, :, :], kernel, dilation)
-    return out[0].T
+    if z.shape[1] != kernel.shape[1]:
+        raise ShapeMismatch(f"input has {z.shape[1]} channels, kernel expects {kernel.shape[1]}")
+    q = _taps(kernel.shape[2], dilation, len(z))
+    return _im2col(z[None], dilation, q) @ _kernel_matrix(kernel, q).T
 
 
 def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
@@ -209,7 +220,7 @@ def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np
         for prefix, c_in_layer in ((f"b{m}c1", cin), (f"b{m}c2", cout)):
             v = uniform((cout, c_in_layer, q), c_in_layer * q)
             params[f"{prefix}_v"] = v
-            params[f"{prefix}_g"] = _norms_per_channel(v).astype(dtype)
+            params[f"{prefix}_g"] = _norms_per_channel(v)
             params[f"{prefix}_b"] = np.zeros(cout, dtype=dtype)
         if cin != cout:
             params[f"b{m}s_w"] = uniform((cout, cin), cin)
@@ -220,32 +231,87 @@ def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np
     return params
 
 
-def _conv_layer(z, params, prefix: str, dilation: int, dropout: float, rng):
-    """Weight-normed causal conv (f"{prefix}_v", f"{prefix}_g"), bias f"{prefix}_b",
-    ReLU, then dropout when dropout > 0. Returns (output, (a, mask, w)) with the
-    pre-activation a and effective kernel w that _conv_layer_backward needs."""
-    w = effective_kernel(params[f"{prefix}_v"], params[f"{prefix}_g"])
-    a = _conv_causal(z, w, dilation) + params[f"{prefix}_b"][None, :, None]
+def _conv_layer(z, params, prefix: str, dilation: int, mask):
+    """Weight-normed causal conv (f"{prefix}_v", f"{prefix}_g") on time-major
+    z (B, T, Cin), bias f"{prefix}_b", ReLU, then the dropout mask (None for
+    no dropout). Returns (output (B, T, Cout), cache for _conv_layer_backward)."""
+    v = params[f"{prefix}_v"]
+    q = _taps(v.shape[2], dilation, z.shape[1])
+    w = _kernel_matrix(effective_kernel(v, params[f"{prefix}_g"]), q)
+    cols = _im2col(z, dilation, q)
+    a = cols @ w.T
+    a += params[f"{prefix}_b"]
     r = np.maximum(a, 0)
-    mask = None
-    if dropout > 0.0:
-        mask = ((rng.random(r.shape) >= dropout) / (1.0 - dropout)).astype(z.dtype)
-        r = r * mask
-    return r, (a, mask, w)
-
-
-def _conv_layer_backward(d_r, z, params, grads, prefix: str, dilation: int, cache) -> np.ndarray:
-    """Reverse of _conv_layer: adds the parameter gradients into grads and
-    returns the gradient in the layer input z."""
-    a, mask, w = cache
     if mask is not None:
-        d_r = d_r * mask
-    d_a = d_r * (a > 0)
-    grads[f"{prefix}_b"] += d_a.sum(axis=(0, 2), dtype=np.float64).astype(d_a.dtype)
-    d_z, d_w = _conv_causal_backward(d_a, z, w, dilation)
-    d_g, d_v = weight_norm_backward(d_w, params[f"{prefix}_v"], params[f"{prefix}_g"])
-    grads[f"{prefix}_g"] += d_g
-    grads[f"{prefix}_v"] += d_v
+        r *= mask
+    cache = dict(shape=z.shape, q=q, cols=cols, w=w, a=a, mask=mask)
+    return r.reshape(z.shape[:2] + (len(v),)), cache
+
+
+def _conv_layer_backward(d_r, params, grads, prefix: str, dilation: int, cache, input_grad=True):
+    """Reverse of _conv_layer for d_r (B*T, Cout): writes the parameter
+    gradients into grads and returns the (B*T, Cin) gradient in the layer
+    input, or None when input_grad is false."""
+    q = cache["q"]
+    d_a = d_r * (cache["a"] > 0)
+    if cache["mask"] is not None:
+        d_a *= cache["mask"]
+    v = params[f"{prefix}_v"]
+    grads[f"{prefix}_b"][...] = d_a.sum(axis=0, dtype=np.float64)
+    # the kernel gradient is staged in the (zeroed) slot of d_v, which the
+    # weight-norm backward then overwrites; dropped taps keep a zero d_W
+    d_w = grads[f"{prefix}_v"]
+    d_w[:, :, :q] = (d_a.T @ cache["cols"]).reshape(len(v), q, -1).transpose(0, 2, 1)
+    grads[f"{prefix}_g"][...], d_w[...] = weight_norm_backward(d_w, v, params[f"{prefix}_g"])
+    if not input_grad:
+        return None
+    return _col2im(d_a @ cache["w"], cache["shape"], dilation, q)
+
+
+def _block_forward(z, params, arch: Architecture, m: int, dropout: float, rng, cache):
+    """One residual block on time-major z (B, T, Cin); returns (B, T, Cout)."""
+    cin, cout = arch.block_channels(m)
+    if z.shape[2] != cin:
+        raise ShapeMismatch(f"block {m} expects {cin} channels, got {z.shape[2]}")
+    B, T, _ = z.shape
+    h = arch.dilations[m]
+    masks = (None, None)
+    if dropout > 0.0:
+        if rng is None:
+            raise ValueError("training-mode dropout needs an rng")
+        masks = (rng.random((2, B * T, cout), dtype=np.float32) >= dropout).astype(z.dtype)
+        masks *= 1.0 / (1.0 - dropout)
+    d1, c1 = _conv_layer(z, params, f"b{m}c1", h, masks[0])
+    d2, c2 = _conv_layer(d1, params, f"b{m}c2", h, masks[1])
+    z2 = z.reshape(B * T, cin)
+    if cin != cout:
+        s = z2 @ params[f"b{m}s_w"].T
+        s += params[f"b{m}s_b"]
+        s += d2.reshape(B * T, cout)
+    else:
+        s = d2.reshape(B * T, cout) + z2
+    if cache is not None:
+        cache.update(z=z2, s=s, c1=c1, c2=c2, a1=c1["a"], a2=c2["a"])
+    return np.maximum(s, 0).reshape(B, T, cout)
+
+
+def _block_backward(d_out, params, grads, arch: Architecture, m: int, cache, input_grad: bool):
+    """Reverse of _block_forward: writes the block's parameter gradients and
+    returns the (B*T, Cin) gradient in its input (None when input_grad is
+    false)."""
+    cin, cout = arch.block_channels(m)
+    h = arch.dilations[m]
+    s = cache["s"]
+    ds = d_out.reshape(s.shape) * (s > 0)
+    d_d1 = _conv_layer_backward(ds, params, grads, f"b{m}c2", h, cache["c2"])
+    d_z = _conv_layer_backward(d_d1, params, grads, f"b{m}c1", h, cache["c1"], input_grad)
+    if cin != cout:
+        grads[f"b{m}s_w"][...] = ds.T @ cache["z"]
+        grads[f"b{m}s_b"][...] = ds.sum(axis=0, dtype=np.float64)
+        if input_grad:
+            d_z += ds @ params[f"b{m}s_w"]
+    elif input_grad:
+        d_z += ds
     return d_z
 
 
@@ -263,48 +329,12 @@ def residual_block_forward(
     The main path is conv -> weight norm -> ReLU -> dropout, twice; the skip
     path is a 1x1 convolution when the channel counts differ and identity
     otherwise; their sum passes through a final ReLU. Dropout only acts when
-    training is true and requires an rng.
+    training is true and requires an rng. The block runs time-major inside,
+    so cache (when given) holds time-major tensors.
     """
-    cin, cout = arch.block_channels(m)
-    if z.shape[1] != cin:
-        raise ShapeMismatch(f"block {m} expects {cin} channels, got {z.shape[1]}")
-    h = arch.dilations[m]
     dropout = arch.dropout if training else 0.0
-    if dropout > 0.0 and rng is None:
-        raise ValueError("training-mode dropout needs an rng")
-    d1, c1 = _conv_layer(z, params, f"b{m}c1", h, dropout, rng)
-    d2, c2 = _conv_layer(d1, params, f"b{m}c2", h, dropout, rng)
-    if cin != cout:
-        skip = _conv_causal(z, params[f"b{m}s_w"][:, :, None], 1)
-        skip = skip + params[f"b{m}s_b"][None, :, None]
-    else:
-        skip = z
-    s = d2 + skip
-    if cache is not None:
-        cache.update(z=z, d1=d1, s=s, c1=c1, c2=c2, a1=c1[0], a2=c2[0])
-    return np.maximum(s, 0)
-
-
-def _residual_block_backward(
-    d_out: np.ndarray,
-    params: dict[str, np.ndarray],
-    grads: dict[str, np.ndarray],
-    arch: Architecture,
-    m: int,
-    cache: dict,
-) -> np.ndarray:
-    cin, cout = arch.block_channels(m)
-    h = arch.dilations[m]
-    z = cache["z"]
-    ds = d_out * (cache["s"] > 0)
-    if cin != cout:
-        d_skip, d_kernel = _conv_causal_backward(ds, z, params[f"b{m}s_w"][:, :, None], 1)
-        grads[f"b{m}s_w"] += d_kernel[:, :, 0]
-        grads[f"b{m}s_b"] += ds.sum(axis=(0, 2), dtype=np.float64).astype(ds.dtype)
-    else:
-        d_skip = ds
-    d_d1 = _conv_layer_backward(ds, cache["d1"], params, grads, f"b{m}c2", h, cache["c2"])
-    return d_skip + _conv_layer_backward(d_d1, z, params, grads, f"b{m}c1", h, cache["c1"])
+    z = np.ascontiguousarray(np.asarray(z).transpose(0, 2, 1))
+    return _block_forward(z, params, arch, m, dropout, rng, cache).transpose(0, 2, 1)
 
 
 def forward(
@@ -318,7 +348,8 @@ def forward(
     """Predict next-step velocities for a batch of windows.
 
     x: (B, w, F) already normalized. Returns (B, 2). When caches is a list it
-    is filled with per-block caches plus the readout input for backward.
+    is filled with per-block caches (with the preactivations "a1", "a2" and the
+    residual sum "s") plus the readout input for backward.
     """
     x = np.asarray(x)
     if x.ndim == 2:
@@ -327,16 +358,17 @@ def forward(
         raise ShapeMismatch(
             f"input is {x.shape[1:]}, expected ({arch.window}, {arch.feature_dim})"
         )
-    z = np.ascontiguousarray(x.transpose(0, 2, 1))
+    dropout = arch.dropout if training else 0.0
+    z = x
     for m in range(arch.n_blocks):
         cache: dict | None = {} if caches is not None else None
-        z = residual_block_forward(z, params, arch, m, training=training, rng=rng, cache=cache)
+        z = _block_forward(z, params, arch, m, dropout, rng, cache)
         if caches is not None:
             caches.append(cache)
-    last = z[:, :, -1]
+    last = z[:, -1]
     pred = last @ params["out_w"].T + params["out_b"]
     if caches is not None:
-        caches.append({"last": last, "T": z.shape[2]})
+        caches.append({"last": last, "shape": z.shape})
     return pred
 
 
@@ -372,15 +404,14 @@ def backward(
     caches: list = []
     pred = forward(params, arch, x, training=training, rng=rng, caches=caches)
     value, d_pred = loss_and_grad_output(pred, np.asarray(target))
-    grads = {k: np.zeros_like(v) for k, v in params.items()}
+    grads = {k: np.zeros_like(p) for k, p in params.items()}
     head = caches[-1]
-    grads["out_w"] += d_pred.T @ head["last"]
-    grads["out_b"] += d_pred.sum(axis=0, dtype=np.float64).astype(d_pred.dtype)
-    d_last = d_pred @ params["out_w"]
-    d_z = np.zeros((len(d_last), arch.channels[-1], head["T"]), dtype=d_last.dtype)
-    d_z[:, :, -1] = d_last
+    grads["out_w"][...] = d_pred.T @ head["last"]
+    grads["out_b"][...] = d_pred.sum(axis=0, dtype=np.float64)
+    d_z = np.zeros(head["shape"], dtype=d_pred.dtype)
+    d_z[:, -1] = d_pred @ params["out_w"]
     for m in range(arch.n_blocks - 1, -1, -1):
-        d_z = _residual_block_backward(d_z, params, grads, arch, m, caches[m])
+        d_z = _block_backward(d_z, params, grads, arch, m, caches[m], input_grad=m > 0)
     return value, grads
 
 
@@ -405,24 +436,27 @@ def adam_init(params: dict[str, np.ndarray], lr: float = 1e-4) -> TrainState:
     )
 
 
+def _adam_update(p, g, m, v, state: TrainState, correction1: float, correction2: float) -> None:
+    """One Adam update of p and its moments m, v, all in place."""
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * g * g
+    p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+
+
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: TrainState) -> TrainState:
-    """Standard Adam update with bias correction; params updated in place."""
+    """Standard Adam update with bias correction; params and moments updated
+    in place, key by key."""
     if set(grads) != set(params):
         raise ShapeMismatch("gradient keys do not match parameters")
-    state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    correction1 = 1.0 - b1**t
-    correction2 = 1.0 - b2**t
     for k, p in params.items():
-        gk = grads[k]
-        if gk.shape != p.shape:
-            raise ShapeMismatch(f"gradient for {k} has shape {gk.shape}, expected {p.shape}")
-        state.m[k] = b1 * state.m[k] + (1.0 - b1) * gk
-        state.v[k] = b2 * state.v[k] + (1.0 - b2) * gk * gk
-        m_hat = state.m[k] / correction1
-        v_hat = state.v[k] / correction2
-        p -= (state.lr * m_hat / (np.sqrt(v_hat) + state.eps)).astype(p.dtype)
+        if grads[k].shape != p.shape:
+            raise ShapeMismatch(f"gradient for {k} has shape {grads[k].shape}, expected {p.shape}")
+    state.step += 1
+    corrections = (1.0 - state.beta1**state.step, 1.0 - state.beta2**state.step)
+    for k, p in params.items():
+        _adam_update(p, grads[k], state.m[k], state.v[k], state, *corrections)
     return state
 
 

@@ -116,6 +116,94 @@ def conv_eq1(inputs, kernel, dilation):
     return out
 
 
+def conv_causal(z, kernel, dilation):
+    """Batched dilated causal convolution, one einsum per kernel tap:
+    (B, Cin, T) -> (B, Cout, T)."""
+    B, _, T = z.shape
+    out = np.zeros((B, len(kernel), T), dtype=z.dtype)
+    for g in range(kernel.shape[2]):
+        shift = dilation * g
+        if shift >= T:
+            break
+        out[:, :, shift:] += np.einsum("oc,bct->bot", kernel[:, :, g], z[:, :, : T - shift])
+    return out
+
+
+def conv_causal_backward(d_out, z, kernel, dilation):
+    """Gradients of conv_causal: returns (d_z, d_kernel)."""
+    T = z.shape[2]
+    d_z = np.zeros_like(z)
+    d_kernel = np.zeros_like(kernel)
+    for g in range(kernel.shape[2]):
+        shift = dilation * g
+        if shift >= T:
+            break
+        d_kernel[:, :, g] = np.einsum("bot,bct->oc", d_out[:, :, shift:], z[:, :, : T - shift])
+        d_z[:, :, : T - shift] += np.einsum("oc,bot->bct", kernel[:, :, g], d_out[:, :, shift:])
+    return d_z, d_kernel
+
+
+def tcn_loss_and_grads(params, arch, x, target):
+    """Inference-mode TCN in the (B, C, T) layout on conv_causal, float64.
+
+    Returns (predictions, loss, gradient dict): the batch mean of the residual
+    norms and its exact gradients, with weight norm W = g * v / ||v||
+    transcribed from its formula.
+    """
+    params = {k: np.asarray(p, dtype=np.float64) for k, p in params.items()}
+    z = np.asarray(x, dtype=np.float64).transpose(0, 2, 1)
+    tape = []
+    for m in range(arch.n_blocks):
+        cin, cout = arch.block_channels(m)
+        h = arch.dilations[m]
+        layers, y = [], z
+        for prefix in (f"b{m}c1", f"b{m}c2"):
+            v, g = params[f"{prefix}_v"], params[f"{prefix}_g"]
+            norms = np.sqrt((v**2).sum(axis=(1, 2)))
+            w = v * (g / norms)[:, None, None]
+            a = conv_causal(y, w, h) + params[f"{prefix}_b"][None, :, None]
+            layers.append((prefix, y, w, norms, a))
+            y = np.maximum(a, 0)
+        if cin != cout:
+            skip = conv_causal(z, params[f"b{m}s_w"][:, :, None], 1)
+            skip = skip + params[f"b{m}s_b"][None, :, None]
+        else:
+            skip = z
+        s = y + skip
+        tape.append((m, z, layers, s))
+        z = np.maximum(s, 0)
+    last = z[:, :, -1]
+    pred = last @ params["out_w"].T + params["out_b"]
+    r = pred - np.asarray(target, dtype=np.float64)
+    residual_norms = np.sqrt((r**2).sum(axis=1))
+    d_pred = r / np.maximum(residual_norms, 1e-8)[:, None] / len(r)
+    grads = {"out_w": d_pred.T @ last, "out_b": d_pred.sum(axis=0)}
+    d_z = np.zeros_like(z)
+    d_z[:, :, -1] = d_pred @ params["out_w"]
+    for m, z_in, layers, s in reversed(tape):
+        cin, cout = arch.block_channels(m)
+        h = arch.dilations[m]
+        ds = d_z * (s > 0)
+        if cin != cout:
+            d_skip, d_k = conv_causal_backward(ds, z_in, params[f"b{m}s_w"][:, :, None], 1)
+            grads[f"b{m}s_w"] = d_k[:, :, 0]
+            grads[f"b{m}s_b"] = ds.sum(axis=(0, 2))
+        else:
+            d_skip = ds
+        d = ds
+        for prefix, y, w, norms, a in reversed(layers):
+            d_a = d * (a > 0)
+            grads[f"{prefix}_b"] = d_a.sum(axis=(0, 2))
+            d, d_w = conv_causal_backward(d_a, y, w, h)
+            v, g = params[f"{prefix}_v"], params[f"{prefix}_g"]
+            vhat = v / norms[:, None, None]
+            inner = (d_w * vhat).sum(axis=(1, 2))
+            grads[f"{prefix}_g"] = inner
+            grads[f"{prefix}_v"] = (g / norms)[:, None, None] * (d_w - inner[:, None, None] * vhat)
+        d_z = d + d_skip
+    return pred, float(residual_norms.mean()), grads
+
+
 def tde_double_loop(expt_points, sim_points):
     """O(T^2) mean-over-experiment of min distance to any simulated point."""
     total = 0.0

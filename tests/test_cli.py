@@ -430,6 +430,42 @@ def test_non_convex_measurement_area_is_exit_2(dataset_dir, tmp_path, capsys):
     assert not (tmp_path / "ev").exists()
 
 
+@pytest.mark.parametrize("heading", [None, [1.0]])
+def test_malformed_default_heading_is_exit_2(dataset_dir, tmp_path, capsys, heading):
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    doc["default_heading"] = heading
+    scn = tmp_path / "heading.json"
+    scn.write_text(json.dumps(doc))
+    assert _evaluate(dataset_dir, tmp_path / "ev", scenario=scn) == EXIT_CONFIG
+    assert "default_heading" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("scenario", 5),
+        ("training_files", "train.txt"),
+        ("training_files", [5]),
+        ("testing_files", "test.txt"),
+        ("testing_files", None),
+    ],
+)
+def test_run_config_path_of_wrong_type_is_exit_2(dataset_dir, tmp_path, capsys, key, value):
+    doc = {
+        **MICRO,
+        "scenario": str(dataset_dir / "scenario.json"),
+        "training_files": [str(dataset_dir / "train.txt")],
+        "testing_files": [str(dataset_dir / "test.txt")],
+        key: value,
+    }
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(BadConfig, match=key):
+        load_run_config(path)
+    assert main(["train", "-c", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+
+
 def test_non_finite_wall_is_exit_2(dataset_dir, tmp_path, capsys):
     doc = json.loads((dataset_dir / "scenario.json").read_text())
     doc["walls"][0][1][1] = float("nan")

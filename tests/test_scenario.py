@@ -87,3 +87,11 @@ def test_replaced_rays_are_validated():
     scn = corridor_scenario()
     with pytest.raises(BadConfig, match="must exceed the scenario diameter"):
         replace(scn, rays=RayScanConfig(exit_distance=scn.diameter()))
+
+
+@pytest.mark.parametrize("heading", [None, [1.0], [1.0, 0.0, 0.0], [float("nan"), 1.0], "east"])
+def test_malformed_default_heading_names_the_field(heading):
+    doc = corridor_scenario().to_dict()
+    doc["default_heading"] = heading
+    with pytest.raises(BadConfig, match="default_heading"):
+        Scenario.from_dict(doc)

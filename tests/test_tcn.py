@@ -1,10 +1,15 @@
 """Tests for the temporal convolutional network and its training loop."""
 
 import dataclasses
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from crowdtcn import cli, tcn
 from crowdtcn.ingest import DatasetSplit, WindowSample
 from crowdtcn.tcn import (
     Architecture,
@@ -32,7 +37,7 @@ from crowdtcn.tcn import (
     write_training_log,
 )
 
-from oracles import conv_eq1
+from oracles import conv_eq1, tcn_loss_and_grads
 
 
 # ---------------------------------------------------------------- convolution
@@ -278,6 +283,61 @@ def test_forward_rejects_wrong_window():
     params = init_params(arch, seed=0)
     with pytest.raises(ShapeMismatch):
         forward(params, arch, np.zeros((2, arch.window + 1, arch.feature_dim)))
+
+
+CORRIDOR_ARCH = Architecture(feature_dim=104)  # widths 32/64/96, q = 8, dilations 1/2/4
+
+
+def _corridor_case(dtype, batch=16, seed=30):
+    params = init_params(CORRIDOR_ARCH, seed=seed, dtype=dtype)
+    rng = np.random.default_rng(seed)
+    for key in params:  # nonzero biases exercise every term
+        if key.endswith("_b"):
+            params[key][...] = rng.normal(scale=0.1, size=params[key].shape)
+    x = rng.normal(size=(batch, CORRIDOR_ARCH.window, CORRIDOR_ARCH.feature_dim)).astype(dtype)
+    y = rng.normal(size=(batch, 2)).astype(dtype)
+    return params, x, y
+
+
+def test_forward_and_gradients_match_oracle_network_float64():
+    params, x, y = _corridor_case(np.float64)
+    pred_want, loss_want, grads_want = tcn_loss_and_grads(params, CORRIDOR_ARCH, x, y)
+    np.testing.assert_allclose(forward(params, CORRIDOR_ARCH, x), pred_want, rtol=0, atol=1e-10)
+    value, grads = backward(params, CORRIDOR_ARCH, x, y, training=False)
+    assert value == pytest.approx(loss_want, rel=0, abs=1e-10)
+    assert set(grads) == set(grads_want)
+    for k in grads:
+        np.testing.assert_allclose(grads[k], grads_want[k], rtol=0, atol=1e-10, err_msg=k)
+
+
+def test_forward_and_gradients_match_oracle_network_float32():
+    # the oracle runs in float64 on the same float32 parameters and inputs;
+    # the errors seen are about 5e-7 of each tensor's largest entry
+    params, x, y = _corridor_case(np.float32)
+    pred_want, _, grads_want = tcn_loss_and_grads(params, CORRIDOR_ARCH, x, y)
+
+    def rel(got, want):
+        return float(np.abs(got - want).max() / np.abs(want).max())
+
+    pred = forward(params, CORRIDOR_ARCH, x)
+    assert pred.dtype == np.float32
+    assert rel(pred, pred_want) < 1e-4
+    _, grads = backward(params, CORRIDOR_ARCH, x, y, training=False)
+    for k in grads:
+        assert grads[k].dtype == np.float32, k
+        assert rel(grads[k], grads_want[k]) < 1e-4, k
+
+
+def test_residual_blocks_keep_the_channels_first_boundary():
+    params, x, _ = _corridor_case(np.float64, batch=3)
+    z = x.transpose(0, 2, 1)
+    for m in range(CORRIDOR_ARCH.n_blocks):
+        cin, cout = CORRIDOR_ARCH.block_channels(m)
+        assert z.shape == (3, cin, CORRIDOR_ARCH.window)
+        z = residual_block_forward(z, params, CORRIDOR_ARCH, m)
+        assert z.shape == (3, cout, CORRIDOR_ARCH.window)
+    pred = z[:, :, -1] @ params["out_w"].T + params["out_b"]
+    np.testing.assert_allclose(pred, forward(params, CORRIDOR_ARCH, x), rtol=0, atol=1e-12)
 
 
 def test_default_architecture_constants():
@@ -568,6 +628,52 @@ def test_train_rejects_mismatched_architecture():
     split = _make_split(20, arch.window, arch.feature_dim + 1, 23, lambda w: w[-1, :2])
     with pytest.raises(ShapeMismatch):
         train(split, TrainConfig(iterations=1), arch=arch)
+
+
+def test_trained_params_do_not_alias_the_training_buffers(monkeypatch):
+    buffers = []
+
+    def spy(make):
+        def wrapped(*args, **kwargs):
+            out = make(*args, **kwargs)
+            buffers.append(out)
+            return out
+
+        return wrapped
+
+    monkeypatch.setattr(tcn, "init_params", spy(tcn.init_params))
+    monkeypatch.setattr(tcn, "adam_init", spy(tcn.adam_init))
+    arch = _small_arch(dropout=0.1)
+    split = _make_split(24, arch.window, arch.feature_dim, 27, lambda w: w[-1, :2])
+    cfg = TrainConfig(iterations=6, batch_size=8, learning_rate=1e-3, eval_every=3, seed=6)
+    model, _ = train(split, cfg, arch=arch)
+    params, state = buffers
+    kept = {k: p.copy() for k, p in model.params.items()}
+    for tensors in (params, state.m, state.v):
+        for t in tensors.values():
+            t[...] = np.nan
+    for k, p in model.params.items():
+        np.testing.assert_array_equal(p, kept[k], err_msg=k)
+
+
+def test_training_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    data = tmp_path / "data"
+    assert cli.main(["synth", "--out", str(data), "--n-train", "8", "--n-test", "2"]) == 0
+    src = str(Path(cli.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", None):
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run(
+            [sys.executable, "-m", "crowdtcn", "train", "-c", str(data / "run.json"),
+             "--iterations", "20", "--output-dir", str(out)],
+            env=env, check=True, capture_output=True, timeout=300,
+        )
+        digests.append((out / "model.bin").read_bytes())
+    assert digests[0] == digests[1]
 
 
 # ------------------------------------------------------------------ artifacts
