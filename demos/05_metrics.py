@@ -45,8 +45,8 @@ for track in dataset.testing:
     )
 
 pair = TrajectoryPair(experiment, simulation)
-ete, pete = ete_pete(pair, dt=scenario.dt)
-tte_t, ptte_t = tte_ptte(pair, dt=scenario.dt)
+ete, pete = ete_pete(pair)  # the step comes from the trajectories' own dt
+tte_t, ptte_t = tte_ptte(pair)
 tde_t = tde(pair)
 fde_t = fde(pair)
 print(f"{len(pair.matched_ids)} matched pedestrians")
@@ -56,12 +56,9 @@ print(f"  as fraction:         mean {ptte_t.mean:.1%}, p95 {ptte_t.p95:.1%}")
 print(f"trajectory displacement: mean {tde_t.mean:.3f} m, p95 {tde_t.p95:.3f} m")
 print(f"final displacement:      mean {fde_t.mean:.3f} m, p95 {fde_t.p95:.3f} m")
 
-walkable = scenario.walkable_polygon
-if walkable is None:
-    walkable = scenario.clipping_polygon
 series = profiles(
     experiment,
-    walkable,
+    scenario.walkable_polygon,
     scenario.measurement_area,
     width=scenario.measurement_width,
     label="recording",

@@ -38,7 +38,6 @@ from .features import (
 )
 from .geometry import bounded_voronoi, point_in_polygon, polygon_area
 from .ingest import (
-    ColumnSpec,
     DatasetSplit,
     RawTrack,
     Trajectory,
@@ -90,7 +89,6 @@ __all__ = [
     "SmoothingConfig",
     "load_scenario",
     # ingest
-    "ColumnSpec",
     "DatasetSplit",
     "RawTrack",
     "Trajectory",

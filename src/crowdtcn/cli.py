@@ -255,9 +255,9 @@ def _collect_samples(cfg: RunConfig, files) -> list:
     return samples
 
 
-def _metric_doc(pair: TrajectoryPair, dt: float) -> dict:
-    ete, pete = ete_pete(pair, dt)
-    tte_t, ptte_t = tte_ptte(pair, dt)
+def _metric_doc(pair: TrajectoryPair) -> dict:
+    ete, pete = ete_pete(pair)
+    tte_t, ptte_t = tte_ptte(pair)
     tde_t = tde(pair)
     fde_t = fde(pair)
 
@@ -385,7 +385,7 @@ def cmd_evaluate(args) -> int:
     pair = TrajectoryPair(expt, sim)
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    doc = _metric_doc(pair, scenario.dt)
+    doc = _metric_doc(pair)
     _write_json(out / "metrics.json", doc)
     series = [
         profiles(
@@ -394,7 +394,6 @@ def cmd_evaluate(args) -> int:
             scenario.measurement_area,
             scenario.measurement_width,
             label=label,
-            simple_density=args.simple_density,
         )
         for label, trajectories in (("experiment", expt), ("simulation", sim))
     ]
@@ -463,7 +462,7 @@ def _sweep_one(task: tuple) -> dict:
         model, *_ = _train_stage(cfg)
         per_file = []
         for stem, seeds, result in _simulate_stage(cfg, model, {}):
-            doc = _metric_doc(TrajectoryPair(seeds, result.trajectories), cfg.scenario.dt)
+            doc = _metric_doc(TrajectoryPair(seeds, result.trajectories))
             _write_json(cfg.output_dir / f"{stem}.metrics.json", doc)
             per_file.append(doc)
         row.update(_pooled_metrics(per_file))
@@ -624,11 +623,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--experiment", required=True, help="experimental trajectory file")
     p.add_argument("--simulation", required=True, help="simulated trajectory file")
     p.add_argument("--output-dir", dest="output_dir", default="eval-out")
-    p.add_argument(
-        "--simple-density",
-        action="store_true",
-        help="count-based density instead of area-weighted cells",
-    )
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("features", help="extract window samples to .npy files")

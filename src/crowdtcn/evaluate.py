@@ -1,7 +1,7 @@
 """Realism metrics comparing simulated trajectories against experiments.
 
 Trajectory-level metrics (all reported in seconds or meters, with step
-arithmetic converted via dt):
+arithmetic converted via the trajectories' own dt):
 
 - egress-time error: absolute difference of the two sets' total egress
   durations, plus its fraction of the experimental egress time;
@@ -35,7 +35,6 @@ from .geometry import (
     bounded_voronoi,
     ensure_simple_polygon,
     is_convex,
-    point_in_polygon,
     polygon_area,
     polygon_clip_areas,
 )
@@ -78,6 +77,7 @@ class TrajectoryPair:
     Accepts dicts keyed by id or iterables of ingest.Trajectory, recorded
     or simulated alike. Every simulated id must exist in the experiment set
     (the reverse need not hold: pedestrians can be dropped from a simulation).
+    Both sets are sampled at one step, dt.
     """
 
     experiment: dict
@@ -93,6 +93,20 @@ class TrajectoryPair:
     @property
     def matched_ids(self) -> list:
         return sorted(self.simulation)
+
+    @property
+    def dt(self) -> float:
+        """The step of every trajectory; ValueError when the sets disagree."""
+        expt = {tr.dt for tr in self.experiment.values()}
+        sim = {tr.dt for tr in self.simulation.values()}
+        steps = expt | sim
+        if not steps:
+            raise EmptySet("no trajectories to take the step from")
+        if len(steps) > 1:
+            raise ValueError(
+                f"experiment dt {sorted(expt)} and simulation dt {sorted(sim)} disagree"
+            )
+        return steps.pop()
 
 
 def nearest_rank_percentile(values, q: float) -> float:
@@ -132,7 +146,7 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator
 
 
-def ete_pete(pair: TrajectoryPair, dt: float = 0.5) -> tuple[float, float]:
+def ete_pete(pair: TrajectoryPair) -> tuple[float, float]:
     """Egress-time error in seconds and as a fraction of the experimental one.
 
     A set's egress duration runs from the first pedestrian's entry step to
@@ -146,14 +160,16 @@ def ete_pete(pair: TrajectoryPair, dt: float = 0.5) -> tuple[float, float]:
             t.enter_step for t in trs.values()
         )
 
+    dt = pair.dt
     expt = egress_steps(pair.experiment)
     sim = egress_steps(pair.simulation)
     ete = abs(sim - expt) * dt
     return ete, _ratio(ete, expt * dt)
 
 
-def tte_ptte(pair: TrajectoryPair, dt: float = 0.5) -> tuple[MetricTable, MetricTable]:
+def tte_ptte(pair: TrajectoryPair) -> tuple[MetricTable, MetricTable]:
     """Per-pedestrian travel-time error (seconds) and its fractional form."""
+    dt = pair.dt
     tte_values: dict = {}
     ptte_values: dict = {}
     for ped in pair.matched_ids:
@@ -195,27 +211,24 @@ def voronoi_measures(
     walkable,
     measurement_area,
     width: float,
-    simple_density: bool = False,
 ):
     """Crowd density, velocity, and flow for one time step, or None when no
     pedestrian's cell touches the measurement area.
 
     Density integrates each pedestrian's cell-area reciprocal over its
     intersection with M: rho = sum_i area(cell_i in M)/area(cell_i) / area(M).
-    Velocity weights each speed by the same intersection area. With
-    simple_density=True the count-based variant is used instead: pedestrians
-    inside M divided by its area, with their plain mean speed.
+    Velocity weights each speed by the same intersection area (Steffen &
+    Seyfried 2010).
 
     The measurement area must be convex (ValueError otherwise); all cells are
     clipped by it at once. The walkable region must not cross itself
     (SelfIntersecting).
     """
-    if not simple_density:
-        ensure_simple_polygon(walkable)
-    return _step_measures(positions, speeds, walkable, measurement_area, width, simple_density)
+    ensure_simple_polygon(walkable)
+    return _step_measures(positions, speeds, walkable, measurement_area, width)
 
 
-def _step_measures(positions, speeds, walkable, measurement_area, width, simple_density):
+def _step_measures(positions, speeds, walkable, measurement_area, width):
     """voronoi_measures for a walkable region already checked for self-crossing."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     speeds = np.asarray(speeds, dtype=float).reshape(-1)
@@ -226,15 +239,6 @@ def _step_measures(positions, speeds, walkable, measurement_area, width, simple_
     if not is_convex(measurement_area):
         raise ValueError("measurement_area must be convex")
     area_m = polygon_area(measurement_area)
-
-    if simple_density:
-        inside = point_in_polygon(positions, measurement_area)
-        if not inside.any():
-            return None
-        rho = float(inside.sum()) / area_m
-        vel = float(np.mean(speeds[inside], dtype=np.float64))
-        return rho, vel, rho * vel * width
-
     cells = bounded_voronoi(positions, walkable)
     inter = polygon_clip_areas([cell.polygon for cell in cells], measurement_area)
     hit = inter > 0.0
@@ -269,7 +273,6 @@ def profiles(
     measurement_area,
     width: float,
     label: str = "",
-    simple_density: bool = False,
 ) -> MeasurementSeries:
     """Evaluate voronoi_measures at every step spanned by the trajectories.
 
@@ -277,8 +280,7 @@ def profiles(
     measurement area are absent from the series rather than zero-filled. The
     walkable region is checked for self-crossing once, not at every step.
     """
-    if not simple_density:
-        ensure_simple_polygon(walkable)
+    ensure_simple_polygon(walkable)
     trs = list(_as_map(trajectories).values())
     steps: list[int] = []
     rho: list[float] = []
@@ -298,9 +300,7 @@ def profiles(
                 positions.append(tr.positions[local])
                 v = tr.velocities[local - 1]
                 speeds.append(float(np.hypot(v[0], v[1])))
-            sample = _step_measures(
-                positions, speeds, walkable, measurement_area, width, simple_density
-            )
+            sample = _step_measures(positions, speeds, walkable, measurement_area, width)
             if sample is None:
                 continue
             steps.append(t)

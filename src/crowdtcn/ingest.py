@@ -1,10 +1,11 @@
 """Trajectory ingestion: parsing, smoothing, resampling, and dataset assembly.
 
-Raw recordings are text files with one observation per row (pedestrian id,
-frame number, x, y, optional extra columns). They are resampled to the model
-time step dt by taking every stride-th frame starting from each pedestrian's
-first observed frame, after optional Savitzky-Golay smoothing of the raw
-positions. Velocities are backward differences:
+Raw recordings are text files with one observation per row: pedestrian id,
+frame number, x, y, then any extra columns, which are ignored. Fields are
+separated by whitespace, or by commas where a line has one. They are
+resampled to the model time step dt by taking every stride-th frame starting
+from each pedestrian's first observed frame, after optional Savitzky-Golay
+smoothing of the raw positions. Velocities are backward differences:
 
     v[t] = (p[t] - p[t-1]) / dt
 
@@ -30,7 +31,6 @@ __all__ = [
     "TooShort",
     "BadWindow",
     "TooFewSamples",
-    "ColumnSpec",
     "RawTrack",
     "Trajectory",
     "WindowSample",
@@ -68,21 +68,6 @@ class TooFewSamples(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class ColumnSpec:
-    """Maps file columns (0-based) to fields; extra columns are ignored."""
-
-    id: int = 0
-    frame: int = 1
-    x: int = 2
-    y: int = 3
-    delimiter: str | None = None  # None: whitespace, or comma when present
-
-    @property
-    def max_column(self) -> int:
-        return max(self.id, self.frame, self.x, self.y)
-
-
 @dataclass
 class RawTrack:
     """One pedestrian's raw observations, frame-sorted."""
@@ -104,7 +89,7 @@ class Trajectory:
     enter_step: int
     positions: np.ndarray  # (n, 2)
     velocities: np.ndarray  # (n - 1, 2)
-    dt: float = 0.5
+    dt: float
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
@@ -114,6 +99,12 @@ class Trajectory:
         recon = self.positions[:-1] + self.dt * self.velocities
         if len(recon) and np.abs(recon - self.positions[1:]).max() > 1e-9:
             raise ValueError("velocities do not reconstruct positions within 1e-9")
+
+    @classmethod
+    def from_positions(cls, id: int, enter_step: int, positions, dt: float) -> "Trajectory":
+        """The track whose velocities are the backward differences of its positions."""
+        positions = np.asarray(positions, dtype=float)
+        return cls(id, enter_step, positions, np.diff(positions, axis=0) / dt, dt)
 
     @property
     def n_steps(self) -> int:
@@ -155,20 +146,13 @@ class DatasetSplit:
     seed: int
 
 
-def _split_line(line: str, delimiter: str | None) -> list[str]:
-    if delimiter is not None:
-        return [f.strip() for f in line.split(delimiter)]
-    if "," in line:
-        return [f.strip() for f in line.split(",")]
-    return line.split()
-
-
-def parse_trajectories(path_or_lines, spec: ColumnSpec = ColumnSpec()) -> dict[int, RawTrack]:
-    """Parse a trajectory file into frame-sorted per-pedestrian tracks.
+def parse_trajectories(path_or_lines) -> dict[int, RawTrack]:
+    """Parse an `id frame x y` file into frame-sorted per-pedestrian tracks.
 
     Accepts a path or an iterable of lines. Comment lines start with '#';
-    blank lines are skipped. A malformed field or a non-finite x or y raises
-    ParseError; duplicate frames for one pedestrian raise NonMonotonicFrames.
+    blank lines are skipped. A malformed field, a fractional id or frame, or
+    a non-finite x or y raises ParseError; duplicate frames for one
+    pedestrian raise NonMonotonicFrames.
     """
     if isinstance(path_or_lines, (str, Path)):
         lines = Path(path_or_lines).read_text().splitlines()
@@ -179,19 +163,22 @@ def parse_trajectories(path_or_lines, spec: ColumnSpec = ColumnSpec()) -> dict[i
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        fields = _split_line(stripped, spec.delimiter)
-        if len(fields) <= spec.max_column:
-            raise ParseError(lineno, f"expected at least {spec.max_column + 1} columns")
+        fields = [f.strip() for f in stripped.split(",")] if "," in stripped else stripped.split()
+        if len(fields) < 4:
+            raise ParseError(lineno, "expected at least 4 columns: id frame x y")
         try:
-            ped = int(float(fields[spec.id]))
-            frame = int(float(fields[spec.frame]))
-            x = float(fields[spec.x])
-            y = float(fields[spec.y])
-        except (ValueError, OverflowError) as exc:
+            ped, frame, x, y = (float(f) for f in fields[:4])
+        except ValueError as exc:
             raise ParseError(lineno, f"malformed numeric field ({exc})") from exc
+        # 3.0 reads as 3, but a fractional or non-finite id or frame is refused
+        if not (ped.is_integer() and frame.is_integer()):
+            raise ParseError(
+                lineno,
+                f"malformed numeric field (non-integer id or frame: {fields[0]} {fields[1]})",
+            )
         if not (math.isfinite(x) and math.isfinite(y)):
-            raise ParseError(lineno, f"non-finite coordinate ({fields[spec.x]}, {fields[spec.y]})")
-        rows.setdefault(ped, []).append((frame, x, y))
+            raise ParseError(lineno, f"non-finite coordinate ({fields[2]}, {fields[3]})")
+        rows.setdefault(int(ped), []).append((int(frame), x, y))
     tracks: dict[int, RawTrack] = {}
     for ped in sorted(rows):
         rec = sorted(rows[ped], key=lambda r: r[0])
@@ -232,7 +219,7 @@ def smooth(positions, window: int, polyorder: int) -> np.ndarray:
 def resample(
     track: RawTrack,
     frame_rate: float,
-    dt: float = 0.5,
+    dt: float,
     smoothing=None,
     clip_polygon=None,
 ) -> Trajectory:
@@ -240,9 +227,8 @@ def resample(
 
     Rows outside clip_polygon are dropped first; only the first contiguous
     frame run is kept if clipping opens gaps. Smoothing (a SmoothingConfig or
-    None) is applied to raw-frame positions before resampling when its
-    before_resample flag is set, and to the resampled positions otherwise;
-    tracks shorter than the smoothing window pass through unsmoothed.
+    None) is applied to the raw-frame positions before resampling; tracks
+    shorter than the smoothing window pass through unsmoothed.
     """
     stride_f = frame_rate * dt
     stride = round(stride_f)
@@ -263,13 +249,8 @@ def resample(
             frames = frames[:end]
             positions = positions[:end]
 
-    def apply_smoothing(pts):
-        if smoothing is None or not smoothing.enabled or len(pts) < smoothing.window:
-            return pts
-        return smooth(pts, smoothing.window, smoothing.polyorder)
-
-    if smoothing is not None and smoothing.before_resample:
-        positions = apply_smoothing(positions)
+    if smoothing is not None and smoothing.enabled and len(positions) >= smoothing.window:
+        positions = smooth(positions, smoothing.window, smoothing.polyorder)
 
     index_of = {int(f): i for i, f in enumerate(frames)}
     first = int(frames[0])
@@ -279,29 +260,19 @@ def resample(
         picks.append(index_of[f])
         f += stride
     sampled = positions[picks]
-    if smoothing is not None and not smoothing.before_resample:
-        sampled = apply_smoothing(sampled)
     if len(sampled) < 2:
         raise TooShort(
             f"pedestrian {track.id} observed for {len(sampled)} resampled steps, need >= 2"
         )
-    velocities = np.diff(sampled, axis=0) / dt
-    enter_step = round(first / stride)
-    return Trajectory(
-        id=track.id,
-        enter_step=enter_step,
-        positions=sampled,
-        velocities=velocities,
-        dt=dt,
-    )
+    return Trajectory.from_positions(track.id, round(first / stride), sampled, dt)
 
 
-def load_trajectories(path, scenario, spec: ColumnSpec = ColumnSpec()) -> dict[int, Trajectory]:
+def load_trajectories(path, scenario) -> dict[int, Trajectory]:
     """Parse + clip + smooth + resample one file against a Scenario.
 
     Pedestrians too short to resample are dropped.
     """
-    tracks = parse_trajectories(path, spec)
+    tracks = parse_trajectories(path)
     out: dict[int, Trajectory] = {}
     for ped, track in tracks.items():
         try:
@@ -317,7 +288,7 @@ def load_trajectories(path, scenario, spec: ColumnSpec = ColumnSpec()) -> dict[i
     return out
 
 
-def load_step_trajectories(path, dt: float = 0.5, spec: ColumnSpec = ColumnSpec()) -> dict[int, Trajectory]:
+def load_step_trajectories(path, dt: float) -> dict[int, Trajectory]:
     """Load a file whose frame column already counts model steps.
 
     This reads simulator output (and any other step-resolution file) without
@@ -325,16 +296,10 @@ def load_step_trajectories(path, dt: float = 0.5, spec: ColumnSpec = ColumnSpec(
     pedestrian.
     """
     out: dict[int, Trajectory] = {}
-    for ped, track in parse_trajectories(path, spec).items():
+    for ped, track in parse_trajectories(path).items():
         if len(track.frames) > 1 and (np.diff(track.frames) != 1).any():
             raise NonMonotonicFrames(f"pedestrian {ped} has step gaps")
-        out[ped] = Trajectory(
-            id=ped,
-            enter_step=int(track.frames[0]),
-            positions=track.positions,
-            velocities=np.diff(track.positions, axis=0) / dt,
-            dt=dt,
-        )
+        out[ped] = Trajectory.from_positions(ped, int(track.frames[0]), track.positions, dt)
     return out
 
 

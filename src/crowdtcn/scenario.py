@@ -16,7 +16,7 @@ feature extraction, simulation, and evaluation:
   "measurement_area": [[4.0, -1.5], [6.0, -1.5], [6.0, 1.5], [4.0, 1.5]],
   "measurement_width": 3.0,
   "default_heading": [1.0, 0.0],
-  "smoothing": {"enabled": true, "window": 9, "polyorder": 3, "before_resample": true},
+  "smoothing": {"enabled": true, "window": 9, "polyorder": 3},
   "radar": {"radius": 1.2, "sector_deg": 18.0},
   "rays": {"step_deg": 5.0, "exit_distance": 100.0},
   "static_velocity_mode": "minus_own_velocity"
@@ -60,12 +60,21 @@ class BadConfig(ValueError):
 
 @dataclass(frozen=True)
 class SmoothingConfig:
+    """Savitzky-Golay smoothing of raw positions, applied before resampling."""
+
     enabled: bool = True
     window: int = 9
     polyorder: int = 3
-    before_resample: bool = True
 
     def __post_init__(self):
+        if type(self.enabled) is not bool:
+            raise BadConfig(f"smoothing.enabled must be true or false, got {self.enabled!r}")
+        for name in ("window", "polyorder"):
+            value = getattr(self, name)
+            # an integral float such as 9.0 is accepted; bools and strings are not
+            if not (type(value) is int or type(value) is float and value.is_integer()):
+                raise BadConfig(f"smoothing.{name} must be an integer, got {value!r}")
+            object.__setattr__(self, name, int(value))
         if self.window % 2 == 0 or self.window <= self.polyorder or self.polyorder < 0:
             raise BadConfig(
                 f"smoothing window must be odd and greater than polyorder, "

@@ -116,17 +116,6 @@ class _PedState:
     def steps_since_entry(self) -> int:
         return len(self.positions) - 1
 
-    def trajectory(self, dt: float) -> Trajectory:
-        """The path so far, with displacement-rate velocities."""
-        positions = np.array(self.positions)
-        return Trajectory(
-            id=self.ped_id,
-            enter_step=self.enter_step,
-            positions=positions,
-            velocities=np.diff(positions, axis=0) / dt,
-            dt=dt,
-        )
-
 
 class SimWorld:
     """Mutable simulation state advanced one synchronous step at a time.
@@ -385,6 +374,9 @@ def run(scenario: Scenario, seeds, model, config: SimConfig = SimConfig()) -> Si
             "corrected_steps": [int(s) for s in st.corrected_steps],
         }
     report["total_corrections"] = int(world.total_corrections)
-    trajectories = [st.trajectory(scenario.dt) for st in states]
+    trajectories = [
+        Trajectory.from_positions(st.ped_id, st.enter_step, st.positions, scenario.dt)
+        for st in states
+    ]
     report["wall_time_s"] = time.monotonic() - t_start
     return SimResult(trajectories, report)

@@ -382,7 +382,7 @@ def test_criterion_4_metric_identities():
         start = rng.uniform(0, 4, 2)
         pos = np.vstack([start, start + np.cumsum(rng.uniform(-0.4, 0.4, (14, 2)), axis=0)])
         vel = np.diff(pos, axis=0) / 0.5
-        expt[pid] = Trajectory(id=pid, enter_step=pid, positions=pos, velocities=vel)
+        expt[pid] = Trajectory(id=pid, enter_step=pid, positions=pos, velocities=vel, dt=0.5)
     ident = TrajectoryPair(expt, expt)
     ete0, pete0 = ete_pete(ident)
     tte0, ptte0 = tte_ptte(ident)
@@ -434,7 +434,7 @@ def test_criterion_4_metric_identities():
         pos[:, 1] = np.clip(pos[:, 1], 0.4, 5.6)
         vel = np.diff(pos, axis=0) / 0.5
         crowd[pid] = Trajectory(
-            id=pid, enter_step=int(rng.integers(0, 4)), positions=pos, velocities=vel
+            id=pid, enter_step=int(rng.integers(0, 4)), positions=pos, velocities=vel, dt=0.5
         )
     series = profiles(crowd, walkable, area, width=width, label="identity")
     assert len(series) >= 20

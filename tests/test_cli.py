@@ -552,6 +552,62 @@ def test_scenario_section_that_is_not_an_object_is_exit_2(
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "key, value",
+    [
+        ("window", 9.5),
+        ("window", "9"),
+        ("polyorder", 2.5),
+        ("polyorder", True),
+        ("enabled", "no"),
+        ("enabled", 1),
+        ("before_resample", True),
+    ],
+)
+def test_malformed_smoothing_section_is_exit_2(dataset_dir, tmp_path, capsys, key, value):
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    doc["smoothing"][key] = value
+    scn = tmp_path / "smoothing.json"
+    scn.write_text(json.dumps(doc))
+    assert _evaluate(dataset_dir, tmp_path / "ev", scenario=scn) == EXIT_CONFIG
+    assert key in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_integral_float_smoothing_settings_are_accepted(dataset_dir, tmp_path):
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    doc["smoothing"].update(window=9.0, polyorder=3.0)
+    smoothing = Scenario.from_dict(doc).smoothing
+    assert (smoothing.window, smoothing.polyorder) == (9, 3)
+    assert type(smoothing.window) is int and type(smoothing.polyorder) is int
+    scn = tmp_path / "smoothing.json"
+    scn.write_text(json.dumps(doc))
+    assert _evaluate(dataset_dir, tmp_path / "float", scenario=scn) == EXIT_OK
+    assert _evaluate(dataset_dir, tmp_path / "int") == EXIT_OK
+    for name in ("metrics.json", "profiles.csv", "fd.csv"):
+        assert (tmp_path / "float" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+
+def test_removed_simple_density_flag_is_exit_2(dataset_dir, tmp_path, capsys):
+    argv = [
+        "evaluate",
+        "--scenario",
+        str(dataset_dir / "scenario.json"),
+        "--experiment",
+        str(dataset_dir / "test.txt"),
+        "--simulation",
+        str(dataset_dir / "test.txt"),
+        "--output-dir",
+        str(tmp_path / "ev"),
+        "--simple-density",
+    ]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == EXIT_CONFIG
+    assert "--simple-density" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
 def test_truncated_artifact_is_exit_2(trained_dir, tmp_path, capsys):
     for size in (8, 100):
         cut = tmp_path / f"cut{size}.bin"

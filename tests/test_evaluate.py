@@ -34,6 +34,7 @@ def straight(pid, enter, start, velocity, n):
         enter_step=enter,
         positions=positions,
         velocities=np.tile(velocity, (max(n - 1, 0), 1)),
+        dt=DT,
     )
 
 
@@ -43,8 +44,8 @@ def test_identity_pair_is_all_zeros():
         straight(2, 3, (0.0, 1.0), (1.0, 0.25), 8),
     ]
     pair = TrajectoryPair(trs, trs)
-    assert ete_pete(pair, DT) == (0.0, 0.0)
-    t_tab, p_tab = tte_ptte(pair, DT)
+    assert ete_pete(pair) == (0.0, 0.0)
+    t_tab, p_tab = tte_ptte(pair)
     assert all(v == 0.0 for v in t_tab.values.values())
     assert all(v == 0.0 for v in p_tab.values.values())
     assert all(v == 0.0 for v in tde(pair).values.values())
@@ -56,7 +57,7 @@ def test_egress_error_hand_case():
     # experimental egress spans 100 steps, simulated 90: error 5 s, 10 %
     expt = [straight(1, 0, (0.0, 0.0), (0.1, 0.0), 101)]
     sim = [straight(1, 0, (0.0, 0.0), (0.1, 0.0), 91)]
-    ete, pete = ete_pete(TrajectoryPair(expt, sim), DT)
+    ete, pete = ete_pete(TrajectoryPair(expt, sim))
     assert ete == pytest.approx(5.0, abs=1e-12)
     assert pete == pytest.approx(0.1, abs=1e-12)
 
@@ -71,7 +72,7 @@ def test_egress_error_spans_the_whole_set():
         straight(1, 2, (0.0, 0.0), (0.1, 0.0), 5),
         straight(2, 8, (0.0, 1.0), (0.1, 0.0), 5),  # last step 12
     ]
-    ete, pete = ete_pete(TrajectoryPair(expt, sim), DT)
+    ete, pete = ete_pete(TrajectoryPair(expt, sim))
     assert ete == pytest.approx((14 - 12) * DT, abs=1e-12)
     assert pete == pytest.approx(2.0 * DT / ((14 - 2) * DT), rel=1e-12)
 
@@ -80,7 +81,7 @@ def test_travel_time_error_hand_case():
     # 20 vs 24 travel steps: 2 s error, 20 % of the 10 s experimental time
     expt = [straight(5, 0, (0.0, 0.0), (0.1, 0.0), 21)]
     sim = [straight(5, 0, (0.0, 0.0), (0.1, 0.0), 25)]
-    t_tab, p_tab = tte_ptte(TrajectoryPair(expt, sim), DT)
+    t_tab, p_tab = tte_ptte(TrajectoryPair(expt, sim))
     assert t_tab.values[5] == pytest.approx(2.0, abs=1e-12)
     assert p_tab.values[5] == pytest.approx(0.2, abs=1e-12)
 
@@ -93,7 +94,7 @@ def test_summaries_match_sort_oracle():
         n_s = int(rng.integers(5, 40))
         expt.append(straight(pid, 0, (0.0, 0.0), (0.1, 0.0), n_e + 1))
         sim.append(straight(pid, 0, (0.0, 0.0), (0.1, 0.0), n_s + 1))
-    t_tab, _ = tte_ptte(TrajectoryPair(expt, sim), DT)
+    t_tab, _ = tte_ptte(TrajectoryPair(expt, sim))
     values = list(t_tab.values.values())
     assert t_tab.mean == pytest.approx(np.mean(values), rel=1e-15)
     ranked = sorted(values)
@@ -116,16 +117,16 @@ def test_tde_matches_double_loop_oracle():
         n_s = int(rng.integers(1, 30))
         pe = rng.normal(size=(n_e, 2)) * 5
         ps = rng.normal(size=(n_s, 2)) * 5
-        expt = {1: Trajectory(1, 0, pe, np.diff(pe, axis=0) / DT)}
-        sim = {1: Trajectory(1, 0, ps, np.diff(ps, axis=0) / DT)}
+        expt = {1: Trajectory(1, 0, pe, np.diff(pe, axis=0) / DT, DT)}
+        sim = {1: Trajectory(1, 0, ps, np.diff(ps, axis=0) / DT, DT)}
         got = tde(TrajectoryPair(expt, sim)).values[1]
         want = tde_double_loop(pe, ps)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_tde_single_points():
-    expt = {1: Trajectory(1, 0, np.array([[0.0, 0.0]]), np.zeros((0, 2)))}
-    sim = {1: Trajectory(1, 0, np.array([[3.0, 4.0]]), np.zeros((0, 2)))}
+    expt = {1: Trajectory(1, 0, np.array([[0.0, 0.0]]), np.zeros((0, 2)), DT)}
+    sim = {1: Trajectory(1, 0, np.array([[3.0, 4.0]]), np.zeros((0, 2)), DT)}
     assert tde(TrajectoryPair(expt, sim)).values[1] == pytest.approx(5.0, abs=0)
 
 
@@ -142,22 +143,24 @@ def test_tde_rigid_invariance():
 
 
 def tde_pair(pe, ps):
-    expt = {1: Trajectory(1, 0, pe, np.diff(pe, axis=0) / DT)}
-    sim = {1: Trajectory(1, 0, ps, np.diff(ps, axis=0) / DT)}
+    expt = {1: Trajectory(1, 0, pe, np.diff(pe, axis=0) / DT, DT)}
+    sim = {1: Trajectory(1, 0, ps, np.diff(ps, axis=0) / DT, DT)}
     return tde(TrajectoryPair(expt, sim)).values[1]
 
 
 def test_fde_hand_and_batch():
-    expt = {1: Trajectory(1, 0, np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[-2.0, -2.0]]))}
-    sim = {1: Trajectory(1, 0, np.array([[1.0, 1.0], [3.0, 4.0]]), np.array([[4.0, 6.0]]))}
+    expt = {
+        1: Trajectory(1, 0, np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[-2.0, -2.0]]), DT)
+    }
+    sim = {1: Trajectory(1, 0, np.array([[1.0, 1.0], [3.0, 4.0]]), np.array([[4.0, 6.0]]), DT)}
     assert fde(TrajectoryPair(expt, sim)).values[1] == pytest.approx(5.0, abs=0)
     rng = np.random.default_rng(3)
     expt_set, sim_set = {}, {}
     for pid in range(10):
         pe = rng.normal(size=(4, 2))
         ps = rng.normal(size=(6, 2))
-        expt_set[pid] = Trajectory(pid, 0, pe, np.diff(pe, axis=0) / DT)
-        sim_set[pid] = Trajectory(pid, 0, ps, np.diff(ps, axis=0) / DT)
+        expt_set[pid] = Trajectory(pid, 0, pe, np.diff(pe, axis=0) / DT, DT)
+        sim_set[pid] = Trajectory(pid, 0, ps, np.diff(ps, axis=0) / DT, DT)
     table = fde(TrajectoryPair(expt_set, sim_set))
     for pid in range(10):
         want = float(np.hypot(*(expt_set[pid].positions[-1] - sim_set[pid].positions[-1])))
@@ -173,6 +176,19 @@ def test_unmatched_and_empty():
         ete_pete(TrajectoryPair({1: a}, {}))
     with pytest.raises(EmptySet):
         tte_ptte(TrajectoryPair({1: a}, {}))
+
+
+def test_pair_step_comes_from_the_trajectories():
+    a = straight(1, 0, (0.0, 0.0), (0.1, 0.0), 5)
+    assert TrajectoryPair({1: a}, {1: a}).dt == DT
+    p = a.positions
+    b = Trajectory(1, 0, p, np.diff(p, axis=0) / 0.25, 0.25)
+    mixed = TrajectoryPair({1: a}, {1: b})
+    for metric in (ete_pete, tte_ptte):
+        with pytest.raises(ValueError, match=r"experiment dt \[0.5\] and simulation dt \[0.25\]"):
+            metric(mixed)
+    with pytest.raises(EmptySet):
+        TrajectoryPair({}, {}).dt
 
 
 SQUARE = np.array([[0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0]])
@@ -216,16 +232,15 @@ def test_voronoi_self_crossing_walkable_rejected():
     with pytest.raises(SelfIntersecting):
         voronoi_measures([[2.0, 5.0], [8.0, 5.0]], [1.0, 1.0], bowtie, SQUARE, 10.0)
     # profiles checks the region once, before its per-step loop
-    tr = Trajectory(1, 0, np.array([[2.0, 5.0], [2.0, 5.0]]), np.zeros((1, 2)))
+    tr = Trajectory(1, 0, np.array([[2.0, 5.0], [2.0, 5.0]]), np.zeros((1, 2)), DT)
     with pytest.raises(SelfIntersecting):
         profiles([tr], bowtie, SQUARE, width=10.0)
 
 
 def test_voronoi_non_convex_measurement_area_rejected():
     m = np.array([[2.0, 2.0], [8.0, 2.0], [8.0, 4.0], [4.0, 4.0], [4.0, 8.0], [2.0, 8.0]])
-    for simple in (False, True):
-        with pytest.raises(ValueError, match="measurement_area must be convex"):
-            voronoi_measures([[5.0, 5.0]], [1.0], SQUARE, m, 10.0, simple_density=simple)
+    with pytest.raises(ValueError, match="measurement_area must be convex"):
+        voronoi_measures([[5.0, 5.0]], [1.0], SQUARE, m, 10.0)
 
 
 def test_voronoi_density_equals_count_when_m_is_walkable():
@@ -233,17 +248,6 @@ def test_voronoi_density_equals_count_when_m_is_walkable():
     pts = rng.uniform(1, 9, size=(8, 2))
     rho, _, _ = voronoi_measures(pts, np.ones(8), SQUARE, SQUARE, 10.0)
     assert rho == pytest.approx(8 / 100.0, rel=1e-9)
-
-
-def test_voronoi_simple_density_variant():
-    m = np.array([[0.0, 0.0], [5.0, 0.0], [5.0, 10.0], [0.0, 10.0]])
-    pts = np.array([[1.0, 5.0], [4.0, 5.0], [8.0, 5.0]])  # two inside M
-    rho, vel, flow = voronoi_measures(
-        pts, [1.0, 2.0, 9.0], SQUARE, m, width=10.0, simple_density=True
-    )
-    assert rho == pytest.approx(2 / 50.0, abs=0)
-    assert vel == pytest.approx(1.5, abs=0)
-    assert flow == pytest.approx(rho * 1.5 * 10.0, abs=1e-12)
 
 
 def test_voronoi_monte_carlo_oracle():
@@ -276,7 +280,7 @@ def test_voronoi_monte_carlo_oracle():
 def test_profiles_static_crowd():
     pts = np.array([[2.0, 2.0], [5.0, 5.0], [8.0, 3.0]])
     trs = [
-        Trajectory(i, 0, np.tile(p, (5, 1)), np.zeros((4, 2))) for i, p in enumerate(pts)
+        Trajectory(i, 0, np.tile(p, (5, 1)), np.zeros((4, 2)), DT) for i, p in enumerate(pts)
     ]
     series = profiles(trs, SQUARE, SQUARE, width=10.0, label="static")
     # step 0 has no arrival velocities; steps 1..4 are constant

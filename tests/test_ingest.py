@@ -3,7 +3,6 @@ import pytest
 
 from crowdtcn.ingest import (
     BadWindow,
-    ColumnSpec,
     DatasetSplit,
     NonMonotonicFrames,
     ParseError,
@@ -47,6 +46,22 @@ class TestParse:
             parse_trajectories(["1 0 0.0 0.0", line])
         assert err.value.line_number == 2
 
+    @pytest.mark.parametrize("line", ["1.5 1 0.1 0.0", "1 0.7 0.1 0.0", "2, 1.25, 0.1, 0.0"])
+    def test_fractional_id_or_frame_reports_line(self, line):
+        with pytest.raises(ParseError, match="non-integer id or frame") as err:
+            parse_trajectories(["# id frame x y", "1 0 0.0 0.0", line])
+        assert err.value.line_number == 3
+
+    def test_integral_float_id_and_frame_read_as_integers(self):
+        tracks = parse_trajectories(["3.0 0 0.0 0.0", "3 1.0 0.1 0.0", "3.0, 2.0, 0.2, 0.0"])
+        assert list(tracks) == [3]
+        assert tracks[3].frames.tolist() == [0, 1, 2]
+
+    def test_too_few_columns_reports_line(self):
+        with pytest.raises(ParseError, match="at least 4 columns") as err:
+            parse_trajectories(["1 0 0.0 0.0", "1 1 0.1"])
+        assert err.value.line_number == 2
+
     def test_comments_and_blanks_skipped(self):
         lines = ["# header", "", "1 0 1.0 2.0"]
         tracks = parse_trajectories(lines)
@@ -88,11 +103,6 @@ class TestParse:
         assert tracks[1].frames.tolist() == [1, 2, 3]
         assert tracks[1].positions[:, 0].tolist() == [1.0, 2.0, 3.0]
 
-    def test_column_spec_reorders(self):
-        spec = ColumnSpec(id=1, frame=0, x=3, y=2)
-        tracks = parse_trajectories(["0 9 2.0 1.0"], spec)
-        assert np.allclose(tracks[9].positions, [[1.0, 2.0]])
-
 
 def make_track(frames, xs, ys=None, ped=1):
     xs = np.asarray(xs, dtype=float)
@@ -103,19 +113,19 @@ def make_track(frames, xs, ys=None, ped=1):
 class TestResample:
     def test_backward_difference(self):
         track = make_track([0, 8], [1.5, 2.0], ped=3)
-        traj = resample(track, frame_rate=16.0)
+        traj = resample(track, frame_rate=16.0, dt=0.5)
         assert traj.velocities[0, 0] == pytest.approx(1.0)
 
     def test_stationary(self):
         track = make_track(range(0, 33), [2.0] * 33)
-        traj = resample(track, frame_rate=16.0)
+        traj = resample(track, frame_rate=16.0, dt=0.5)
         assert np.allclose(traj.velocities, 0.0)
 
     def test_ramp_matches_finite_difference_oracle(self):
         # oracle: finite differences of the sampled positions
         frames = np.arange(0, 160)
         xs = 0.1 * frames
-        traj = resample(make_track(frames, xs), frame_rate=16.0)
+        traj = resample(make_track(frames, xs), frame_rate=16.0, dt=0.5)
         sampled = xs[::8]
         oracle_v = np.diff(sampled) / 0.5
         assert np.allclose(traj.velocities[:, 0], oracle_v)
@@ -123,18 +133,18 @@ class TestResample:
 
     def test_too_short(self):
         with pytest.raises(TooShort):
-            resample(make_track([0, 1, 2], [0, 0.1, 0.2]), frame_rate=16.0)
+            resample(make_track([0, 1, 2], [0, 0.1, 0.2]), frame_rate=16.0, dt=0.5)
 
     def test_enter_step_from_first_frame(self):
         track = make_track(range(24, 24 + 17), np.linspace(0, 1, 17))
-        traj = resample(track, frame_rate=16.0)
+        traj = resample(track, frame_rate=16.0, dt=0.5)
         assert traj.enter_step == 3
 
     def test_clipping_drops_outside_rows(self):
         clip = [[0.0, -1.0], [10.0, -1.0], [10.0, 1.0], [0.0, 1.0]]
         frames = np.arange(0, 64)
         xs = np.linspace(-2.0, 6.0, 64)
-        traj = resample(make_track(frames, xs), frame_rate=16.0, clip_polygon=clip)
+        traj = resample(make_track(frames, xs), frame_rate=16.0, dt=0.5, clip_polygon=clip)
         assert (traj.positions[:, 0] >= 0.0).all()
 
     def test_translation_commutes(self):
@@ -142,8 +152,8 @@ class TestResample:
         rng = np.random.default_rng(3)
         xs = np.cumsum(rng.uniform(0, 0.1, 80))
         ys = np.cumsum(rng.uniform(0, 0.05, 80))
-        base = resample(make_track(frames, xs, ys), frame_rate=16.0)
-        moved = resample(make_track(frames, xs + 3.0, ys - 2.0), frame_rate=16.0)
+        base = resample(make_track(frames, xs, ys), frame_rate=16.0, dt=0.5)
+        moved = resample(make_track(frames, xs + 3.0, ys - 2.0), frame_rate=16.0, dt=0.5)
         assert np.allclose(moved.velocities, base.velocities, atol=1e-12)
         assert np.allclose(moved.positions, base.positions + [3.0, -2.0], atol=1e-12)
 
@@ -151,7 +161,7 @@ class TestResample:
         rng = np.random.default_rng(4)
         frames = np.arange(0, 100)
         xs = np.cumsum(rng.uniform(-0.05, 0.12, 100))
-        traj = resample(make_track(frames, xs), frame_rate=16.0)
+        traj = resample(make_track(frames, xs), frame_rate=16.0, dt=0.5)
         recon = traj.positions[:-1] + traj.dt * traj.velocities
         assert np.abs(recon - traj.positions[1:]).max() < 1e-9
 
@@ -213,12 +223,12 @@ class TestSmooth:
         assert np.abs(got - want).max() <= 1e-12 * np.abs(series).max()
 
     def test_smoothing_inside_resample(self):
-        # a cubic raw path is invariant under smoothing, so both orders match
+        # a cubic raw path is invariant under smoothing, so smoothing changes nothing
         frames = np.arange(0, 81)
         xs = 1e-4 * frames**2
-        cfg_before = SmoothingConfig(enabled=True, window=9, polyorder=3, before_resample=True)
-        traj = resample(make_track(frames, xs), 16.0, smoothing=cfg_before)
-        plain = resample(make_track(frames, xs), 16.0)
+        cfg_before = SmoothingConfig(enabled=True, window=9, polyorder=3)
+        traj = resample(make_track(frames, xs), 16.0, 0.5, smoothing=cfg_before)
+        plain = resample(make_track(frames, xs), 16.0, 0.5)
         assert np.allclose(traj.positions, plain.positions, atol=1e-9)
 
 

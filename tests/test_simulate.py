@@ -80,7 +80,7 @@ def make_seed(pid, enter, start, velocity, n):
     velocity = np.asarray(velocity, dtype=float)
     positions = np.array([start + k * DT * velocity for k in range(n)])
     velocities = np.tile(velocity, (n - 1, 1))
-    return Trajectory(id=pid, enter_step=enter, positions=positions, velocities=velocities)
+    return Trajectory(id=pid, enter_step=enter, positions=positions, velocities=velocities, dt=DT)
 
 
 CFG = SimConfig()

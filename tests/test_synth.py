@@ -57,22 +57,22 @@ def test_generation_is_deterministic(tmp_path):
 # on the platform's libm.
 PINNED_DIGESTS = [
     ("corridor", {}, (
-        "bdceeddfc1d00ae5c0912c69e9b0be93a582026e6d9be436ef07e28bc543cd43",
+        "14efb8123dcaada595c83dfa21e502f8db3ef4b826f0cc207d523f686531e98a",
         "052b4d96b7279e35ca1776d7c3eb79a1298e7223919569aa7ce3583919a5dbc4",
         "e8bb11bad40b1bc6bf59966e613a7c4c309ce42c41f99f5e6b43c6ee842b7d3c",
     )),
     ("corner", {}, (
-        "47905611d8d4476ddd49f726e2ff364fec769434debb534abadafdd984364bc9",
+        "f972f0f1c3f7ed49a6948a3267f752ab1be44976240c4097ab83a4f18c853d6f",
         "0a50763e547de78665926bd395ebfcc92ba6e1e8c5229825093a256d1de9132a",
         "2fe19a26a9b1770762fc19de36e8905fd1cfded200a9b47239e2092d843158ee",
     )),
     ("t-junction", {}, (
-        "32dce8bb8db929567ab30242eae6c15c8f545f5a48cbb76642a88c87f6cf839e",
+        "3c35b40220ffc6a46901606de4618ef05f0b52d2f4ba33a12dc6c7c887fa9139",
         "8a8e4b6430d6fcf4fd9e64c913f1b63825fc9fc75616c9c5481158e318b9753d",
         "10ce6087adbaa6153e855634b692fed6b88e164d806d32827afbc24242a2b6b0",
     )),
     ("t-junction", {"step_deg": 5, "exit_distance": 30}, (
-        "0cce177f7878c8910745452ed506d3020a9ed341e7d04a1b2d5dacbc0ec85601",
+        "0099c3b3039c86586559d60d0987b30881534df367767c32d7acb1977430ee90",
         "8a8e4b6430d6fcf4fd9e64c913f1b63825fc9fc75616c9c5481158e318b9753d",
         "10ce6087adbaa6153e855634b692fed6b88e164d806d32827afbc24242a2b6b0",
     )),
