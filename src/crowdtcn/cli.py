@@ -47,7 +47,7 @@ from .ingest import (
     split,
     write_trajectory_file,
 )
-from .scenario import BadConfig, Scenario, load_scenario
+from .scenario import BadConfig, Scenario, load_scenario, typed, typed_fields
 from .simulate import MissingSeedData, ModelShapeMismatch, SimConfig, run
 from .synth import GEOMETRIES, write_dataset
 from .tcn import (
@@ -132,13 +132,6 @@ _MODEL_DEFAULTS = {
 }
 
 
-def _integer(value) -> int:
-    """int(value), refusing to truncate a fractional number."""
-    if isinstance(value, float) and not value.is_integer():
-        raise ValueError(f"expected an integer, got {value}")
-    return int(value)
-
-
 def _split_ratio(value) -> tuple:
     ratio = tuple(value)
     if len(ratio) != 2 or not all(type(v) is int and v > 0 for v in ratio):
@@ -200,12 +193,14 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         except (TypeError, ValueError) as exc:
             raise BadConfig(f"bad {key!r} in run config {path}: {exc}") from exc
 
-    settings = {
-        key: value(key, _integer if type(default) is int else type(default), default)
-        for key, default in _MODEL_DEFAULTS.items()
-    }
+    def setting(key, default):
+        if type(default) is tuple:
+            return value(key, tuple, default)
+        return typed(doc.get(key, default), type(default), key)
+
+    settings = {key: setting(key, default) for key, default in _MODEL_DEFAULTS.items()}
     try:
-        sim = SimConfig(**doc.get("sim", {}))
+        sim = SimConfig(**typed_fields(SimConfig, doc.get("sim", {}), "sim"))
     except (TypeError, ValueError) as exc:
         raise BadConfig(f"bad 'sim' section: {exc}") from exc
 

@@ -38,6 +38,7 @@ from .geometry import (
     polygon_area,
     polygon_clip_areas,
 )
+from .ingest import world_at
 
 __all__ = [
     "EmptySet",
@@ -290,17 +291,11 @@ def profiles(
         lo = min(tr.enter_step for tr in trs)
         hi = max(tr.last_step for tr in trs)
         for t in range(lo, hi + 1):
-            positions = []
-            speeds = []
-            for tr in trs:
-                local = t - tr.enter_step
-                # entry-step pedestrians have no arrival velocity yet
-                if local < 1 or local > tr.n_steps:
-                    continue
-                positions.append(tr.positions[local])
-                v = tr.velocities[local - 1]
-                speeds.append(float(np.hypot(v[0], v[1])))
-            sample = _step_measures(positions, speeds, walkable, measurement_area, width)
+            present, positions, velocities = world_at(trs, t)
+            # entry-step pedestrians have no arrival velocity yet
+            moving = [i for i, tr in enumerate(present) if tr.enter_step < t]
+            speeds = np.hypot(*velocities[moving].T)
+            sample = _step_measures(positions[moving], speeds, walkable, measurement_area, width)
             if sample is None:
                 continue
             steps.append(t)

@@ -41,6 +41,8 @@ __all__ = [
     "load_trajectories",
     "load_step_trajectories",
     "write_trajectory_file",
+    "world_at",
+    "frames_at",
     "build_samples",
     "split",
 ]
@@ -114,19 +116,6 @@ class Trajectory:
     @property
     def last_step(self) -> int:
         return self.enter_step + self.n_steps
-
-    def position_at(self, step: int) -> np.ndarray:
-        return self.positions[step - self.enter_step]
-
-    def velocity_at(self, step: int) -> np.ndarray:
-        """Arrival velocity at a global step; zero at the entry step."""
-        local = step - self.enter_step
-        if local == 0:
-            return np.zeros(2)
-        return self.velocities[local - 1]
-
-    def covers(self, step: int) -> bool:
-        return self.enter_step <= step <= self.last_step
 
 
 @dataclass
@@ -320,6 +309,30 @@ def write_trajectory_file(path, trajectories) -> None:
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def world_at(tracks, step: int):
+    """The tracks present at a global step (enter_step to last_step), in the
+    order given, with their (P, 2) positions and arrival velocities (zero at
+    the entry step). A track is a Trajectory or a simulated pedestrian."""
+    present = [tr for tr in tracks if tr.enter_step <= step <= tr.last_step]
+    local = [step - tr.enter_step for tr in present]
+    pos = np.array([tr.positions[k] for tr, k in zip(present, local)]).reshape(-1, 2)
+    vel = np.array([tr.velocities[k - 1] if k else (0.0, 0.0) for tr, k in zip(present, local)])
+    return present, pos, vel.reshape(-1, 2)
+
+
+def frames_at(tracks, step: int, extractor, default_heading):
+    """The present tracks past their entry step and their (S, F) frames at a
+    global step, from one extractor.frame call against everyone world_at
+    finds; self_index points each subject at its own row, which it skips."""
+    present, pos, vel = world_at(tracks, step)
+    movers = [i for i, tr in enumerate(present) if tr.enter_step < step]
+    if not movers:
+        return [], []
+    subjects = [present[i] for i in movers]
+    heads = [_heading(tr.velocities[: step - tr.enter_step], default_heading) for tr in subjects]
+    return subjects, extractor.frame(pos[movers], vel[movers], np.array(heads), pos, vel, movers)
+
+
 def build_samples(
     trajectories: dict[int, Trajectory],
     extractor,
@@ -331,35 +344,21 @@ def build_samples(
     A sample at global step t stacks the pedestrian's feature frames for steps
     t - w + 1 .. t and targets the observed velocity of arrival at t + 1, so a
     trajectory with n velocities yields max(0, n - w) samples. Feature frames
-    exist from each pedestrian's first transition onward.
-
-    Frames come from one extractor.frame call per global step with (S, 2)
-    inputs for the S pedestrians past their entry step. Everyone present at
-    the step, in ``trajectories`` order, is in the shared others arrays
-    (pedestrians at their entry step with zero velocity); self_index points
-    each subject at its own row, which it skips.
+    exist from each pedestrian's first transition onward; each global step's
+    come from one frames_at call over the trajectories in the order given.
     """
-    frames: dict[int, dict[int, np.ndarray]] = {ped: {} for ped in trajectories}
-    first = min((tr.enter_step for tr in trajectories.values()), default=0)
-    last = max((tr.last_step for tr in trajectories.values()), default=0)
+    tracks = list(trajectories.values())
+    frames: dict[int, dict[int, np.ndarray]] = {tr.id: {} for tr in tracks}
+    first = min((tr.enter_step for tr in tracks), default=0)
+    last = max((tr.last_step for tr in tracks), default=0)
     for step in range(first + 1, last + 1):
-        present = [(ped, tr) for ped, tr in trajectories.items() if tr.covers(step)]
-        movers = [i for i, (_, tr) in enumerate(present) if tr.enter_step < step]
-        if not movers:
-            continue
-        pos = np.array([tr.position_at(step) for _, tr in present])
-        vel = np.array([tr.velocity_at(step) for _, tr in present])
-        heads = np.array(
-            [_heading(tr.velocities[: step - tr.enter_step], default_heading) for _, tr in present]
-        )
-        batch = extractor.frame(pos[movers], vel[movers], heads[movers], pos, vel, movers)
-        for i, frame in zip(movers, batch):
-            frames[present[i][0]][step] = frame
+        for tr, frame in zip(*frames_at(tracks, step, extractor, default_heading)):
+            frames[tr.id][step] = frame
     samples: list[WindowSample] = []
     for ped, traj in sorted(trajectories.items()):
         for local_t in range(w, traj.n_steps):
             t = traj.enter_step + local_t
-            window = np.stack([frames[ped][s] for s in range(t - w + 1, t + 1)])
+            window = np.stack([frames[traj.id][s] for s in range(t - w + 1, t + 1)])
             target = traj.velocities[local_t]  # arrival velocity at t + 1
             samples.append(WindowSample(input=window, target=target.copy(), ped_id=ped, step=t))
     return samples

@@ -51,11 +51,36 @@ from .features import (
 )
 from .geometry import ensure_simple_polygon, is_convex
 
-__all__ = ["BadConfig", "SmoothingConfig", "Scenario", "load_scenario"]
+__all__ = ["BadConfig", "SmoothingConfig", "Scenario", "load_scenario", "typed", "typed_fields"]
 
 
 class BadConfig(ValueError):
     """Raised when a scenario or run configuration is invalid."""
+
+
+_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+
+
+def typed(value, kind: type, label: str):
+    """A JSON value as bool, int, float or str. An int takes an integral
+    number (8.0 passes), a float any number; booleans and strings pass only
+    as themselves. Anything else is a BadConfig naming ``label``."""
+    if kind is int and type(value) is float and value.is_integer():
+        value = int(value)
+    elif kind is float and type(value) is int:
+        value = float(value)
+    if type(value) is not kind:
+        raise BadConfig(f"{label} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
+def typed_fields(cls, section: dict, label: str) -> dict:
+    """A section checked by typed against cls's field defaults' types."""
+    kinds = {f.name: type(f.default) for f in fields(cls)}
+    return {
+        key: typed(value, kinds[key], f"{label}.{key}") if key in kinds else value
+        for key, value in section.items()
+    }
 
 
 @dataclass(frozen=True)
@@ -67,14 +92,8 @@ class SmoothingConfig:
     polyorder: int = 3
 
     def __post_init__(self):
-        if type(self.enabled) is not bool:
-            raise BadConfig(f"smoothing.enabled must be true or false, got {self.enabled!r}")
-        for name in ("window", "polyorder"):
-            value = getattr(self, name)
-            # an integral float such as 9.0 is accepted; bools and strings are not
-            if not (type(value) is int or type(value) is float and value.is_integer()):
-                raise BadConfig(f"smoothing.{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
+        for name, value in typed_fields(SmoothingConfig, asdict(self), "smoothing").items():
+            object.__setattr__(self, name, value)
         if self.window % 2 == 0 or self.window <= self.polyorder or self.polyorder < 0:
             raise BadConfig(
                 f"smoothing window must be odd and greater than polyorder, "
@@ -210,10 +229,14 @@ class Scenario:
         doc = _object(doc, "scenario")
         given = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
         try:
-            for key, convert in _FROM_JSON.items():
+            for key, kind in _FROM_JSON.items():
                 if key in given:
-                    given[key] = convert(given[key])
-            sections = {key: make(**_section(doc, key)) for key, make in _SECTIONS.items()}
+                    value = given[key]
+                    given[key] = typed(value, kind, key) if kind in _KINDS else kind(value)
+            sections = {
+                key: make(**typed_fields(make, _section(doc, key), key))
+                for key, make in _SECTIONS.items()
+            }
             return cls(**{"name": "scenario", **_NO_SEGMENTS, **given, **sections})
         except (TypeError, ValueError) as exc:
             if isinstance(exc, BadConfig):
@@ -221,7 +244,7 @@ class Scenario:
             raise BadConfig(str(exc)) from exc
 
 
-# document values that change type before validation, and the sections
+# document values checked by typed or converted before validation, and the sections
 _FROM_JSON = {
     "name": str,
     "frame_rate": float,

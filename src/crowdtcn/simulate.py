@@ -5,8 +5,9 @@ recorded entry step and position, follows its recorded velocities while its
 history is shorter than the model lookback window, and is then advanced by
 model predictions until it crosses a departure segment (an exit or an
 entrance). All pedestrians advance synchronously: every decision within a
-time step is computed from the same start-of-step snapshot, so the iteration
-order over pedestrians cannot change the outcome.
+time step is computed from the pedestrians' start-of-step histories, which
+ingest.world_at reads as it reads recorded tracks in training, so the
+iteration order over pedestrians cannot change the outcome.
 
 Predictions are batched per step: the lookback windows of every pedestrian
 past its seed phase go to one model.predict call as a (B, window, F) array,
@@ -21,8 +22,8 @@ departure array. A step that would carry a pedestrian through a wall is
 intercepted (a departure reached no later than the wall wins): the
 pedestrian is placed a small standoff inside the wall at the crossing point,
 its recent velocities are rewritten to a blend of wall tangent and inward
-normal at its recent mean speed, and its stored feature frames are recomputed
-from the historical snapshots so later predictions see the corrected history.
+normal at its recent mean speed, and its stored feature frames over that span
+are recomputed so later predictions see the corrected history.
 
 Positions integrate as p[t+1] = p[t] + dt * v[t+1]. The internal velocity
 history, which drives the features, is re-derived from each committed
@@ -44,7 +45,7 @@ import numpy as np
 
 from .features import FeatureExtractor, heading
 from .geometry import crossing_params, point_in_polygon
-from .ingest import Trajectory
+from .ingest import Trajectory, frames_at, world_at
 from .scenario import Scenario
 
 __all__ = [
@@ -101,7 +102,7 @@ class SimConfig:
             raise ValueError("blend weights must be nonnegative and not both zero")
 
 
-@dataclass
+@dataclass(eq=False)
 class _PedState:
     ped_id: int
     enter_step: int
@@ -116,14 +117,19 @@ class _PedState:
     def steps_since_entry(self) -> int:
         return len(self.positions) - 1
 
+    @property
+    def last_step(self) -> int:
+        """The last world step the pedestrian is part of; an exited
+        pedestrian's final position lies past its departure segment."""
+        return self.enter_step + self.steps_since_entry - (self.exit_step is not None)
+
 
 class SimWorld:
     """Mutable simulation state advanced one synchronous step at a time.
 
-    Each step stores a snapshot of everyone active, as sorted ids with their
-    positions and velocities, and computes the new feature frames of all
-    pedestrians past their entry step in one extractor.frame call on (S, 2)
-    inputs, with self_index naming each subject's row in the snapshot.
+    Each step computes the new feature frames of all active pedestrians past
+    their entry step with one ingest.frames_at call over them in sorted-id
+    order.
     """
 
     def __init__(self, scenario: Scenario, model, seeds, config: SimConfig = SimConfig()):
@@ -151,18 +157,18 @@ class SimWorld:
         self.active: dict[int, _PedState] = {}
         self.exited: dict[int, _PedState] = {}
         self.clock: int = self.pending[0].enter_step if self.pending else 0
-        self.total_corrections: int = 0
-        # historical snapshots, world step -> (sorted ids, positions, velocities)
-        self._snapshots: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     def _correct(self, st: _PedState, p_cur, v_hat, tentative, wall, t_hit, t: int):
         """Place the pedestrian standoff-inside the crossed (2, 2) ``wall``,
-        which the step crosses at motion parameter ``t_hit``, and rewrite its
-        recent velocities and feature frames. Returns snapshot updates.
+        which the step crosses at motion parameter ``t_hit``, and recompute
+        its feature frames over its last window velocities, rewritten.
+        Returns the rewritten velocity history, which step assigns once every
+        decision of the step is made.
 
         The recomputed frames take the pedestrian's own position, velocity and
-        heading from its rewritten history and everyone else from that step's
-        snapshot, which still holds the pre-correction velocities."""
+        heading from its rewritten history and everyone else from world_at
+        over every entered pedestrian, sorted by id, whose histories hold the
+        corrections of earlier steps but not those of this one."""
         cfg = self.config
         a, b = wall
         e = b - a
@@ -191,30 +197,24 @@ class SimWorld:
         direction = cfg.tangent_blend * tangent + cfg.inward_blend * inward
         direction = direction / np.hypot(direction[0], direction[1])
 
-        st.velocities.append((tentative - p_cur) / self.dt)
-        k = min(self.window, len(st.velocities))
+        velocities = [*st.velocities, (tentative - p_cur) / self.dt]
+        k = min(self.window, len(velocities))
         mean_speed = float(
-            np.mean([np.hypot(v[0], v[1]) for v in st.velocities[-k:]], dtype=np.float64)
+            np.mean([np.hypot(v[0], v[1]) for v in velocities[-k:]], dtype=np.float64)
         )
-        replacement = direction * mean_speed
-        for i in range(len(st.velocities) - k, len(st.velocities)):
-            st.velocities[i] = replacement.copy()
+        velocities[-k:] = [direction * mean_speed for _ in range(k)]
         st.positions.append(corrected)
         st.corrected_steps.append(t + 1)
-        self.total_corrections += 1
         # recompute this pedestrian's stored frames over the rewritten span
+        entered = [ped for _, ped in sorted((self.active | self.exited).items())]
         s_new = st.steps_since_entry  # after append
-        updates = []
         for local in range(max(1, s_new - k + 1), s_new):
-            world_step = st.enter_step + local
-            ids, pos, vel = self._snapshots[world_step]
-            row = int(np.searchsorted(ids, st.ped_id))
-            head = heading(st.velocities[:local], self.scenario.default_heading)
+            others, pos, vel = world_at(entered, st.enter_step + local)
+            head = heading(velocities[:local], self.scenario.default_heading)
             st.frames[local - 1] = self.extractor.frame(
-                st.positions[local], st.velocities[local - 1], head, pos, vel, row
+                st.positions[local], velocities[local - 1], head, pos, vel, others.index(st)
             )
-            updates.append((vel, row, replacement))
-        return updates
+        return velocities
 
     def step(self) -> None:
         """Advance the world from its clock t to t + 1."""
@@ -227,20 +227,8 @@ class SimWorld:
         order = sorted(self.active)
         states = [self.active[pid] for pid in order]
         pos = np.array([st.positions[-1] for st in states]).reshape(-1, 2)
-        vel = np.array([st.velocities[-1] if st.velocities else (0.0, 0.0) for st in states])
-        vel = vel.reshape(-1, 2)
-        self._snapshots[t] = (np.array(order, dtype=int), pos, vel)
-        for old in [s for s in self._snapshots if s < t - self.window + 1]:
-            del self._snapshots[old]
-
-        # one frame call for everyone past the entry step, against the snapshot
-        movers = [i for i, st in enumerate(states) if st.steps_since_entry >= 1]
-        if movers:
-            heads = [heading(states[i].velocities, self.scenario.default_heading) for i in movers]
-            heads = np.array(heads)
-            batch = self.extractor.frame(pos[movers], vel[movers], heads, pos, vel, movers)
-            for i, frame in zip(movers, batch):
-                states[i].frames.append(frame)
+        for st, frame in zip(*frames_at(states, t, self.extractor, self.scenario.default_heading)):
+            st.frames.append(frame)
 
         # seed velocities until the history covers the window, then one
         # predict call for everyone past that point
@@ -275,16 +263,15 @@ class SimWorld:
         dep_t = dep_t.min(axis=1, initial=np.inf)
         hit_t = wall_t.min(axis=1, initial=np.inf)
         exits: list[int] = []
-        snapshot_updates: list[tuple] = []
+        rewrites: list[tuple] = []
         for i, (pid, st) in enumerate(zip(order, states)):
             p_cur, tentative = pos[i], tentatives[i]
             if dep_t[i] < np.inf and dep_t[i] <= hit_t[i]:
                 exits.append(pid)
             elif hit_t[i] < np.inf:
                 wall = walls[np.argmin(wall_t[i])]
-                snapshot_updates += self._correct(
-                    st, p_cur, decisions[i], tentative, wall, hit_t[i], t
-                )
+                rewritten = self._correct(st, p_cur, decisions[i], tentative, wall, hit_t[i], t)
+                rewrites.append((st, rewritten))
                 continue
             elif not inside[i]:
                 raise NoInwardDirection(
@@ -297,8 +284,8 @@ class SimWorld:
 
         # corrections commit after all decisions, so within a step nobody
         # observes another pedestrian's corrected history
-        for snap_vel, row, velocity in snapshot_updates:
-            snap_vel[row] = velocity
+        for st, velocities in rewrites:
+            st.velocities = velocities
 
         for pid in exits:
             st = self.exited[pid] = self.active.pop(pid)
@@ -373,7 +360,7 @@ def run(scenario: Scenario, seeds, model, config: SimConfig = SimConfig()) -> Si
             "corrections": len(st.corrected_steps),
             "corrected_steps": [int(s) for s in st.corrected_steps],
         }
-    report["total_corrections"] = int(world.total_corrections)
+    report["total_corrections"] = sum(len(st.corrected_steps) for st in states)
     trajectories = [
         Trajectory.from_positions(st.ped_id, st.enter_step, st.positions, scenario.dt)
         for st in states

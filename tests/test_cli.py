@@ -147,6 +147,14 @@ def _run_config(dataset_dir, path, **changes):
         ("dilations", [-1, 2]),
         ("dilations", [0, 2]),
         ("window", 7.5),
+        ("iterations", True),
+        ("seed", "7"),
+        ("batch_size", "64"),
+        ("learning_rate", "1e-3"),
+        ("dropout", "0.2"),
+        ("dtype", 32),
+        ("sim", {"drop_short_seeds": "no"}),
+        ("sim", {"standoff": True}),
     ],
 )
 def test_run_config_bad_value_names_its_key(dataset_dir, tmp_path, key, value):
@@ -586,6 +594,39 @@ def test_integral_float_smoothing_settings_are_accepted(dataset_dir, tmp_path):
     assert _evaluate(dataset_dir, tmp_path / "int") == EXIT_OK
     for name in ("metrics.json", "profiles.csv", "fd.csv"):
         assert (tmp_path / "float" / name).read_bytes() == (tmp_path / "int" / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "key, value, label",
+    [
+        ("dt", "0.5", "dt"),
+        ("frame_rate", True, "frame_rate"),
+        ("measurement_width", "4", "measurement_width"),
+        ("name", 5, "name"),
+        ("radar", {"radius": True}, "radar.radius"),
+        ("radar", {"sector_deg": "18"}, "radar.sector_deg"),
+        ("rays", {"step_deg": True}, "rays.step_deg"),
+        ("rays", {"exit_distance": "100"}, "rays.exit_distance"),
+    ],
+)
+def test_scenario_value_of_the_wrong_type_is_exit_2(
+    dataset_dir, tmp_path, capsys, key, value, label
+):
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    doc[key] = {**doc[key], **value} if isinstance(value, dict) else value
+    scn = tmp_path / "typed.json"
+    scn.write_text(json.dumps(doc))
+    assert _evaluate(dataset_dir, tmp_path / "ev", scenario=scn) == EXIT_CONFIG
+    assert f"{label} must be" in capsys.readouterr().err
+    assert not (tmp_path / "ev").exists()
+
+
+def test_integer_scenario_numbers_load_as_floats(dataset_dir):
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    doc.update(measurement_width=3, radar={"radius": 1, "sector_deg": 18})
+    scenario = Scenario.from_dict(doc)
+    assert type(scenario.measurement_width) is float and type(scenario.radar.radius) is float
+    assert scenario.measurement_width == 3.0 and scenario.radar.radius == 1.0
 
 
 def test_removed_simple_density_flag_is_exit_2(dataset_dir, tmp_path, capsys):

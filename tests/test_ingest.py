@@ -15,6 +15,7 @@ from crowdtcn.ingest import (
     resample,
     smooth,
     split,
+    world_at,
 )
 from crowdtcn.scenario import SmoothingConfig
 
@@ -283,6 +284,19 @@ class TestBuildSamples:
             assert np.allclose(s.target, velocities[local_t])
             # last input row holds the velocity of arrival at step t
             assert np.allclose(s.input[-1, :2], velocities[local_t - 1])
+
+
+class TestWorldAt:
+    def test_presence_order_and_entry_velocity(self):
+        a = straight_trajectory(7, 2, 3)  # steps 2..5
+        b = straight_trajectory(3, 4, 2, speed=2.0)  # steps 4..6
+        present, pos, vel = world_at([a, b], 4)
+        assert present == [a, b]  # the order given, not sorted by id
+        np.testing.assert_array_equal(pos, [a.positions[2], b.positions[0]])
+        np.testing.assert_array_equal(vel, [a.velocities[1], [0.0, 0.0]])
+        present, pos, vel = world_at([b, a], 6)
+        assert present == [b] and pos.shape == vel.shape == (1, 2)
+        assert world_at([a, b], 1)[0] == [] and world_at([a, b], 1)[1].shape == (0, 2)
 
 
 class TestSplit:

@@ -14,6 +14,7 @@ from crowdtcn.ingest import (
     load_step_trajectories,
     load_trajectories,
     parse_trajectories,
+    world_at,
     write_trajectory_file,
 )
 from crowdtcn.scenario import Scenario
@@ -249,6 +250,53 @@ def test_same_step_corrections_see_pre_step_history():
         assert not np.array_equal(stored, frames(np.array(other.velocities)))
 
 
+def test_later_corrections_see_earlier_rewritten_history():
+    # pedestrian 4 is corrected at step 6, pedestrian 5 (0.6 m away) at step 7
+    sc = corridor(half_width=1.5, length=20.0)
+    v = np.array([0.6, 0.8])
+    seeds = [make_seed(4, 0, (1.0, -0.9), v, 4), make_seed(5, 0, (1.5, -1.2), v, 4)]
+    model = StubModel(lambda w: v if w[-1, 1] > 0 else [1.0, 0.0], sc.feature_dim)
+    world = SimWorld(sc, model, seeds, CFG)
+    for _ in range(7):
+        world.step()
+    a, b = world.active[4], world.active[5]
+    assert (a.corrected_steps, b.corrected_steps) == ([6], [7])
+    local = 5  # in both rewritten spans: b's frame there was recomputed at step 7
+
+    def frame(other_velocity):
+        return world.extractor.frame(
+            b.positions[local],
+            b.velocities[local - 1],
+            heading(b.velocities[:local], sc.default_heading),
+            a.positions[local][None],
+            np.asarray(other_velocity)[None],
+        )
+
+    rewritten = a.velocities[local - 1]
+    assert not np.array_equal(rewritten, v)
+    np.testing.assert_array_equal(b.frames[local - 1], frame(rewritten))
+    assert not np.array_equal(b.frames[local - 1], frame(v))
+
+
+def test_world_drops_an_exited_pedestrian_at_its_exit_step():
+    sc = corridor()
+    v = np.array([0.5, 0.0])
+    seeds = [make_seed(1, 0, (10.25, 0.5), (1.0, 0.0), 4), make_seed(2, 1, (1.0, 0.0), v, 4)]
+    world = SimWorld(sc, constant_model([1.0, 0.0], sc), seeds, CFG)
+    while 1 not in world.exited:
+        world.step()
+    gone, walker = world.exited[1], world.active[2]
+    assert gone.exit_step == 4 and gone.positions[-1][0] > 12.0  # past the exit line
+    present, pos, vel = world_at([gone, walker], 3)
+    assert present == [gone, walker]
+    np.testing.assert_array_equal(pos[0], gone.positions[3])
+    np.testing.assert_array_equal(vel[1], walker.velocities[1])
+    assert world_at([gone, walker], 4)[0] == [walker]
+    present, _, vel = world_at([gone, walker], 1)  # the walker's entry step
+    assert present == [gone, walker]
+    np.testing.assert_array_equal(vel[1], [0.0, 0.0])
+
+
 def test_replay_matches_training_windows(tmp_path):
     """A model that replays the recorded velocities is fed the training windows."""
     dataset = corridor_dataset(seed=0)
@@ -335,7 +383,7 @@ def test_two_crossing_kernel_calls_per_step(monkeypatch):
     while world.pending or world.active:
         world.step()
         steps += 1
-    assert world.total_corrections > 0 and len(world.exited) == 4
+    assert any(st.corrected_steps for st in world.exited.values()) and len(world.exited) == 4
     # each step: the two walls, then the exit and the entrance
     assert calls == [(t, 2) for t in range(steps) for _ in range(2)]
 
