@@ -19,7 +19,6 @@ import logging
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import MISSING, dataclass, fields, replace
 from pathlib import Path
 
@@ -150,7 +149,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
         raise BadConfig(f"run config not found: {path}")
     try:
         doc = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise BadConfig(f"run config {path} is not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise BadConfig(f"run config {path} must be a JSON object")
@@ -190,7 +189,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     def value(key, convert, default):
         try:
             return convert(doc.get(key, default))
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadConfig(f"bad {key!r} in run config {path}: {exc}") from exc
 
     def setting(key, default):
@@ -201,7 +200,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     settings = {key: setting(key, default) for key, default in _MODEL_DEFAULTS.items()}
     try:
         sim = SimConfig(**typed_fields(SimConfig, doc.get("sim", {}), "sim"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadConfig(f"bad 'sim' section: {exc}") from exc
 
     cfg = RunConfig(
@@ -511,6 +510,9 @@ def cmd_sweep(args) -> int:
             label = f"{de:g}-{beta:g}"
             tasks.append((str(args.config), overrides, de, beta, label))
     if jobs > 1:
+        # imported here: multiprocessing costs every other command about 20 ms at start
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:

@@ -68,7 +68,10 @@ def typed(value, kind: type, label: str):
     if kind is int and type(value) is float and value.is_integer():
         value = int(value)
     elif kind is float and type(value) is int:
-        value = float(value)
+        try:
+            value = float(value)
+        except OverflowError as exc:
+            raise BadConfig(f"{label} must be a number a float can hold: {exc}") from exc
     if type(value) is not kind:
         raise BadConfig(f"{label} must be {_KINDS[kind]}, got {value!r}")
     return value
@@ -105,7 +108,7 @@ def _segments(raw, label: str) -> np.ndarray:
     """Validate a segment list as a (W, 2, 2) float array of endpoint pairs."""
     try:
         segs = np.array(raw, dtype=float)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise BadConfig(f"invalid {label}: {exc}") from exc
     if segs.shape == (0,):
         segs = segs.reshape(0, 2, 2)
@@ -173,7 +176,7 @@ class Scenario:
             self.walkable_polygon = ensure_simple_polygon(self.walkable_polygon)
         try:
             head = np.asarray(self.default_heading, dtype=float)
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise BadConfig(f"invalid default_heading: {exc}") from exc
         if head.shape != (2,) or not np.isfinite(head).all():
             raise BadConfig(
@@ -238,7 +241,7 @@ class Scenario:
                 for key, make in _SECTIONS.items()
             }
             return cls(**{"name": "scenario", **_NO_SEGMENTS, **given, **sections})
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             if isinstance(exc, BadConfig):
                 raise
             raise BadConfig(str(exc)) from exc
@@ -285,9 +288,10 @@ def load_scenario(path, sections: dict | None = None) -> Scenario:
     if not p.exists():
         raise BadConfig(f"scenario file not found: {p}")
     try:
-        doc = _object(json.loads(p.read_text()), f"scenario file {p}")
-    except json.JSONDecodeError as exc:
+        doc = json.loads(p.read_text())
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise BadConfig(f"scenario file {p} is not valid JSON: {exc}") from exc
+    doc = _object(doc, f"scenario file {p}")
     for name, values in (sections or {}).items():
         doc[name] = {**_section(doc, name), **values}
     return Scenario.from_dict(doc)

@@ -16,18 +16,26 @@ e - dilation * g, with inputs before the window start treated as zero, so
 each layer sees dilation * (kernel_size - 1) + 1 steps of history and output
 step e never depends on inputs after e.
 
-Layout. Activations are time-major, (B, T, C), from the (B, w, F) feature
-windows to the readout. A causal convolution copies its input once into an
-im2col matrix (B*T, q*Cin) whose row (b, e) holds the input steps
-e - dilation*g of every tap g, and is then one GEMM against the (Cout, q*Cin)
-kernel matrix; its backward is two GEMMs (kernel and im2col gradients) and a
-col2im shift-add. Taps with dilation*g >= T read only the zero padding and are
-left out. The 1x1 skip is one GEMM. A main-path layer (conv, bias, ReLU,
-dropout) is written once, in `_conv_layer` and its reverse
-`_conv_layer_backward`. Weight norm is computed once per layer per forward
-pass, in the parameter dtype, and each block draws both dropout masks in one
-call. `residual_block_forward` keeps the channels-first (B, C, T) interface
-and converts at its boundary.
+Layout. Activations are time-major, (B, n, C), from the (B, w, F) feature
+windows to the readout, where n counts the steps a block runs at. The readout
+reads only the last step of the last block, so each block runs only at the
+steps that reach it: `_step_plan`, built once per kernel size, dilations and
+window, walks back from the readout through each layer's taps. With window 8
+and dilations 1/2/4, the blocks run at 4, 2 and 1 of the 8 steps (21
+conv-layer rows per window instead of 48). For each layer and tap, the plan
+holds the count of output rows that read the zero padding and the input rows
+the others read: a slice when they form a progression, an index array
+otherwise. A causal convolution copies its input once, one slice per tap,
+into an im2col matrix (B*n_out, q*Cin) and is then one GEMM against the
+(Cout, q*Cin) kernel matrix; its backward is two GEMMs (kernel and im2col
+gradients) and a col2im shift-add. Taps that read only padding at every
+kept step are left out. The 1x1 skip is one GEMM over the block's output
+steps. A main-path layer (conv, bias, ReLU, dropout) is written once, in
+`_conv_layer` and its reverse `_conv_layer_backward`. Weight norm is computed
+once per layer per forward pass, in the parameter dtype, and each block draws
+both dropout masks, over its kept rows only, in one call.
+`residual_block_forward` keeps the channels-first (B, C, T) interface and
+every step: it runs the all-steps plan and converts at its boundary.
 
 Parameters live in a name -> array dict so serialization and gradient checks
 can iterate over them; Adam updates each tensor and its moments in place.
@@ -35,6 +43,8 @@ can iterate over them; Adam updates each tensor and its moments in place.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import math
 import numbers
@@ -42,6 +52,7 @@ import struct
 import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -153,28 +164,85 @@ def _taps(kernel_size: int, dilation: int, T: int) -> int:
     return min(kernel_size, (T - 1) // dilation + 1)
 
 
-def _im2col(z: np.ndarray, dilation: int, q: int) -> np.ndarray:
-    """(B, T, C) -> (B*T, q*C): row (b, e), column (g, c) holds z[b, e - dilation*g, c],
-    zero where that step falls before the window start."""
-    B, T, C = z.shape
-    cols = np.empty((B, T, q, C), dtype=z.dtype)
-    for g in range(q):
-        shift = dilation * g
-        cols[:, :shift, g] = 0
-        cols[:, shift:, g] = z[:, : T - shift]
-    return cols.reshape(B * T, q * C)
+def _rows(positions) -> slice | np.ndarray:
+    """Row selector: a slice when the positions form an increasing arithmetic
+    progression, an index array otherwise (read-only: plans are cached)."""
+    step = positions[1] - positions[0] if len(positions) > 1 else 1
+    if step > 0 and all(b - a == step for a, b in zip(positions, positions[1:])):
+        return slice(positions[0], positions[-1] + 1, step)
+    index = np.array(positions)
+    index.flags.writeable = False
+    return index
 
 
-def _col2im(d_cols: np.ndarray, shape, dilation: int, q: int) -> np.ndarray:
-    """Adjoint of _im2col: adds each column's gradient onto the step it read.
-    Returns the (B*T, C) gradient of the (B, T, C) input."""
-    B, T, C = shape
-    d_z = np.zeros(shape, dtype=d_cols.dtype)
-    d_cols = d_cols.reshape(B, T, q, C)
+class _LayerPlan(NamedTuple):
+    """Rows of one causal convolution. The input holds n_in rows, the output
+    n_out rows; for tap g, taps[g] = (pad, src): output rows [:pad] read the
+    zero padding and rows [pad:] read input rows src."""
+
+    n_in: int
+    n_out: int
+    taps: tuple
+
+
+def _reads(kernel_size: int, dilation: int, out_steps) -> list[int]:
+    """The input steps that a causal conv reads to produce out_steps."""
+    q = _taps(kernel_size, dilation, out_steps[-1] + 1)
+    return sorted({e - dilation * g for e in out_steps for g in range(q) if e >= dilation * g})
+
+
+def _layer_plan(kernel_size: int, dilation: int, in_steps, out_steps) -> _LayerPlan:
+    """Plan of a conv from rows at in_steps to rows at out_steps (both sorted;
+    in_steps holds every step out_steps reads). Taps that read only padding
+    for every output row are left out."""
+    q = _taps(kernel_size, dilation, out_steps[-1] + 1) if len(out_steps) else 0
+    row = {e: i for i, e in enumerate(in_steps)}
+    taps = []
     for g in range(q):
-        shift = dilation * g
-        d_z[:, : T - shift] += d_cols[:, shift:, g]
-    return d_z.reshape(B * T, C)
+        pad = bisect.bisect_left(out_steps, dilation * g)
+        taps.append((pad, _rows([row[e - dilation * g] for e in out_steps[pad:]])))
+    return _LayerPlan(len(in_steps), len(out_steps), tuple(taps))
+
+
+@functools.lru_cache(maxsize=32)
+def _step_plan(kernel_size: int, dilations: tuple, T: int, out_steps: tuple) -> tuple:
+    """Per block, (conv1 plan, conv2 plan, skip rows) that compute the last
+    block's output at out_steps from T input steps. Walking back from
+    out_steps, each block runs at the steps its successor reads; the skip
+    rows select the block's output steps among its input rows."""
+    plans = []
+    out = list(out_steps)
+    for m in range(len(dilations) - 1, -1, -1):
+        h = dilations[m]
+        mid = _reads(kernel_size, h, out)
+        inp = list(range(T)) if m == 0 else _reads(kernel_size, h, mid)
+        skip = _rows([inp.index(e) for e in out])
+        conv1, conv2 = _layer_plan(kernel_size, h, inp, mid), _layer_plan(kernel_size, h, mid, out)
+        plans.append((conv1, conv2, skip))
+        out = inp
+    return tuple(reversed(plans))
+
+
+def _im2col(z: np.ndarray, plan: _LayerPlan) -> np.ndarray:
+    """(B, n_in, C) -> (B*n_out, q*C): row (b, j), column (g, c) holds the input
+    row that output row j reads through tap g, zero where that is padding."""
+    B, _, C = z.shape
+    cols = np.empty((B, plan.n_out, len(plan.taps), C), dtype=z.dtype)
+    for g, (pad, src) in enumerate(plan.taps):
+        cols[:, :pad, g] = 0
+        cols[:, pad:, g] = z[:, src]
+    return cols.reshape(B * plan.n_out, len(plan.taps) * C)
+
+
+def _col2im(d_cols: np.ndarray, plan: _LayerPlan) -> np.ndarray:
+    """Adjoint of _im2col: adds each column's gradient onto the row it read.
+    Returns the (B, n_in, C) gradient of the input."""
+    q = len(plan.taps)
+    d_cols = d_cols.reshape(-1, plan.n_out, q, d_cols.shape[1] // q)
+    d_z = np.zeros((len(d_cols), plan.n_in, d_cols.shape[3]), dtype=d_cols.dtype)
+    for g, (pad, src) in enumerate(plan.taps):
+        d_z[:, src] += d_cols[:, pad:, g]
+    return d_z
 
 
 def _kernel_matrix(kernel: np.ndarray, q: int) -> np.ndarray:
@@ -199,8 +267,9 @@ def dilated_causal_conv(inputs, kernel, dilation: int) -> np.ndarray:
         raise ShapeMismatch("kernel must be (Cout, Cin, q)")
     if z.shape[1] != kernel.shape[1]:
         raise ShapeMismatch(f"input has {z.shape[1]} channels, kernel expects {kernel.shape[1]}")
-    q = _taps(kernel.shape[2], dilation, len(z))
-    return _im2col(z[None], dilation, q) @ _kernel_matrix(kernel, q).T
+    steps = range(len(z))
+    plan = _layer_plan(kernel.shape[2], dilation, steps, steps)
+    return _im2col(z[None], plan) @ _kernel_matrix(kernel, len(plan.taps)).T
 
 
 def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
@@ -231,29 +300,30 @@ def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np
     return params
 
 
-def _conv_layer(z, params, prefix: str, dilation: int, mask):
+def _conv_layer(z, params, prefix: str, plan: _LayerPlan, mask):
     """Weight-normed causal conv (f"{prefix}_v", f"{prefix}_g") on time-major
-    z (B, T, Cin), bias f"{prefix}_b", ReLU, then the dropout mask (None for
-    no dropout). Returns (output (B, T, Cout), cache for _conv_layer_backward)."""
+    z (B, n_in, Cin) over the rows of plan, bias f"{prefix}_b", ReLU, then the
+    dropout mask (None for no dropout). Returns (output (B, n_out, Cout),
+    cache for _conv_layer_backward)."""
     v = params[f"{prefix}_v"]
-    q = _taps(v.shape[2], dilation, z.shape[1])
-    w = _kernel_matrix(effective_kernel(v, params[f"{prefix}_g"]), q)
-    cols = _im2col(z, dilation, q)
+    w = _kernel_matrix(effective_kernel(v, params[f"{prefix}_g"]), len(plan.taps))
+    cols = _im2col(z, plan)
     a = cols @ w.T
     a += params[f"{prefix}_b"]
     r = np.maximum(a, 0)
     if mask is not None:
         r *= mask
-    cache = dict(shape=z.shape, q=q, cols=cols, w=w, a=a, mask=mask)
-    return r.reshape(z.shape[:2] + (len(v),)), cache
+    cache = dict(plan=plan, cols=cols, w=w, a=a, mask=mask)
+    return r.reshape(len(z), plan.n_out, len(v)), cache
 
 
-def _conv_layer_backward(d_r, params, grads, prefix: str, dilation: int, cache, input_grad=True):
-    """Reverse of _conv_layer for d_r (B*T, Cout): writes the parameter
-    gradients into grads and returns the (B*T, Cin) gradient in the layer
-    input, or None when input_grad is false."""
-    q = cache["q"]
-    d_a = d_r * (cache["a"] > 0)
+def _conv_layer_backward(d_r, params, grads, prefix: str, cache, input_grad=True):
+    """Reverse of _conv_layer for its output gradient d_r: writes the
+    parameter gradients into grads and returns the (B, n_in, Cin) gradient in
+    the layer input, or None when input_grad is false."""
+    plan = cache["plan"]
+    q = len(plan.taps)
+    d_a = d_r.reshape(cache["a"].shape) * (cache["a"] > 0)
     if cache["mask"] is not None:
         d_a *= cache["mask"]
     v = params[f"{prefix}_v"]
@@ -265,53 +335,56 @@ def _conv_layer_backward(d_r, params, grads, prefix: str, dilation: int, cache, 
     grads[f"{prefix}_g"][...], d_w[...] = weight_norm_backward(d_w, v, params[f"{prefix}_g"])
     if not input_grad:
         return None
-    return _col2im(d_a @ cache["w"], cache["shape"], dilation, q)
+    return _col2im(d_a @ cache["w"], plan)
 
 
-def _block_forward(z, params, arch: Architecture, m: int, dropout: float, rng, cache):
-    """One residual block on time-major z (B, T, Cin); returns (B, T, Cout)."""
+def _block_forward(z, params, arch: Architecture, m: int, plan, dropout: float, rng, cache):
+    """One residual block on time-major z (B, n_in, Cin) over the rows of plan
+    (a _step_plan entry); returns (B, n_out, Cout)."""
     cin, cout = arch.block_channels(m)
     if z.shape[2] != cin:
         raise ShapeMismatch(f"block {m} expects {cin} channels, got {z.shape[2]}")
-    B, T, _ = z.shape
-    h = arch.dilations[m]
+    plan1, plan2, skip = plan
+    B = len(z)
+    rows1, rows = B * plan1.n_out, B * plan2.n_out
     masks = (None, None)
     if dropout > 0.0:
         if rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        masks = (rng.random((2, B * T, cout), dtype=np.float32) >= dropout).astype(z.dtype)
-        masks *= 1.0 / (1.0 - dropout)
-    d1, c1 = _conv_layer(z, params, f"b{m}c1", h, masks[0])
-    d2, c2 = _conv_layer(d1, params, f"b{m}c2", h, masks[1])
-    z2 = z.reshape(B * T, cin)
+        both = (rng.random((rows1 + rows, cout), dtype=np.float32) >= dropout).astype(z.dtype)
+        both *= 1.0 / (1.0 - dropout)
+        masks = (both[:rows1], both[rows1:])
+    d1, c1 = _conv_layer(z, params, f"b{m}c1", plan1, masks[0])
+    d2, c2 = _conv_layer(d1, params, f"b{m}c2", plan2, masks[1])
+    zs = z[:, skip].reshape(rows, cin)
     if cin != cout:
-        s = z2 @ params[f"b{m}s_w"].T
+        s = zs @ params[f"b{m}s_w"].T
         s += params[f"b{m}s_b"]
-        s += d2.reshape(B * T, cout)
+        s += d2.reshape(rows, cout)
     else:
-        s = d2.reshape(B * T, cout) + z2
+        s = d2.reshape(rows, cout) + zs
     if cache is not None:
-        cache.update(z=z2, s=s, c1=c1, c2=c2, a1=c1["a"], a2=c2["a"])
-    return np.maximum(s, 0).reshape(B, T, cout)
+        cache.update(skip=skip, z=zs, s=s, c1=c1, c2=c2, a1=c1["a"], a2=c2["a"])
+    return np.maximum(s, 0).reshape(B, plan2.n_out, cout)
 
 
 def _block_backward(d_out, params, grads, arch: Architecture, m: int, cache, input_grad: bool):
     """Reverse of _block_forward: writes the block's parameter gradients and
-    returns the (B*T, Cin) gradient in its input (None when input_grad is
+    returns the (B, n_in, Cin) gradient in its input (None when input_grad is
     false)."""
     cin, cout = arch.block_channels(m)
-    h = arch.dilations[m]
+    skip = cache["skip"]
     s = cache["s"]
     ds = d_out.reshape(s.shape) * (s > 0)
-    d_d1 = _conv_layer_backward(ds, params, grads, f"b{m}c2", h, cache["c2"])
-    d_z = _conv_layer_backward(d_d1, params, grads, f"b{m}c1", h, cache["c1"], input_grad)
+    d_d1 = _conv_layer_backward(ds, params, grads, f"b{m}c2", cache["c2"])
+    d_z = _conv_layer_backward(d_d1, params, grads, f"b{m}c1", cache["c1"], input_grad)
     if cin != cout:
         grads[f"b{m}s_w"][...] = ds.T @ cache["z"]
         grads[f"b{m}s_b"][...] = ds.sum(axis=0, dtype=np.float64)
         if input_grad:
-            d_z += ds @ params[f"b{m}s_w"]
+            d_z[:, skip] += (ds @ params[f"b{m}s_w"]).reshape(len(d_z), -1, cin)
     elif input_grad:
-        d_z += ds
+        d_z[:, skip] += ds.reshape(len(d_z), -1, cin)
     return d_z
 
 
@@ -324,7 +397,7 @@ def residual_block_forward(
     rng: np.random.Generator | None = None,
     cache: dict | None = None,
 ) -> np.ndarray:
-    """One residual block on (B, Cin, T); returns (B, Cout, T).
+    """One residual block on (B, Cin, T); returns (B, Cout, T), every step.
 
     The main path is conv -> weight norm -> ReLU -> dropout, twice; the skip
     path is a 1x1 convolution when the channel counts differ and identity
@@ -334,7 +407,9 @@ def residual_block_forward(
     """
     dropout = arch.dropout if training else 0.0
     z = np.ascontiguousarray(np.asarray(z).transpose(0, 2, 1))
-    return _block_forward(z, params, arch, m, dropout, rng, cache).transpose(0, 2, 1)
+    T = z.shape[1]
+    (plan,) = _step_plan(arch.kernel_size, (arch.dilations[m],), T, tuple(range(T)))
+    return _block_forward(z, params, arch, m, plan, dropout, rng, cache).transpose(0, 2, 1)
 
 
 def forward(
@@ -347,9 +422,10 @@ def forward(
 ):
     """Predict next-step velocities for a batch of windows.
 
-    x: (B, w, F) already normalized. Returns (B, 2). When caches is a list it
-    is filled with per-block caches (with the preactivations "a1", "a2" and the
-    residual sum "s") plus the readout input for backward.
+    x: (B, w, F) already normalized. Returns (B, 2). Each block runs only at
+    the steps that reach the readout. When caches is a list it is filled with
+    per-block caches (with the preactivations "a1", "a2" and the residual sum
+    "s" at those steps) plus the readout input for backward.
     """
     x = np.asarray(x)
     if x.ndim == 2:
@@ -359,16 +435,17 @@ def forward(
             f"input is {x.shape[1:]}, expected ({arch.window}, {arch.feature_dim})"
         )
     dropout = arch.dropout if training else 0.0
+    plans = _step_plan(arch.kernel_size, tuple(arch.dilations), arch.window, (arch.window - 1,))
     z = x
-    for m in range(arch.n_blocks):
+    for m, plan in enumerate(plans):
         cache: dict | None = {} if caches is not None else None
-        z = _block_forward(z, params, arch, m, dropout, rng, cache)
+        z = _block_forward(z, params, arch, m, plan, dropout, rng, cache)
         if caches is not None:
             caches.append(cache)
     last = z[:, -1]
     pred = last @ params["out_w"].T + params["out_b"]
     if caches is not None:
-        caches.append({"last": last, "shape": z.shape})
+        caches.append({"last": last})
     return pred
 
 
@@ -408,8 +485,7 @@ def backward(
     head = caches[-1]
     grads["out_w"][...] = d_pred.T @ head["last"]
     grads["out_b"][...] = d_pred.sum(axis=0, dtype=np.float64)
-    d_z = np.zeros(head["shape"], dtype=d_pred.dtype)
-    d_z[:, -1] = d_pred @ params["out_w"]
+    d_z = d_pred @ params["out_w"]
     for m in range(arch.n_blocks - 1, -1, -1):
         d_z = _block_backward(d_z, params, grads, arch, m, caches[m], input_grad=m > 0)
     return value, grads

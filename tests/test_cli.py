@@ -491,6 +491,49 @@ def test_non_finite_wall_is_exit_2(dataset_dir, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_config_number_too_large_for_a_float_is_exit_2(dataset_dir, tmp_path, capsys):
+    path = _run_config(dataset_dir, tmp_path / "big.json", learning_rate=10**400)
+    rc = main(["train", "-c", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "learning_rate" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_integer_past_the_parser_digit_limit_is_exit_2(dataset_dir, tmp_path, capsys):
+    # json refuses to convert integer literals of more than 4300 digits
+    path = _run_config(dataset_dir, tmp_path / "huge.json", learning_rate=0)
+    huge = path.read_text().replace('"learning_rate": 0', '"learning_rate": ' + "1" * 5000)
+    path.write_text(huge)
+    rc = main(["train", "-c", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "not valid JSON" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _set_wall_coordinate(doc, value):
+    doc["walls"][0][1][1] = value
+
+
+@pytest.mark.parametrize(
+    "label, change",
+    [
+        ("frame_rate", lambda doc: doc.update(frame_rate=10**399)),
+        ("walls", lambda doc: _set_wall_coordinate(doc, 10**400)),
+    ],
+)
+def test_scenario_number_too_large_for_a_float_is_exit_2(
+    dataset_dir, tmp_path, capsys, label, change
+):
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    change(doc)
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    path = _run_config(dataset_dir, tmp_path / "run.json", scenario=str(tmp_path / "scenario.json"))
+    rc = main(["train", "-c", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert label in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "command, section, key, value",
     [
@@ -804,3 +847,18 @@ def test_cli_import_loads_no_scipy():
         check=True,
     )
     assert out.stdout.strip() == "[]"
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # only sweep starts a process pool, so only sweep pays for its import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = "import crowdtcn.cli, sys; print('multiprocessing' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

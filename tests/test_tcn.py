@@ -340,6 +340,71 @@ def test_residual_blocks_keep_the_channels_first_boundary():
     np.testing.assert_allclose(pred, forward(params, CORRIDOR_ARCH, x), rtol=0, atol=1e-12)
 
 
+def _random_arch(rng):
+    n_blocks = int(rng.integers(1, 4))
+    return Architecture(
+        feature_dim=int(rng.integers(1, 6)),
+        window=int(rng.integers(1, 17)),
+        channels=tuple(int(c) for c in rng.integers(1, 6, n_blocks)),
+        kernel_size=int(rng.integers(1, 9)),
+        dilations=tuple(int(d) for d in rng.integers(1, 7, n_blocks)),
+        dropout=0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "arch",
+    [
+        # dilations that are not powers of two
+        _small_arch(window=12, channels=(3, 4, 4), q=3, dilations=(1, 3, 5)),
+        # kernel 8 at dilation 1 reads every step of the window: nothing to prune below the top
+        _small_arch(window=6, channels=(3, 3), q=8, dilations=(1, 1)),
+        # a one-step window has nothing to prune at all
+        _small_arch(window=1, channels=(2, 3), q=4, dilations=(2, 3)),
+        *(_random_arch(np.random.default_rng(seed)) for seed in range(40)),
+    ],
+)
+def test_pruned_forward_and_gradients_match_oracle(arch):
+    rng = np.random.default_rng(arch.window * 100 + arch.kernel_size)
+    params = init_params(arch, seed=1, dtype=np.float64)
+    for key in params:  # jitter off the initialization: nonzero biases, generic gains
+        params[key] = params[key] + rng.uniform(-0.25, 0.25, params[key].shape)
+    x = rng.normal(size=(3, arch.window, arch.feature_dim))
+    y = rng.normal(size=(3, 2))
+    pred_want, loss_want, grads_want = tcn_loss_and_grads(params, arch, x, y)
+    np.testing.assert_allclose(forward(params, arch, x), pred_want, rtol=0, atol=1e-10)
+    value, grads = backward(params, arch, x, y, training=False)
+    assert value == pytest.approx(loss_want, rel=0, abs=1e-10)
+    for k in grads_want:
+        np.testing.assert_allclose(grads[k], grads_want[k], rtol=0, atol=1e-10, err_msg=k)
+
+
+def test_blocks_run_only_at_the_steps_the_readout_reaches():
+    # window 8, dilations 1/2/4: the readout reads block 2 at step 7, which reads
+    # block 1 at steps 3 and 7, which reads block 0 at steps 1, 3, 5 and 7
+    batch = 5
+    params, x, y = _corridor_case(np.float64, batch=batch)
+    caches: list = []
+    forward(params, CORRIDOR_ARCH, x, training=True, rng=np.random.default_rng(0), caches=caches)
+    assert [len(c["s"]) // batch for c in caches[:-1]] == [4, 2, 1]
+    assert [len(c["a1"]) // batch for c in caches[:-1]] == [8, 4, 2]
+    for c in caches[:-1]:
+        assert c["c1"]["mask"].shape == c["a1"].shape
+        assert c["c2"]["mask"].shape == c["a2"].shape
+
+
+def test_residual_block_forward_keeps_every_step():
+    rng = np.random.default_rng(12)
+    arch = _small_arch(window=9, channels=(3, 5), q=4, dilations=(3, 2))
+    params = init_params(arch, seed=2, dtype=np.float64)
+    z = rng.normal(size=(2, arch.feature_dim, arch.window))
+    for m in range(arch.n_blocks):
+        out = residual_block_forward(z, params, arch, m)
+        assert out.shape == (2, arch.channels[m], arch.window)
+        np.testing.assert_allclose(out, _reference_block(z, params, arch, m), rtol=0, atol=1e-12)
+        z = out
+
+
 def test_default_architecture_constants():
     arch = Architecture(feature_dim=156)
     assert arch.channels == (32, 64, 96)
