@@ -342,7 +342,9 @@ def bounded_voronoi(sites, area) -> list[VoronoiCell]:
     Each cell is obtained by half-plane clipping of the area polygon against
     the perpendicular bisectors with every other site (O(n^2), exact enough
     at crowd scale). Sites may lie outside the area; cells that end up empty
-    are dropped, so the returned cells partition the area.
+    are dropped, so the returned cells partition the area. So are cells of
+    area at most EPS_GEO times the area's extent: the rounding noise that a
+    site outside a non-convex area can be left with.
 
     All cells are clipped together as one padded array. Round j clips every
     live cell i != j by the bisector with site j, so each cell meets the
@@ -386,10 +388,11 @@ def bounded_voronoi(sites, area) -> list[VoronoiCell]:
         cells[rows, : clipped.shape[1]] = clipped
         counts[rows] = kept
         reach[rows] = 2.0 * _farthest(clipped, kept, pts[rows]) + EPS_GEO
+    min_area = EPS_GEO * np.ptp(poly, axis=0).max()
     out = []
     for i in np.flatnonzero(counts >= 3):
         polygon = cells[i, : counts[i]].copy()
         a = polygon_area(polygon)
-        if a > 0.0:
+        if a > min_area:
             out.append(VoronoiCell(site=pts[i], polygon=polygon, area=a, site_index=int(i)))
     return out

@@ -4,10 +4,15 @@ Pedestrians are seeded from experimental trajectories: each one enters at its
 recorded entry step and position, follows its recorded velocities while its
 history is shorter than the model lookback window, and is then advanced by
 model predictions until it crosses a departure segment (an exit or an
-entrance). All pedestrians advance synchronously: every decision within a
-time step is computed from the pedestrians' start-of-step histories, which
-ingest.world_at reads as it reads recorded tracks in training, so the
-iteration order over pedestrians cannot change the outcome.
+entrance). SimWorld.peds is the one roster of pedestrians, sorted by id, and
+who is present at step t is ingest.world_at(peds, t): a pedestrian has no
+positions before its entry step, and an exited one's last step is the one
+before its exit step. All pedestrians advance synchronously: every decision
+within a time step is computed from the pedestrians' start-of-step histories,
+which ingest.world_at reads as it reads recorded tracks in training, so the
+iteration order over pedestrians cannot change the outcome. The run stops
+when everyone has exited or after STEP_CAP_FACTOR = 10 times the
+experimental duration.
 
 Predictions are batched per step: the lookback windows of every pedestrian
 past its seed phase go to one model.predict call as a (B, window, F) array,
@@ -20,10 +25,11 @@ crossing, by motion parameter and then lowest segment index, with one
 geometry.crossing_params call on the scenario's wall array and one on its
 departure array. A step that would carry a pedestrian through a wall is
 intercepted (a departure reached no later than the wall wins): the
-pedestrian is placed a small standoff inside the wall at the crossing point,
-its recent velocities are rewritten to a blend of wall tangent and inward
-normal at its recent mean speed, and its stored feature frames over that span
-are recomputed so later predictions see the corrected history.
+pedestrian is placed STANDOFF = 0.05 m inside the wall at the crossing point,
+its recent velocities are rewritten to the direction of TANGENT_BLEND = 0.7
+times the wall tangent plus INWARD_BLEND = 0.3 times the inward normal, at
+its recent mean speed, and its stored feature frames over that span are
+recomputed so later predictions see the corrected history.
 
 Positions integrate as p[t+1] = p[t] + dt * v[t+1]. The internal velocity
 history, which drives the features, is re-derived from each committed
@@ -36,7 +42,6 @@ corrected steps are in the run report only.
 
 from __future__ import annotations
 
-import math
 import time
 from collections.abc import Mapping
 from dataclasses import dataclass, field
@@ -76,30 +81,17 @@ class NonFinitePrediction(RuntimeError):
     """The model predicted a NaN or infinite velocity."""
 
 
+STANDOFF = 0.05  # metres
+TANGENT_BLEND, INWARD_BLEND = 0.7, 0.3
+STEP_CAP_FACTOR = 10
+
+
 @dataclass(frozen=True)
 class SimConfig:
-    """Correction and step-cap settings. The time step is the scenario's dt
-    and the lookback window is the model's arch.window."""
+    """Seed policy. The time step is the scenario's dt and the lookback window
+    is the model's arch.window."""
 
-    standoff: float = 0.05
-    tangent_blend: float = 0.7
-    inward_blend: float = 0.3
-    step_cap_factor: float = 10.0
     drop_short_seeds: bool = False
-
-    def __post_init__(self):
-        for name in ("standoff", "tangent_blend", "inward_blend", "step_cap_factor"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.standoff <= 0:
-            raise ValueError("standoff must be positive")
-        if self.step_cap_factor < 1:
-            raise ValueError("step_cap_factor must be at least 1")
-        if min(self.tangent_blend, self.inward_blend) < 0 or (
-            self.tangent_blend + self.inward_blend <= 0
-        ):
-            raise ValueError("blend weights must be nonnegative and not both zero")
 
 
 @dataclass(eq=False)
@@ -119,20 +111,22 @@ class _PedState:
 
     @property
     def last_step(self) -> int:
-        """The last world step the pedestrian is part of; an exited
-        pedestrian's final position lies past its departure segment."""
+        """The last world step the pedestrian is part of: before its
+        enter_step until it enters, and exit_step - 1 once it has exited,
+        because its final position lies past its departure segment."""
         return self.enter_step + self.steps_since_entry - (self.exit_step is not None)
 
 
 class SimWorld:
     """Mutable simulation state advanced one synchronous step at a time.
 
-    Each step computes the new feature frames of all active pedestrians past
-    their entry step with one ingest.frames_at call over them in sorted-id
-    order.
+    peds is the one roster, every seeded pedestrian sorted by id; who is in
+    the world at step t is ingest.world_at(peds, t). Each step computes the
+    new feature frames of the pedestrians present past their entry step with
+    one ingest.frames_at call over the roster.
     """
 
-    def __init__(self, scenario: Scenario, model, seeds, config: SimConfig = SimConfig()):
+    def __init__(self, scenario: Scenario, model, seeds):
         if model.arch.feature_dim != scenario.feature_dim:
             raise ModelShapeMismatch(
                 f"model expects {model.arch.feature_dim} features, "
@@ -140,26 +134,24 @@ class SimWorld:
             )
         self.scenario = scenario
         self.model = model
-        self.config = config
         self.dt = scenario.dt
         self.window = model.arch.window
         self.extractor: FeatureExtractor = scenario.extractor()
-        self.pending: list[_PedState] = sorted(
-            (
-                _PedState(ped_id=tr.id, enter_step=tr.enter_step, seed=tr)
-                for tr in seeds
-            ),
-            key=lambda st: (st.enter_step, st.ped_id),
+        self.peds: list[_PedState] = sorted(
+            (_PedState(ped_id=tr.id, enter_step=tr.enter_step, seed=tr) for tr in seeds),
+            key=lambda st: st.ped_id,
         )
-        ids = [st.ped_id for st in self.pending]
-        if len(set(ids)) != len(ids):
+        if any(a.ped_id == b.ped_id for a, b in zip(self.peds, self.peds[1:])):
             raise ValueError("duplicate pedestrian ids in seed data")
-        self.active: dict[int, _PedState] = {}
-        self.exited: dict[int, _PedState] = {}
-        self.clock: int = self.pending[0].enter_step if self.pending else 0
+        self.clock: int = min((st.enter_step for st in self.peds), default=0)
+
+    @property
+    def finished(self) -> bool:
+        """Whether every pedestrian has exited."""
+        return all(st.exit_step is not None for st in self.peds)
 
     def _correct(self, st: _PedState, p_cur, v_hat, tentative, wall, t_hit, t: int):
-        """Place the pedestrian standoff-inside the crossed (2, 2) ``wall``,
+        """Place the pedestrian STANDOFF inside the crossed (2, 2) ``wall``,
         which the step crosses at motion parameter ``t_hit``, and recompute
         its feature frames over its last window velocities, rewritten.
         Returns the rewritten velocity history, which step assigns once every
@@ -167,9 +159,8 @@ class SimWorld:
 
         The recomputed frames take the pedestrian's own position, velocity and
         heading from its rewritten history and everyone else from world_at
-        over every entered pedestrian, sorted by id, whose histories hold the
-        corrections of earlier steps but not those of this one."""
-        cfg = self.config
+        over the roster, whose histories hold the corrections of earlier steps
+        but not those of this one."""
         a, b = wall
         e = b - a
         # inward normal: the pedestrian came from the walkable side, so point
@@ -179,7 +170,7 @@ class SimWorld:
         if side < 0:
             inward = -inward
         hit_point = p_cur + t_hit * (tentative - p_cur)
-        corrected = hit_point + cfg.standoff * inward
+        corrected = hit_point + STANDOFF * inward
         if not point_in_polygon(corrected, self.scenario.walkable_polygon, include_boundary=False):
             raise NoInwardDirection(
                 f"pedestrian {st.ped_id} at step {t + 1}: corrected position "
@@ -194,7 +185,7 @@ class SimWorld:
         tangent = e / np.hypot(e[0], e[1])
         if float(tangent @ prior_dir) < 0:
             tangent = -tangent
-        direction = cfg.tangent_blend * tangent + cfg.inward_blend * inward
+        direction = TANGENT_BLEND * tangent + INWARD_BLEND * inward
         direction = direction / np.hypot(direction[0], direction[1])
 
         velocities = [*st.velocities, (tentative - p_cur) / self.dt]
@@ -206,10 +197,9 @@ class SimWorld:
         st.positions.append(corrected)
         st.corrected_steps.append(t + 1)
         # recompute this pedestrian's stored frames over the rewritten span
-        entered = [ped for _, ped in sorted((self.active | self.exited).items())]
         s_new = st.steps_since_entry  # after append
         for local in range(max(1, s_new - k + 1), s_new):
-            others, pos, vel = world_at(entered, st.enter_step + local)
+            others, pos, vel = world_at(self.peds, st.enter_step + local)
             head = heading(velocities[:local], self.scenario.default_heading)
             st.frames[local - 1] = self.extractor.frame(
                 st.positions[local], velocities[local - 1], head, pos, vel, others.index(st)
@@ -219,14 +209,11 @@ class SimWorld:
     def step(self) -> None:
         """Advance the world from its clock t to t + 1."""
         t = self.clock
-        while self.pending and self.pending[0].enter_step == t:
-            st = self.pending.pop(0)
-            st.positions.append(np.asarray(st.seed.positions[0], dtype=float).copy())
-            self.active[st.ped_id] = st
+        for st in self.peds:
+            if st.enter_step == t:
+                st.positions.append(np.asarray(st.seed.positions[0], dtype=float).copy())
 
-        order = sorted(self.active)
-        states = [self.active[pid] for pid in order]
-        pos = np.array([st.positions[-1] for st in states]).reshape(-1, 2)
+        states, pos, _ = world_at(self.peds, t)
         for st, frame in zip(*frames_at(states, t, self.extractor, self.scenario.default_heading)):
             st.frames.append(frame)
 
@@ -245,7 +232,7 @@ class SimWorld:
             predicted = np.asarray(self.model.predict(windows), dtype=float)
             finite = np.isfinite(predicted).all(axis=1)
             if not finite.all():
-                bad = [order[i] for i, ok in zip(ready, finite) if not ok]
+                bad = [states[i].ped_id for i, ok in zip(ready, finite) if not ok]
                 raise NonFinitePrediction(
                     f"model predicted a non-finite velocity for pedestrians {bad} "
                     f"at step {t + 1}"
@@ -262,34 +249,31 @@ class SimWorld:
         dep_t = crossing_params(pos, tentatives, departures[:, 0], departures[:, 1])
         dep_t = dep_t.min(axis=1, initial=np.inf)
         hit_t = wall_t.min(axis=1, initial=np.inf)
-        exits: list[int] = []
+        exits = (dep_t < np.inf) & (dep_t <= hit_t)
         rewrites: list[tuple] = []
-        for i, (pid, st) in enumerate(zip(order, states)):
+        for i, st in enumerate(states):
             p_cur, tentative = pos[i], tentatives[i]
-            if dep_t[i] < np.inf and dep_t[i] <= hit_t[i]:
-                exits.append(pid)
-            elif hit_t[i] < np.inf:
+            if not exits[i] and hit_t[i] < np.inf:
                 wall = walls[np.argmin(wall_t[i])]
                 rewritten = self._correct(st, p_cur, decisions[i], tentative, wall, hit_t[i], t)
                 rewrites.append((st, rewritten))
                 continue
-            elif not inside[i]:
+            if not exits[i] and not inside[i]:
                 raise NoInwardDirection(
-                    f"pedestrian {pid} left the walkable region at step {t + 1} "
+                    f"pedestrian {st.ped_id} left the walkable region at step {t + 1} "
                     f"at ({tentative[0]:.3f}, {tentative[1]:.3f}) without crossing "
                     "a wall or departure segment"
                 )
             st.positions.append(tentative)
             st.velocities.append((tentative - p_cur) / self.dt)
 
-        # corrections commit after all decisions, so within a step nobody
-        # observes another pedestrian's corrected history
+        # corrections and exits commit after all decisions, so within a step
+        # nobody observes another pedestrian's corrected history, and world_at
+        # still finds an exiting walker at step t
         for st, velocities in rewrites:
             st.velocities = velocities
-
-        for pid in exits:
-            st = self.exited[pid] = self.active.pop(pid)
-            st.exit_step = t + 1
+        for i in np.flatnonzero(exits):
+            states[i].exit_step = t + 1
         self.clock = t + 1
 
 
@@ -306,9 +290,9 @@ class SimResult:
 def run(scenario: Scenario, seeds, model, config: SimConfig = SimConfig()) -> SimResult:
     """Simulate until everyone has departed or the step cap trips.
 
-    The cap defaults to step_cap_factor times the experimental duration; when
-    it trips, the partial trajectories are still returned and the report says
-    so (step_cap_exceeded) rather than raising.
+    The cap is STEP_CAP_FACTOR times the experimental duration; when it
+    trips, the partial trajectories are still returned and the report says so
+    (step_cap_exceeded) rather than raising.
     """
     t_start = time.monotonic()
     seeds = list(seeds.values()) if isinstance(seeds, Mapping) else list(seeds)
@@ -321,49 +305,37 @@ def run(scenario: Scenario, seeds, model, config: SimConfig = SimConfig()) -> Si
         )
     usable = [tr for tr in seeds if len(tr.positions) >= window + 1]
 
+    world = SimWorld(scenario, model, usable)
+    # every seed enters within the experimental duration, so before the cap
+    duration = max((tr.last_step + 1 for tr in usable), default=world.clock) - world.clock
+    cap = STEP_CAP_FACTOR * duration
+    steps = 0
+    while not world.finished and steps < cap:
+        world.step()
+        steps += 1
+
     report: dict = {
         "scenario": scenario.name,
         "dropped_short_seeds": sorted(short),
-        "pedestrians": {},
-        "total_corrections": 0,
-        "steps_run": 0,
-        "step_cap": 0,
-        "step_cap_exceeded": False,
-        "not_activated": [],
-        "wall_time_s": 0.0,
+        "pedestrians": {
+            str(st.ped_id): {
+                "enter_step": int(st.enter_step),
+                "exit_step": None if st.exit_step is None else int(st.exit_step),
+                "exited": st.exit_step is not None,
+                "travel_steps": int(st.steps_since_entry),
+                "corrections": len(st.corrected_steps),
+                "corrected_steps": [int(s) for s in st.corrected_steps],
+            }
+            for st in world.peds
+        },
+        "total_corrections": sum(len(st.corrected_steps) for st in world.peds),
+        "steps_run": steps,
+        "step_cap": cap,
+        "step_cap_exceeded": not world.finished,
     }
-    if not usable:
-        report["wall_time_s"] = time.monotonic() - t_start
-        return SimResult(trajectories=[], report=report)
-
-    world = SimWorld(scenario, model, usable, config)
-    start = world.clock
-    duration = max(tr.last_step for tr in usable) - start + 1
-    cap = max(1, math.ceil(config.step_cap_factor * duration))
-    report["step_cap"] = cap
-
-    steps = 0
-    while (world.pending or world.active) and steps < cap:
-        world.step()
-        steps += 1
-    report["steps_run"] = steps
-    report["step_cap_exceeded"] = bool(world.pending or world.active)
-    report["not_activated"] = sorted(st.ped_id for st in world.pending)
-
-    states = sorted((world.exited | world.active).values(), key=lambda st: st.ped_id)
-    for st in states:
-        report["pedestrians"][str(st.ped_id)] = {
-            "enter_step": int(st.enter_step),
-            "exit_step": None if st.exit_step is None else int(st.exit_step),
-            "exited": st.exit_step is not None,
-            "travel_steps": int(st.steps_since_entry),
-            "corrections": len(st.corrected_steps),
-            "corrected_steps": [int(s) for s in st.corrected_steps],
-        }
-    report["total_corrections"] = sum(len(st.corrected_steps) for st in states)
     trajectories = [
         Trajectory.from_positions(st.ped_id, st.enter_step, st.positions, scenario.dt)
-        for st in states
+        for st in world.peds
     ]
     report["wall_time_s"] = time.monotonic() - t_start
     return SimResult(trajectories, report)

@@ -735,23 +735,28 @@ def load_model(path) -> Model:
     header = json.loads(raw[12 : 12 + head_len].decode("utf-8"))
     if header.get("format") != MODEL_FORMAT:
         raise ValueError(f"unexpected artifact format tag {header.get('format')!r}")
-    a = header["arch"]
-    a.update(channels=tuple(a["channels"]), dilations=tuple(a["dilations"]))
-    arch = Architecture(**a)
-    offset = 12 + head_len
-    params: dict[str, np.ndarray] = {}
-    stats_arrays: dict[str, np.ndarray] = {}
-    for spec in header["tensors"]:
-        dtype = np.dtype(spec["dtype"]).newbyteorder("<")
-        count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-        nbytes = count * dtype.itemsize
-        arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(spec["shape"])
-        arr = arr.astype(dtype.newbyteorder("="))
-        offset += nbytes
-        kind, name = spec["name"].split(":", 1)
-        if kind == "param":
-            params[name] = arr
-        else:
-            stats_arrays[name] = arr
-    stats = NormStats(mean=stats_arrays["mean"], std=stats_arrays["std"])
+    try:
+        a = header["arch"]
+        a.update(channels=tuple(a["channels"]), dilations=tuple(a["dilations"]))
+        arch = Architecture(**a)
+        offset = 12 + head_len
+        params: dict[str, np.ndarray] = {}
+        stats_arrays: dict[str, np.ndarray] = {}
+        for spec in header["tensors"]:
+            dtype = np.dtype(spec["dtype"]).newbyteorder("<")
+            count = int(np.prod(spec["shape"])) if spec["shape"] else 1
+            nbytes = count * dtype.itemsize
+            arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(spec["shape"])
+            arr = arr.astype(dtype.newbyteorder("="))
+            offset += nbytes
+            kind, name = spec["name"].split(":", 1)
+            if kind == "param":
+                params[name] = arr
+            else:
+                stats_arrays[name] = arr
+        stats = NormStats(mean=stats_arrays["mean"], std=stats_arrays["std"])
+    except KeyError as exc:
+        raise ValueError(f"{path} is not a model: {exc} is missing from its header") from None
+    except TypeError as exc:  # e.g. an unknown or missing Architecture field
+        raise ValueError(f"{path} is not a model: bad header: {exc}") from None
     return Model(arch=arch, params=params, stats=stats, meta=header.get("meta", {}))

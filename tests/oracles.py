@@ -329,7 +329,7 @@ def bounded_voronoi_loop(sites, area):
             normal = pts[j] - pts[i]  # keep the side nearer to site i
             cell = clip_halfplane_loop(cell, mid, normal)
         a = polygon_area(cell) if len(cell) >= 3 else 0.0
-        if a > 0.0:
+        if a > EPS_GEO * np.ptp(poly, axis=0).max():  # rounding-noise cells too
             cells.append(VoronoiCell(site=pts[i], polygon=cell, area=a, site_index=i))
     return cells
 

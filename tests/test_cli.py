@@ -7,6 +7,7 @@ through its argv interface exactly as the console script would.
 
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -699,6 +700,46 @@ def test_truncated_artifact_is_exit_2(trained_dir, tmp_path, capsys):
         argv = ["simulate", "-c", str(trained_dir / "micro.json"), "--artifact", str(cut)]
         assert main(argv + ["--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
         assert "cannot load model artifact" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def _with_header(raw: bytes, change) -> bytes:
+    """A model artifact whose JSON header change has edited in place."""
+    (head_len,) = struct.unpack("<I", raw[8:12])
+    header = json.loads(raw[12 : 12 + head_len])
+    change(header)
+    head = json.dumps(header).encode("utf-8")
+    return raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + head_len :]
+
+
+@pytest.mark.parametrize("key", ["arch", "tensors", "bogus", "mean"])
+def test_artifact_header_that_is_not_a_model_is_exit_2(trained_dir, tmp_path, capsys, key):
+    # a header without arch or tensors, with an unknown arch field, or
+    # without the stats:mean tensor
+    def change(header):
+        if key == "bogus":
+            header["arch"]["bogus"] = 1
+        elif key == "mean":
+            header["tensors"] = [t for t in header["tensors"] if t["name"] != "stats:mean"]
+        else:
+            del header[key]
+
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_with_header((trained_dir / "out" / "model.bin").read_bytes(), change))
+    argv = ["simulate", "-c", str(trained_dir / "micro.json"), "--artifact", str(bad)]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot load model artifact" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["standoff", "tangent_blend", "inward_blend", "step_cap_factor"])
+def test_removed_sim_setting_is_exit_2(trained_dir, tmp_path, capsys, key):
+    changes = {"sim": {key: 0.05}, "output_dir": str(tmp_path / "out")}
+    config = _run_config(trained_dir, tmp_path / "run.json", **changes)
+    argv = ["simulate", "-c", str(config), "--artifact", str(trained_dir / "out" / "model.bin")]
+    assert main(argv) == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

@@ -19,7 +19,7 @@ from crowdtcn.evaluate import (
 )
 from crowdtcn.ingest import Trajectory
 
-from crowdtcn.geometry import SelfIntersecting
+from crowdtcn.geometry import SelfIntersecting, bounded_voronoi, polygon_area
 from oracles import tde_double_loop, voronoi_measures_loop
 
 DT = 0.5
@@ -224,6 +224,34 @@ def test_voronoi_matches_cell_by_cell_oracle(seed):
     speeds = rng.uniform(0.2, 1.8, size=56)
     got = voronoi_measures(sites, speeds, CORRIDOR, CORRIDOR_M, width=3.0)
     want = voronoi_measures_loop(sites, speeds, CORRIDOR, CORRIDOR_M, width=3.0)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+
+def test_voronoi_drops_rounding_noise_cells_in_a_non_convex_walkable():
+    # site 2 lies outside the L; clipping leaves it a cell whose vertices
+    # coincide to rounding (shoelace area about 7e-15 m^2), which used to add
+    # its rounding-over-rounding share of the box to the density. The sites
+    # are kept to the last digit, because rounding them removes that cell
+    walkable = np.array([[0, 0], [8, 0], [8, 3], [3, 3], [3, 6], [0, 6]], dtype=float)
+    box = np.array([[2, 2], [5, 2], [5, 5], [2, 5]], dtype=float)
+    sites = np.array(
+        [
+            [3.9364997495538425, 2.1212942084909923],
+            [0.7960757708764175, -0.19402963759095648],
+            [6.8023999469016845, 5.290783031739047],
+            [7.710944828510797, 1.5771808294555596],
+            [0.18843878123953695, 3.883257091520222],
+            [6.336898121774804, 0.762214273472221],
+            [6.882767839943181, 1.2290038101350156],
+            [-0.45563634942205744, 1.1682947647343314],
+        ]
+    )
+    cells = bounded_voronoi(sites, walkable)
+    assert [cell.site_index for cell in cells] == [0, 1, 3, 4, 5, 6, 7]
+    assert sum(cell.area for cell in cells) == pytest.approx(polygon_area(walkable), abs=1e-9)
+    speeds = np.linspace(0.5, 1.5, 8)
+    got = voronoi_measures(sites, speeds, walkable, box, width=3.0)
+    want = voronoi_measures_loop(sites, speeds, walkable, box, width=3.0)
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
 

@@ -87,15 +87,25 @@ def make_seed(pid, enter, start, velocity, n):
 CFG = SimConfig()
 
 
+def active(world):
+    """The pedestrians in the world at its clock, by id."""
+    return {st.ped_id: st for st in world_at(world.peds, world.clock)[0]}
+
+
+def exited(world):
+    """The pedestrians that have crossed a departure segment, by id."""
+    return {st.ped_id: st for st in world.peds if st.exit_step is not None}
+
+
 def run_world(scenario, seeds, model, max_steps=1000):
     """Step a SimWorld until everyone has left; returns the final states by id.
 
     Unlike run, this keeps the internal velocity history that feeds the
     features."""
-    world = SimWorld(scenario, model, seeds, CFG)
+    world = SimWorld(scenario, model, seeds)
     for _ in range(max_steps):
-        if not (world.pending or world.active):
-            return world.exited
+        if world.finished:
+            return exited(world)
         world.step()
     raise AssertionError(f"pedestrians still walking after {max_steps} steps")
 
@@ -103,21 +113,22 @@ def run_world(scenario, seeds, model, max_steps=1000):
 def test_empty_step_advances_only_clock():
     sc = corridor()
     model = constant_model([0.5, 0.0], sc)
-    world = SimWorld(sc, model, [make_seed(1, 5, (1.0, 0.0), (0.5, 0.0), 4)], CFG)
+    world = SimWorld(sc, model, [make_seed(1, 5, (1.0, 0.0), (0.5, 0.0), 4)])
     world.clock = 0
     world.step()
     assert world.clock == 1
-    assert not world.active and not world.exited and len(world.pending) == 1
+    pending = [st for st in world.peds if not st.positions]
+    assert not active(world) and not exited(world) and len(pending) == 1
 
 
 def test_seed_phase_reproduces_experiment_exactly():
     sc = corridor()
     seed = make_seed(7, 0, (1.0, 0.25), (0.5, 0.0), 4)
     model = constant_model([0.5, 0.0], sc)
-    world = SimWorld(sc, model, [seed], CFG)
+    world = SimWorld(sc, model, [seed])
     for _ in range(3):
         world.step()
-    got = np.array(world.active[7].positions)
+    got = np.array(active(world)[7].positions)
     np.testing.assert_array_equal(got, seed.positions)
 
 
@@ -171,10 +182,10 @@ def test_boundary_correction_hand_case():
     v = np.array([0.6, 0.8])  # speed exactly 1
     seed = make_seed(4, 0, (1.0, -0.9), v, 4)
     model = constant_model(v, sc)
-    world = SimWorld(sc, model, [seed], CFG)
+    world = SimWorld(sc, model, [seed])
     for _ in range(6):
         world.step()
-    st = world.active[4]
+    st = active(world)[4]
     # tentative step 6 lands exactly on y=1.5: corrected 0.05 inside at the hit
     assert st.corrected_steps == [6]
     np.testing.assert_allclose(st.positions[6], [2.8, 1.45], atol=1e-12)
@@ -221,12 +232,12 @@ def test_same_step_corrections_see_pre_step_history():
     sc = corridor(half_width=1.5, length=20.0)
     v = np.array([0.6, 0.8])
     seeds = [make_seed(4, 0, (1.0, -0.9), v, 4), make_seed(5, 0, (1.5, -0.9), v, 4)]
-    world = SimWorld(sc, constant_model(v, sc), seeds, CFG)
+    world = SimWorld(sc, constant_model(v, sc), seeds)
     for _ in range(5):
         world.step()
-    pre_step = {pid: np.array(st.velocities) for pid, st in world.active.items()}
+    pre_step = {pid: np.array(st.velocities) for pid, st in active(world).items()}
     world.step()
-    a, b = world.active[4], world.active[5]
+    a, b = active(world)[4], active(world)[5]
     assert a.corrected_steps == b.corrected_steps == [6]
     span = (4, 5)  # the recomputed frames
     for st, other in ((a, b), (b, a)):
@@ -256,10 +267,10 @@ def test_later_corrections_see_earlier_rewritten_history():
     v = np.array([0.6, 0.8])
     seeds = [make_seed(4, 0, (1.0, -0.9), v, 4), make_seed(5, 0, (1.5, -1.2), v, 4)]
     model = StubModel(lambda w: v if w[-1, 1] > 0 else [1.0, 0.0], sc.feature_dim)
-    world = SimWorld(sc, model, seeds, CFG)
+    world = SimWorld(sc, model, seeds)
     for _ in range(7):
         world.step()
-    a, b = world.active[4], world.active[5]
+    a, b = active(world)[4], active(world)[5]
     assert (a.corrected_steps, b.corrected_steps) == ([6], [7])
     local = 5  # in both rewritten spans: b's frame there was recomputed at step 7
 
@@ -278,14 +289,44 @@ def test_later_corrections_see_earlier_rewritten_history():
     assert not np.array_equal(b.frames[local - 1], frame(v))
 
 
+def test_correction_sees_a_walker_that_exits_in_the_same_step():
+    # at step 6 pedestrian 2 lands on the exit line and pedestrian 1, 0.8 m
+    # away, crosses the top wall; both still follow their seeds. 1 is
+    # corrected before 2's final position is appended
+    sc = corridor(half_width=1.5, length=20.0)
+    seeds = [
+        make_seed(1, 0, (17.0, -0.9), (0.6, 0.8), 10),
+        make_seed(2, 0, (14.0, 0.5), (2.0, 0.0), 10),
+    ]
+    world = SimWorld(sc, StubModel(lambda w: [0.0, 0.0], sc.feature_dim, window=8), seeds)
+    for _ in range(6):
+        world.step()
+    st, gone = world.peds
+    assert gone.exit_step == 6 and st.corrected_steps == [6]
+    local = 5  # step 5, in the rewritten span: 2 is still in the world there
+
+    def frame(others, others_velocities):
+        return world.extractor.frame(
+            st.positions[local],
+            st.velocities[local - 1],
+            heading(st.velocities[:local], sc.default_heading),
+            others,
+            others_velocities,
+        )
+
+    with_gone = frame(gone.positions[local][None], gone.velocities[local - 1][None])
+    np.testing.assert_array_equal(st.frames[local - 1], with_gone)
+    assert not np.array_equal(with_gone, frame(np.zeros((0, 2)), np.zeros((0, 2))))
+
+
 def test_world_drops_an_exited_pedestrian_at_its_exit_step():
     sc = corridor()
     v = np.array([0.5, 0.0])
     seeds = [make_seed(1, 0, (10.25, 0.5), (1.0, 0.0), 4), make_seed(2, 1, (1.0, 0.0), v, 4)]
-    world = SimWorld(sc, constant_model([1.0, 0.0], sc), seeds, CFG)
-    while 1 not in world.exited:
+    world = SimWorld(sc, constant_model([1.0, 0.0], sc), seeds)
+    while 1 not in exited(world):
         world.step()
-    gone, walker = world.exited[1], world.active[2]
+    gone, walker = exited(world)[1], active(world)[2]
     assert gone.exit_step == 4 and gone.positions[-1][0] > 12.0  # past the exit line
     present, pos, vel = world_at([gone, walker], 3)
     assert present == [gone, walker]
@@ -314,22 +355,22 @@ def test_replay_matches_training_windows(tmp_path):
             for window in windows:
                 pid = self.queue.pop(0)
                 fed[(pid, world.clock)] = np.array(window)
-                tr, s = trajs[pid], world.active[pid].steps_since_entry
+                tr, s = trajs[pid], active(world)[pid].steps_since_entry
                 out.append(
                     tr.velocities[s] if s < tr.n_steps else np.array([4.0 * sc.diameter(), 0.0])
                 )
             return np.array(out)
 
     model = Replay()
-    world = SimWorld(sc, model, trajs.values(), SimConfig())
+    world = SimWorld(sc, model, trajs.values())
     for _ in range(200):
-        if not (world.pending or world.active):
+        if world.finished:
             break
-        active = world.active
-        model.queue = [pid for pid in sorted(active) if active[pid].steps_since_entry >= w]
+        present = active(world)
+        model.queue = [pid for pid in sorted(present) if present[pid].steps_since_entry >= w]
         world.step()
         assert model.queue == []
-    assert len(world.exited) == len(trajs)
+    assert len(exited(world)) == len(trajs)
     samples = build_samples(trajs, sc.extractor(), sc.default_heading, w=w)
     assert samples
     for sample in samples:
@@ -346,10 +387,10 @@ def test_one_predict_call_per_step_in_sorted_id_order():
         arch = SimpleNamespace(feature_dim=sc.feature_dim, window=3)
 
         def predict(self, windows):
-            active = world.active
-            ready = [pid for pid in sorted(active) if active[pid].steps_since_entry >= 3]
+            present = active(world)
+            ready = [pid for pid in sorted(present) if present[pid].steps_since_entry >= 3]
             np.testing.assert_array_equal(
-                windows, [np.stack(active[pid].frames[-3:]) for pid in ready]
+                windows, [np.stack(present[pid].frames[-3:]) for pid in ready]
             )
             calls.append((world.clock, ready))
             return np.tile(v, (len(windows), 1))
@@ -357,10 +398,10 @@ def test_one_predict_call_per_step_in_sorted_id_order():
     # entry order 5, 2, 9, 1; different lanes give different windows
     lanes = ((5, 0, 0.5), (2, 1, -0.5), (9, 1, 1.0), (1, 3, 0.0))
     seeds = [make_seed(pid, enter, (1.0, y), v, 4) for pid, enter, y in lanes]
-    world = SimWorld(sc, Counting(), seeds, CFG)
-    while world.pending or world.active:
+    world = SimWorld(sc, Counting(), seeds)
+    while not world.finished:
         world.step()
-    assert len(world.exited) == 4
+    assert len(exited(world)) == 4
     clocks = [clock for clock, _ in calls]
     assert len(clocks) == len(set(clocks))
     assert all(ready for _, ready in calls)
@@ -378,12 +419,13 @@ def test_two_crossing_kernel_calls_per_step(monkeypatch):
     monkeypatch.setattr(simulate, "crossing_params", counted)
     v = np.array([0.5, 0.0])
     seeds = [make_seed(pid, pid, (1.0, 0.5 * pid - 1.0), v, 4) for pid in range(4)]
-    world = SimWorld(sc, constant_model([0.5, 0.25], sc), seeds, CFG)
+    world = SimWorld(sc, constant_model([0.5, 0.25], sc), seeds)
     steps = 0
-    while world.pending or world.active:
+    while not world.finished:
         world.step()
         steps += 1
-    assert any(st.corrected_steps for st in world.exited.values()) and len(world.exited) == 4
+    gone = exited(world)
+    assert any(st.corrected_steps for st in gone.values()) and len(gone) == 4
     # each step: the two walls, then the exit and the entrance
     assert calls == [(t, 2) for t in range(steps) for _ in range(2)]
 
@@ -471,6 +513,14 @@ def test_missing_seed_data_policy():
     assert [tr.id for tr in result.trajectories] == [2]
 
 
+def test_duplicate_seed_ids_are_rejected():
+    sc = corridor()
+    lanes = ((3, 0, 0.5), (1, 1, 0.0), (3, 2, -0.5))
+    seeds = [make_seed(pid, enter, (1.0, y), (0.5, 0.0), 4) for pid, enter, y in lanes]
+    with pytest.raises(ValueError, match="duplicate pedestrian ids"):
+        SimWorld(sc, constant_model([0.5, 0.0], sc), seeds)
+
+
 def test_model_shape_mismatch():
     sc = corridor()
     seed = make_seed(1, 0, (1.0, 0.0), (0.5, 0.0), 4)
@@ -490,7 +540,6 @@ def test_conservation_and_report():
     assert len(result.trajectories) == 3
     entries = result.report["pedestrians"]
     assert all(entries[str(tr.id)]["exited"] for tr in result.trajectories)
-    assert result.report["not_activated"] == []
     for tr in result.trajectories:
         entry = entries[str(tr.id)]
         assert entry["travel_steps"] == tr.n_steps
