@@ -34,10 +34,10 @@ samples = build_samples(trajs, extractor, scenario.default_heading, w=8)
 f_dim = feature_dim(scenario.radar, scenario.rays)
 print(f"\n{len(samples)} window samples, {f_dim} features per frame")
 
-sample = samples[len(samples) // 2]
-frame = sample.input[-1]
+row = len(samples) // 2
+frame = samples.windows[row, -1]
 n_sec = scenario.radar.n_sectors
-print(f"sample for pedestrian {sample.ped_id} at step {sample.step}:")
+print(f"sample for pedestrian {samples.ped_ids[row]} at step {samples.steps[row]}:")
 print(f"  own velocity {frame[0]:+.2f}, {frame[1]:+.2f} m/s")
 
 # frame layout: velocity, sector rel velocities, sector rel positions, rays

@@ -9,8 +9,6 @@ a small model fits them quickly.
 import tempfile
 from pathlib import Path
 
-import numpy as np
-
 from crowdtcn.ingest import build_samples, load_trajectories, split
 from crowdtcn.synth import corridor_dataset, write_dataset
 from crowdtcn.tcn import Architecture, TrainConfig, train
@@ -23,10 +21,10 @@ scenario = dataset.scenario
 trajs = load_trajectories(paths["training"], scenario)
 samples = build_samples(trajs, scenario.extractor(), scenario.default_heading, w=8)
 print(f"{len(trajs)} pedestrians -> {len(samples)} window samples "
-      f"of shape {samples[0].input.shape}")
+      f"of shape {samples.windows.shape[1:]}")
 
 arch = Architecture(
-    feature_dim=samples[0].input.shape[1],
+    feature_dim=samples.windows.shape[2],
     window=8,
     channels=(16, 24, 32),
     kernel_size=4,
@@ -47,8 +45,8 @@ print(f"\nvalidation loss fell {drop:.1%} "
 
 # predictions vs targets on a handful of samples
 batch = samples[:: max(1, len(samples) // 5)][:5]
-pred = model.predict(np.stack([s.input for s in batch]))
+pred = model.predict(batch.windows)
 print("\npredicted vs actual next velocity:")
-for s, p in zip(batch, pred):
-    print(f"  ped {s.ped_id:3d} step {s.step:3d}: "
-          f"({p[0]:+.3f}, {p[1]:+.3f}) vs ({s.target[0]:+.3f}, {s.target[1]:+.3f})")
+for ped, step, t, p in zip(batch.ped_ids, batch.steps, batch.targets, pred):
+    print(f"  ped {ped:3d} step {step:3d}: "
+          f"({p[0]:+.3f}, {p[1]:+.3f}) vs ({t[0]:+.3f}, {t[1]:+.3f})")

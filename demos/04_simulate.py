@@ -25,7 +25,7 @@ scenario = dataset.scenario
 trajs = load_trajectories(paths["training"], scenario)
 samples = build_samples(trajs, scenario.extractor(), scenario.default_heading, w=8)
 arch = Architecture(
-    feature_dim=samples[0].input.shape[1],
+    feature_dim=samples.windows.shape[2],
     window=8,
     channels=(16, 24, 32),
     kernel_size=4,

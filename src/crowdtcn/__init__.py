@@ -40,8 +40,8 @@ from .geometry import bounded_voronoi, point_in_polygon, polygon_area
 from .ingest import (
     DatasetSplit,
     RawTrack,
+    Samples,
     Trajectory,
-    WindowSample,
     build_samples,
     load_step_trajectories,
     load_trajectories,
@@ -91,8 +91,8 @@ __all__ = [
     # ingest
     "DatasetSplit",
     "RawTrack",
+    "Samples",
     "Trajectory",
-    "WindowSample",
     "build_samples",
     "load_step_trajectories",
     "load_trajectories",

@@ -39,6 +39,7 @@ from .features import RayScanConfig
 from .ingest import (
     NonMonotonicFrames,
     ParseError,
+    Samples,
     TooFewSamples,
     build_samples,
     load_step_trajectories,
@@ -221,32 +222,19 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
-def _json_default(value):
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON serializable: {type(value)}")
-
-
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True, default=_json_default) + "\n")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _collect_samples(cfg: RunConfig, files) -> list:
-    """Window samples per file; pedestrians in different files never interact."""
+def _collect_samples(cfg: RunConfig, files) -> Samples:
+    """Window samples of each file in turn; pedestrians in different files never interact."""
     extractor = cfg.scenario.extractor()
-    samples = []
+    tables = []
     for f in files:
         trajs = load_trajectories(f, cfg.scenario)
-        file_samples = build_samples(
-            trajs, extractor, cfg.scenario.default_heading, w=cfg.window
-        )
-        log.info("%s: %d pedestrians, %d samples", f.name, len(trajs), len(file_samples))
-        samples.extend(file_samples)
-    return samples
+        tables.append(build_samples(trajs, extractor, cfg.scenario.default_heading, w=cfg.window))
+        log.info("%s: %d pedestrians, %d samples", f.name, len(trajs), len(tables[-1]))
+    return Samples.concat(tables)
 
 
 def _metric_doc(pair: TrajectoryPair) -> dict:
@@ -411,21 +399,10 @@ def cmd_features(args) -> int:
         raise EmptyDataset("no window samples could be built from the input files")
     out = cfg.output_dir / "features"
     out.mkdir(parents=True, exist_ok=True)
-    windows = np.stack([s.input for s in samples])
-    targets = np.stack([s.target for s in samples])
-    ped_ids = np.array([s.ped_id for s in samples], dtype=np.int64)
-    steps = np.array([s.step for s in samples], dtype=np.int64)
-    for name, arr in (
-        ("windows", windows),
-        ("targets", targets),
-        ("ped_ids", ped_ids),
-        ("steps", steps),
-    ):
-        np.save(out / f"{name}.npy", arr)
-    print(
-        f"{len(samples)} samples, window {windows.shape[1]}, "
-        f"{windows.shape[2]} features -> {out}"
-    )
+    for column in fields(Samples):
+        np.save(out / f"{column.name}.npy", getattr(samples, column.name))
+    _, w, f = samples.windows.shape
+    print(f"{len(samples)} samples, window {w}, {f} features -> {out}")
     return EXIT_OK
 
 

@@ -3,9 +3,10 @@
 Raw recordings are text files with one observation per row: pedestrian id,
 frame number, x, y, then any extra columns, which are ignored. Fields are
 separated by whitespace, or by commas where a line has one. They are
-resampled to the model time step dt by taking every stride-th frame starting
-from each pedestrian's first observed frame, after optional Savitzky-Golay
-smoothing of the raw positions. Velocities are backward differences:
+resampled to the model time step dt after optional Savitzky-Golay smoothing
+of the raw positions, keeping the frames on the global grid of multiples of
+stride = frame_rate * dt from the first one observed, whose step is
+frame // stride. Velocities are backward differences:
 
     v[t] = (p[t] - p[t-1]) / dt
 
@@ -33,7 +34,7 @@ __all__ = [
     "TooFewSamples",
     "RawTrack",
     "Trajectory",
-    "WindowSample",
+    "Samples",
     "DatasetSplit",
     "parse_trajectories",
     "smooth",
@@ -119,19 +120,32 @@ class Trajectory:
 
 
 @dataclass
-class WindowSample:
-    """One training sample: w feature rows and the next-step velocity."""
+class Samples:
+    """Window samples as one table (see build_samples), named like the `features` files."""
 
-    input: np.ndarray  # (w, F)
-    target: np.ndarray  # (2,)
-    ped_id: int = -1
-    step: int = -1  # global step of the last input row
+    windows: np.ndarray  # (N, w, F) float64
+    targets: np.ndarray  # (N, 2) float64
+    ped_ids: np.ndarray  # (N,) int64
+    steps: np.ndarray  # (N,) int64, global step of each window's last row
+
+    def __len__(self) -> int:
+        return len(self.windows)
+
+    def __getitem__(self, rows) -> "Samples":
+        """The table of the rows a slice, index array or boolean mask picks."""
+        return Samples(self.windows[rows], self.targets[rows], self.ped_ids[rows], self.steps[rows])
+
+    @staticmethod
+    def concat(tables: list["Samples"]) -> "Samples":
+        """The rows of one or more tables, in the order given."""
+        columns = zip(*((t.windows, t.targets, t.ped_ids, t.steps) for t in tables))
+        return Samples(*map(np.concatenate, columns))
 
 
 @dataclass
 class DatasetSplit:
-    training: list[WindowSample]
-    validation: list[WindowSample]
+    training: Samples
+    validation: Samples
     seed: int
 
 
@@ -241,19 +255,17 @@ def resample(
     if smoothing is not None and smoothing.enabled and len(positions) >= smoothing.window:
         positions = smooth(positions, smoothing.window, smoothing.polyorder)
 
-    index_of = {int(f): i for i, f in enumerate(frames)}
-    first = int(frames[0])
-    picks = []
-    f = first
-    while f in index_of:
-        picks.append(index_of[f])
-        f += stride
-    sampled = positions[picks]
-    if len(sampled) < 2:
+    # the observed frames on the global grid, up to the first one missing
+    picks = np.flatnonzero(frames % stride == 0)
+    gaps = np.flatnonzero(np.diff(frames[picks]) != stride)
+    if len(gaps):
+        picks = picks[: gaps[0] + 1]
+    if len(picks) < 2:
         raise TooShort(
-            f"pedestrian {track.id} observed for {len(sampled)} resampled steps, need >= 2"
+            f"pedestrian {track.id} observed for {len(picks)} resampled steps, need >= 2"
         )
-    return Trajectory.from_positions(track.id, round(first / stride), sampled, dt)
+    enter_step = int(frames[picks[0]]) // stride
+    return Trajectory.from_positions(track.id, enter_step, positions[picks], dt)
 
 
 def load_trajectories(path, scenario) -> dict[int, Trajectory]:
@@ -338,42 +350,46 @@ def build_samples(
     extractor,
     default_heading,
     w: int = 8,
-) -> list[WindowSample]:
-    """Sliding-window samples over all pedestrians.
+) -> Samples:
+    """Sliding-window samples over all pedestrians, in id then step order.
 
     A sample at global step t stacks the pedestrian's feature frames for steps
     t - w + 1 .. t and targets the observed velocity of arrival at t + 1, so a
     trajectory with n velocities yields max(0, n - w) samples. Feature frames
     exist from each pedestrian's first transition onward; each global step's
     come from one frames_at call over the trajectories in the order given.
+    With no window the table has shape (0, w, extractor.feature_dim).
     """
     tracks = list(trajectories.values())
-    frames: dict[int, dict[int, np.ndarray]] = {tr.id: {} for tr in tracks}
+    # frames[id][k] is the frame at step enter_step + k + 1
+    frames: dict[int, list[np.ndarray]] = {tr.id: [] for tr in tracks}
     first = min((tr.enter_step for tr in tracks), default=0)
     last = max((tr.last_step for tr in tracks), default=0)
     for step in range(first + 1, last + 1):
         for tr, frame in zip(*frames_at(tracks, step, extractor, default_heading)):
-            frames[tr.id][step] = frame
-    samples: list[WindowSample] = []
-    for ped, traj in sorted(trajectories.items()):
-        for local_t in range(w, traj.n_steps):
-            t = traj.enter_step + local_t
-            window = np.stack([frames[traj.id][s] for s in range(t - w + 1, t + 1)])
-            target = traj.velocities[local_t]  # arrival velocity at t + 1
-            samples.append(WindowSample(input=window, target=target.copy(), ped_id=ped, step=t))
-    return samples
+            frames[tr.id].append(frame)
+    long = [(ped, tr) for ped, tr in sorted(trajectories.items()) if tr.n_steps > w]
+    # window k of a track holds its frames k .. k + w - 1 and ends at step enter_step + w + k
+    windows = [
+        sliding_window_view(np.array(frames[tr.id]), w, axis=0)[: tr.n_steps - w].swapaxes(1, 2)
+        for _, tr in long
+    ]
+    return Samples(
+        np.concatenate([np.empty((0, w, extractor.feature_dim)), *windows]),
+        np.concatenate([np.empty((0, 2)), *(tr.velocities[w:] for _, tr in long)]),
+        np.array([ped for ped, tr in long for _ in range(w, tr.n_steps)], np.int64),
+        np.array([tr.enter_step + t for _, tr in long for t in range(w, tr.n_steps)], np.int64),
+    )
 
 
-def split(samples: list[WindowSample], seed: int, ratio: tuple[int, int] = (4, 1)) -> DatasetSplit:
-    """Deterministic sample-level split; validation size is floor(n * val / total)."""
+def split(samples: Samples, seed: int, ratio: tuple[int, int] = (4, 1)) -> DatasetSplit:
+    """Deterministic sample-level split that keeps the row order on both sides;
+    validation size is floor(n * val / total)."""
     n = len(samples)
     total = ratio[0] + ratio[1]
     if n < total:
         raise TooFewSamples(f"need at least {total} samples, got {n}")
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    n_val = n * ratio[1] // total
-    val_idx = set(order[:n_val].tolist())
-    training = [samples[i] for i in range(n) if i not in val_idx]
-    validation = [samples[i] for i in sorted(val_idx)]
-    return DatasetSplit(training=training, validation=validation, seed=seed)
+    validation = np.zeros(n, dtype=bool)
+    validation[rng.permutation(n)[: n * ratio[1] // total]] = True
+    return DatasetSplit(training=samples[~validation], validation=samples[validation], seed=seed)

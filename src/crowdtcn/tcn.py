@@ -491,6 +491,9 @@ def backward(
     return value, grads
 
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class TrainState:
     """Adam state over a parameter dict."""
@@ -499,9 +502,6 @@ class TrainState:
     v: dict[str, np.ndarray]
     step: int = 0
     lr: float = 1e-4
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
 
 def adam_init(params: dict[str, np.ndarray], lr: float = 1e-4) -> TrainState:
@@ -514,11 +514,11 @@ def adam_init(params: dict[str, np.ndarray], lr: float = 1e-4) -> TrainState:
 
 def _adam_update(p, g, m, v, state: TrainState, correction1: float, correction2: float) -> None:
     """One Adam update of p and its moments m, v, all in place."""
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * g * g
-    p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + state.eps)
+    m *= ADAM_BETA1
+    m += (1.0 - ADAM_BETA1) * g
+    v *= ADAM_BETA2
+    v += (1.0 - ADAM_BETA2) * g * g
+    p -= state.lr * (m / correction1) / (np.sqrt(v / correction2) + ADAM_EPS)
 
 
 def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state: TrainState) -> TrainState:
@@ -530,7 +530,7 @@ def adam_step(params: dict[str, np.ndarray], grads: dict[str, np.ndarray], state
         if grads[k].shape != p.shape:
             raise ShapeMismatch(f"gradient for {k} has shape {grads[k].shape}, expected {p.shape}")
     state.step += 1
-    corrections = (1.0 - state.beta1**state.step, 1.0 - state.beta2**state.step)
+    corrections = (1.0 - ADAM_BETA1**state.step, 1.0 - ADAM_BETA2**state.step)
     for k, p in params.items():
         _adam_update(p, grads[k], state.m[k], state.v[k], state, *corrections)
     return state
@@ -609,15 +609,10 @@ class Model:
         return out[0] if single else out
 
 
-def _stack_samples(samples) -> tuple[np.ndarray, np.ndarray]:
-    inputs = np.stack([np.asarray(s.input, dtype=np.float64) for s in samples])
-    targets = np.stack([np.asarray(s.target, dtype=np.float64) for s in samples])
-    return inputs, targets
-
-
 def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None = None):
     """Minibatch Adam over the training set, tracking the best validation loss.
 
+    split is an ingest.DatasetSplit: two ingest.Samples tables of raw windows.
     Returns (Model with the best-validation parameters, log rows). Each log
     row is (iteration, train_loss, val_loss, wall_time_s); validation runs in
     inference mode before any update (iteration 0) and every eval_every
@@ -628,9 +623,7 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
         raise EmptyDataset("training set is empty")
     if not split.validation:
         raise EmptyDataset("validation set is empty")
-    train_x, train_y = _stack_samples(split.training)
-    val_x, val_y = _stack_samples(split.validation)
-    w, f = train_x.shape[1], train_x.shape[2]
+    _, w, f = split.training.windows.shape
     if arch is None:
         arch = Architecture(feature_dim=f, window=w)
     elif arch.feature_dim != f or arch.window != w:
@@ -638,11 +631,11 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
             f"architecture expects ({arch.window}, {arch.feature_dim}) windows, data is ({w}, {f})"
         )
     dtype = np.dtype(config.dtype)
-    stats = compute_stats(train_x)
-    tx = normalize_features(train_x, stats).astype(dtype)
-    ty = train_y.astype(dtype)
-    vx = normalize_features(val_x, stats).astype(dtype)
-    vy = val_y.astype(dtype)
+    stats = compute_stats(split.training.windows)
+    tx = normalize_features(split.training.windows, stats).astype(dtype)
+    ty = split.training.targets.astype(dtype)
+    vx = normalize_features(split.validation.windows, stats).astype(dtype)
+    vy = split.validation.targets.astype(dtype)
 
     params = init_params(arch, seed=config.seed, dtype=dtype)
     state = adam_init(params, lr=config.learning_rate)
@@ -724,6 +717,7 @@ def save_model(path, model: Model) -> None:
 
 
 def load_model(path) -> Model:
+    """Read a save_model artifact; ValueError if it is not a model of its own arch."""
     raw = Path(path).read_bytes()
     if raw[:4] != MODEL_MAGIC:
         raise ValueError(f"{path} is not a model artifact (bad magic)")
@@ -733,10 +727,14 @@ def load_model(path) -> Model:
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model format version {version}")
     header = json.loads(raw[12 : 12 + head_len].decode("utf-8"))
+    if not isinstance(header, dict):
+        raise ValueError(f"{path} is not a model: its header is a JSON {type(header).__name__}")
     if header.get("format") != MODEL_FORMAT:
         raise ValueError(f"unexpected artifact format tag {header.get('format')!r}")
     try:
         a = header["arch"]
+        if not isinstance(a, dict):
+            raise ValueError(f"{path} is not a model: its 'arch' is not an object: {a!r}")
         a.update(channels=tuple(a["channels"]), dilations=tuple(a["dilations"]))
         arch = Architecture(**a)
         offset = 12 + head_len
@@ -759,4 +757,12 @@ def load_model(path) -> Model:
         raise ValueError(f"{path} is not a model: {exc} is missing from its header") from None
     except TypeError as exc:  # e.g. an unknown or missing Architecture field
         raise ValueError(f"{path} is not a model: bad header: {exc}") from None
+    needs = {k: list(p.shape) for k, p in init_params(arch, seed=0).items()}
+    has = {k: list(p.shape) for k, p in params.items()}
+    for k in sorted(needs.keys() | has.keys()):
+        if needs.get(k) != has.get(k):
+            raise ValueError(
+                f"{path} is not a model: parameter {k!r} is {has.get(k, 'absent')} "
+                f"in its header and {needs.get(k, 'absent')} in its arch"
+            )
     return Model(arch=arch, params=params, stats=stats, meta=header.get("meta", {}))

@@ -10,6 +10,7 @@ import math
 import numpy as np
 
 from crowdtcn.geometry import EPS_GEO, DegenerateSites, VoronoiCell, polygon_area
+from crowdtcn.ingest import frames_at
 
 
 def solve_ray_segment(origin, direction, a, b):
@@ -407,3 +408,23 @@ def walk_polyline_loop(waypoints, speed, frame_rate):
         i = min(int(np.searchsorted(bounds, s, side="right")) - 1, len(lengths) - 1)
         out[k] = pts[i] + (s - bounds[i]) / lengths[i] * vecs[i]
     return out
+
+
+def build_samples_loop(trajectories, extractor, default_heading, w):
+    """Window samples one at a time: a list of (window (w, F), target (2,),
+    pedestrian id, step) in id then step order, each window stacked from a
+    per-step dict of one pedestrian's frames."""
+    tracks = list(trajectories.values())
+    frames = {tr.id: {} for tr in tracks}
+    first = min((tr.enter_step for tr in tracks), default=0)
+    last = max((tr.last_step for tr in tracks), default=0)
+    for step in range(first + 1, last + 1):
+        for tr, frame in zip(*frames_at(tracks, step, extractor, default_heading)):
+            frames[tr.id][step] = frame
+    samples = []
+    for ped, traj in sorted(trajectories.items()):
+        for local_t in range(w, traj.n_steps):
+            t = traj.enter_step + local_t
+            window = np.stack([frames[traj.id][s] for s in range(t - w + 1, t + 1)])
+            samples.append((window, traj.velocities[local_t].copy(), ped, t))
+    return samples

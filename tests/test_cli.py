@@ -704,11 +704,12 @@ def test_truncated_artifact_is_exit_2(trained_dir, tmp_path, capsys):
 
 
 def _with_header(raw: bytes, change) -> bytes:
-    """A model artifact whose JSON header change has edited in place."""
+    """A model artifact whose JSON header change has edited in place, or
+    replaced with the header it returns."""
     (head_len,) = struct.unpack("<I", raw[8:12])
     header = json.loads(raw[12 : 12 + head_len])
-    change(header)
-    head = json.dumps(header).encode("utf-8")
+    replaced = change(header)
+    head = json.dumps(header if replaced is None else replaced).encode("utf-8")
     return raw[:8] + struct.pack("<I", len(head)) + head + raw[12 + head_len :]
 
 
@@ -730,6 +731,39 @@ def test_artifact_header_that_is_not_a_model_is_exit_2(trained_dir, tmp_path, ca
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "cannot load model artifact" in err and repr(key) in err
+    assert not (tmp_path / "out").exists()
+
+
+def _without(header, name):
+    return {**header, "tensors": [t for t in header["tensors"] if t["name"] != name]}
+
+
+def _reshaped(header, name, shape):
+    tensors = [{**t, "shape": shape} if t["name"] == name else t for t in header["tensors"]]
+    return {**header, "tensors": tensors}
+
+
+@pytest.mark.parametrize(
+    "change, named",
+    [
+        (lambda h: [h], "list"),
+        (lambda h: {**h, "arch": 5}, "'arch'"),
+        (lambda h: _without(h, "param:b0c1_b"), "'b0c1_b'"),
+        (lambda h: _reshaped(h, "param:out_b", [1, 2]), "'out_b'"),
+    ],
+    ids=["list", "arch", "missing", "shape"],
+)
+def test_artifact_that_is_not_a_model_of_its_arch_is_exit_2(
+    trained_dir, tmp_path, capsys, change, named
+):
+    # a header that is a list, an arch that is a number, a parameter left out
+    # and a parameter declared with the wrong shape (the same element count)
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(_with_header((trained_dir / "out" / "model.bin").read_bytes(), change))
+    argv = ["simulate", "-c", str(trained_dir / "micro.json"), "--artifact", str(bad)]
+    assert main(argv + ["--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "cannot load model artifact" in err and named in err
     assert not (tmp_path / "out").exists()
 
 

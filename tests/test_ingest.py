@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import build_samples_loop
 
 from crowdtcn.ingest import (
     BadWindow,
@@ -7,10 +8,12 @@ from crowdtcn.ingest import (
     NonMonotonicFrames,
     ParseError,
     RawTrack,
+    Samples,
     TooFewSamples,
     TooShort,
     Trajectory,
     build_samples,
+    load_trajectories,
     parse_trajectories,
     resample,
     smooth,
@@ -18,6 +21,7 @@ from crowdtcn.ingest import (
     world_at,
 )
 from crowdtcn.scenario import SmoothingConfig
+from crowdtcn.synth import GEOMETRIES, write_dataset
 
 
 class TestParse:
@@ -141,6 +145,17 @@ class TestResample:
         traj = resample(track, frame_rate=16.0, dt=0.5)
         assert traj.enter_step == 3
 
+    def test_off_grid_starts_sample_the_global_grid(self):
+        # stride 8: a track starting at frame 4, 12 or 20 is sampled at the
+        # multiples of 8 it covers, so its entry step is exactly first // 8
+        for first, enter in ((0, 0), (4, 1), (12, 2), (20, 3)):
+            frames = np.arange(first, 60)
+            traj = resample(make_track(frames, 0.1 * frames), frame_rate=16.0, dt=0.5)
+            assert traj.enter_step == enter
+            np.testing.assert_allclose(traj.positions[:, 0], 0.1 * np.arange(8 * enter, 60, 8))
+        with pytest.raises(TooShort):  # frames 9..23 hold one grid frame, 16
+            resample(make_track(range(9, 24), [0.0] * 15), frame_rate=16.0, dt=0.5)
+
     def test_clipping_drops_outside_rows(self):
         clip = [[0.0, -1.0], [10.0, -1.0], [10.0, 1.0], [0.0, 1.0]]
         frames = np.arange(0, 64)
@@ -254,11 +269,13 @@ class TestBuildSamples:
         trajs = {1: straight_trajectory(1, 0, 9)}
         samples = build_samples(trajs, DummyExtractor(), [1, 0], w=8)
         assert len(samples) == 1
-        assert samples[0].input.shape == (8, 3)
+        assert samples.windows[0].shape == (8, 3)
 
     def test_eight_steps_zero_samples(self):
         trajs = {1: straight_trajectory(1, 0, 8)}
-        assert build_samples(trajs, DummyExtractor(), [1, 0], w=8) == []
+        samples = build_samples(trajs, DummyExtractor(), [1, 0], w=8)
+        assert len(samples) == 0
+        assert samples.windows.shape == (0, 8, 3) and samples.targets.shape == (0, 2)
 
     def test_counting_oracle(self):
         rng = np.random.default_rng(9)
@@ -279,11 +296,34 @@ class TestBuildSamples:
         traj = Trajectory(id=1, enter_step=0, positions=positions, velocities=velocities, dt=dt)
         samples = build_samples({1: traj}, DummyExtractor(), [1, 0], w=8)
         assert len(samples) == 3
-        for s in samples:
-            local_t = s.step - traj.enter_step
-            assert np.allclose(s.target, velocities[local_t])
+        for window, target, step in zip(samples.windows, samples.targets, samples.steps):
+            local_t = step - traj.enter_step
+            assert np.allclose(target, velocities[local_t])
             # last input row holds the velocity of arrival at step t
-            assert np.allclose(s.input[-1, :2], velocities[local_t - 1])
+            assert np.allclose(window[-1, :2], velocities[local_t - 1])
+
+    @pytest.mark.parametrize("geometry", sorted(GEOMETRIES))
+    def test_matches_per_window_oracle(self, geometry, tmp_path):
+        dataset = GEOMETRIES[geometry](n_train=20, n_test=2, seed=3)
+        sc = dataset.scenario
+        trajs = load_trajectories(write_dataset(dataset, tmp_path)["training"], sc)
+        # the same walkers cut to w velocities each give no window
+        cut = {
+            pid: Trajectory.from_positions(pid, tr.enter_step, tr.positions[:9], tr.dt)
+            for pid, tr in trajs.items()
+        }
+        for subset in (trajs, cut):
+            samples = build_samples(subset, sc.extractor(), sc.default_heading, w=8)
+            oracle = build_samples_loop(subset, sc.extractor(), sc.default_heading, w=8)
+            assert len(samples) == len(oracle)
+            assert samples.windows.shape == (len(oracle), 8, sc.feature_dim)
+            assert samples.windows.dtype == samples.targets.dtype == np.float64
+            assert samples.ped_ids.dtype == samples.steps.dtype == np.int64
+            for i, (window, target, ped, step) in enumerate(oracle):
+                np.testing.assert_array_equal(samples.windows[i], window)
+                np.testing.assert_array_equal(samples.targets[i], target)
+                assert (samples.ped_ids[i], samples.steps[i]) == (ped, step)
+        assert oracle == []
 
 
 class TestWorldAt:
@@ -301,10 +341,9 @@ class TestWorldAt:
 
 class TestSplit:
     def make(self, n):
-        return [
-            type("S", (), {"input": np.zeros((8, 3)), "target": np.zeros(2)})()
-            for _ in range(n)
-        ]
+        # steps tell the rows apart
+        steps = np.arange(n, dtype=np.int64)
+        return Samples(np.zeros((n, 8, 3)), np.zeros((n, 2)), np.zeros(n, np.int64), steps)
 
     def test_ten_gives_eight_two(self):
         ds = split(self.make(10), seed=0)
@@ -318,15 +357,21 @@ class TestSplit:
         samples = self.make(23)
         a = split(samples, seed=42)
         b = split(samples, seed=42)
-        assert [id(s) for s in a.training] == [id(s) for s in b.training]
-        assert [id(s) for s in a.validation] == [id(s) for s in b.validation]
+        assert a.training.steps.tolist() == b.training.steps.tolist()
+        assert a.validation.steps.tolist() == b.validation.steps.tolist()
 
     def test_partition(self):
         samples = self.make(17)
         ds = split(samples, seed=1)
-        joined = {id(s) for s in ds.training} | {id(s) for s in ds.validation}
-        assert joined == {id(s) for s in samples}
-        assert not ({id(s) for s in ds.training} & {id(s) for s in ds.validation})
+        joined = set(ds.training.steps.tolist()) | set(ds.validation.steps.tolist())
+        assert joined == set(samples.steps.tolist())
+        assert not (set(ds.training.steps.tolist()) & set(ds.validation.steps.tolist()))
+
+    def test_both_sides_keep_the_sample_order(self):
+        ds = split(self.make(23), seed=5)
+        for side in (ds.training, ds.validation):
+            assert (np.diff(side.steps) > 0).all()
+            assert side.windows.shape[1:] == (8, 3) and len(side.targets) == len(side)
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):

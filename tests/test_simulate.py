@@ -372,10 +372,10 @@ def test_replay_matches_training_windows(tmp_path):
         assert model.queue == []
     assert len(exited(world)) == len(trajs)
     samples = build_samples(trajs, sc.extractor(), sc.default_heading, w=w)
-    assert samples
-    for sample in samples:
-        got = fed[(sample.ped_id, sample.step)]
-        np.testing.assert_allclose(got, sample.input, rtol=0, atol=1e-9)
+    assert len(samples)
+    for window, ped, step in zip(samples.windows, samples.ped_ids, samples.steps):
+        got = fed[(ped, step)]
+        np.testing.assert_allclose(got, window, rtol=0, atol=1e-9)
 
 
 def test_one_predict_call_per_step_in_sorted_id_order():

@@ -181,5 +181,5 @@ def test_samples_build_from_synthetic_corridor(tmp_path):
         trajs, ds.scenario.extractor(), ds.scenario.default_heading, w=8
     )
     assert len(samples) > 0
-    assert samples[0].input.shape == (8, ds.scenario.feature_dim)
-    assert samples[0].target.shape == (2,)
+    assert samples.windows[0].shape == (8, ds.scenario.feature_dim)
+    assert samples.targets[0].shape == (2,)

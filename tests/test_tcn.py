@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from crowdtcn import cli, tcn
-from crowdtcn.ingest import DatasetSplit, WindowSample
+from crowdtcn.ingest import DatasetSplit, Samples
 from crowdtcn.tcn import (
     Architecture,
     EmptyBatch,
@@ -608,12 +608,10 @@ def test_normalize_stats_values():
 
 def _make_split(n, w, f, seed, map_fn):
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n):
-        window = rng.normal(size=(w, f))
-        samples.append(
-            WindowSample(input=window, target=map_fn(window), ped_id=i, step=w + i)
-        )
+    windows = np.stack([rng.normal(size=(w, f)) for _ in range(n)])
+    targets = np.stack([map_fn(window) for window in windows])
+    rows = np.arange(n, dtype=np.int64)
+    samples = Samples(windows, targets, ped_ids=rows, steps=w + rows)
     n_val = max(1, n // 5)
     return DatasetSplit(training=samples[:-n_val], validation=samples[-n_val:], seed=seed)
 
@@ -658,8 +656,7 @@ def test_train_returns_best_validation_params():
     split = _make_split(20, arch.window, arch.feature_dim, 21, lambda w: w[-1, :2])
     cfg = TrainConfig(iterations=30, batch_size=8, learning_rate=1e-3, eval_every=10, seed=2)
     model, log = train(split, cfg, arch=arch)
-    vx = np.stack([s.input for s in split.validation])
-    vy = np.stack([s.target for s in split.validation])
+    vx, vy = split.validation.windows, split.validation.targets
     xn = normalize_features(vx, model.stats).astype(np.float32)
     held = loss(forward(model.params, arch, xn, training=False), vy.astype(np.float32))
     assert held == pytest.approx(model.meta["best_val_loss"], rel=1e-5)
@@ -683,9 +680,9 @@ def test_train_rejects_empty_sets():
     arch = _small_arch()
     split = _make_split(20, arch.window, arch.feature_dim, 22, lambda w: w[-1, :2])
     with pytest.raises(EmptyDataset):
-        train(DatasetSplit(training=[], validation=split.validation, seed=0), arch=arch)
+        train(DatasetSplit(split.training[:0], split.validation, seed=0), arch=arch)
     with pytest.raises(EmptyDataset):
-        train(DatasetSplit(training=split.training, validation=[], seed=0), arch=arch)
+        train(DatasetSplit(split.training, split.validation[:0], seed=0), arch=arch)
 
 
 def test_train_rejects_mismatched_architecture():
