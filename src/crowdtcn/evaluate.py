@@ -38,7 +38,7 @@ from .geometry import (
     polygon_area,
     polygon_clip_areas,
 )
-from .ingest import world_at
+from .ingest import presence, world_at
 
 __all__ = [
     "EmptySet",
@@ -282,26 +282,22 @@ def profiles(
     walkable region is checked for self-crossing once, not at every step.
     """
     ensure_simple_polygon(walkable)
-    trs = list(_as_map(trajectories).values())
     steps: list[int] = []
     rho: list[float] = []
     vel: list[float] = []
     flow: list[float] = []
-    if trs:
-        lo = min(tr.enter_step for tr in trs)
-        hi = max(tr.last_step for tr in trs)
-        for t in range(lo, hi + 1):
-            present, positions, velocities = world_at(trs, t)
-            # entry-step pedestrians have no arrival velocity yet
-            moving = [i for i, tr in enumerate(present) if tr.enter_step < t]
-            speeds = np.hypot(*velocities[moving].T)
-            sample = _step_measures(positions[moving], speeds, walkable, measurement_area, width)
-            if sample is None:
-                continue
-            steps.append(t)
-            rho.append(sample[0])
-            vel.append(sample[1])
-            flow.append(sample[2])
+    for t, present in presence(_as_map(trajectories).values()):
+        present, positions, velocities = world_at(present, t)
+        # entry-step pedestrians have no arrival velocity yet
+        moving = [i for i, tr in enumerate(present) if tr.enter_step < t]
+        speeds = np.hypot(*velocities[moving].T)
+        sample = _step_measures(positions[moving], speeds, walkable, measurement_area, width)
+        if sample is None:
+            continue
+        steps.append(t)
+        rho.append(sample[0])
+        vel.append(sample[1])
+        flow.append(sample[2])
     return MeasurementSeries(
         label=label,
         width=width,

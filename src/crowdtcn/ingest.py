@@ -2,21 +2,33 @@
 
 Raw recordings are text files with one observation per row: pedestrian id,
 frame number, x, y, then any extra columns, which are ignored. Fields are
-separated by whitespace, or by commas where a line has one. They are
-resampled to the model time step dt after optional Savitzky-Golay smoothing
-of the raw positions, keeping the frames on the global grid of multiples of
-stride = frame_rate * dt from the first one observed, whose step is
-frame // stride. Velocities are backward differences:
+separated by whitespace, or by commas where a line has one. A plain
+whitespace-separated file is read with one np.loadtxt call; any file that
+call might read differently from the line loop (commas, inline '#', non-ASCII
+text, non-finite values, fractional or huge ids and frames, duplicate frames,
+a row it cannot read) is read by the loop, which names the line of an error.
+Both give the same tracks. Tracks are resampled to the model time step dt
+after optional Savitzky-Golay smoothing of the raw positions, keeping the
+frames on the global grid of multiples of stride = frame_rate * dt from the
+first one observed, whose step is frame // stride. Velocities are backward
+differences:
 
     v[t] = (p[t] - p[t-1]) / dt
 
 so a trajectory with n positions carries n - 1 velocities, and velocity index
 k is the velocity of arrival at position index k + 1.
+
+Training samples hold each pedestrian's feature frames once, as rows of one
+(M, F) frame table; a window is a row of an (N, w) index array into it, so
+windows overlap in the table and are copied out only when read.
 """
 
 from __future__ import annotations
 
+import functools
+import io
 import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -43,6 +55,7 @@ __all__ = [
     "load_step_trajectories",
     "write_trajectory_file",
     "world_at",
+    "presence",
     "frames_at",
     "build_samples",
     "split",
@@ -121,25 +134,49 @@ class Trajectory:
 
 @dataclass
 class Samples:
-    """Window samples as one table (see build_samples), named like the `features` files."""
+    """Window samples over one frame table (see build_samples), keyed like the
+    `features` files.
 
-    windows: np.ndarray  # (N, w, F) float64
+    frames holds each feature frame once; row i of index lists the frames
+    rows of window i, oldest first, so the (N, w, F) windows are
+    frames[index]. Selecting rows or splitting moves index rows and shares
+    the frame table.
+    """
+
+    frames: np.ndarray  # (M, F) float64
+    index: np.ndarray  # (N, w) intp, rows of frames
     targets: np.ndarray  # (N, 2) float64
     ped_ids: np.ndarray  # (N,) int64
     steps: np.ndarray  # (N,) int64, global step of each window's last row
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return len(self.index)
+
+    @property
+    def windows(self) -> np.ndarray:
+        """The (N, w, F) windows, gathered into a new array."""
+        return self.frames[self.index]
 
     def __getitem__(self, rows) -> "Samples":
         """The table of the rows a slice, index array or boolean mask picks."""
-        return Samples(self.windows[rows], self.targets[rows], self.ped_ids[rows], self.steps[rows])
+        return Samples(
+            self.frames, self.index[rows], self.targets[rows], self.ped_ids[rows], self.steps[rows]
+        )
 
     @staticmethod
     def concat(tables: list["Samples"]) -> "Samples":
-        """The rows of one or more tables, in the order given."""
-        columns = zip(*((t.windows, t.targets, t.ped_ids, t.steps) for t in tables))
-        return Samples(*map(np.concatenate, columns))
+        """The rows of one or more tables, in the order given; tables over one
+        frame table keep sharing it."""
+        if all(t.frames is tables[0].frames for t in tables):
+            frames, offsets = tables[0].frames, [0] * len(tables)
+        else:
+            frames = np.concatenate([t.frames for t in tables])
+            offsets = np.cumsum([0] + [len(t.frames) for t in tables[:-1]])
+        return Samples(
+            frames,
+            np.concatenate([t.index + offset for t, offset in zip(tables, offsets)]),
+            *(np.concatenate(c) for c in zip(*((t.targets, t.ped_ids, t.steps) for t in tables))),
+        )
 
 
 @dataclass
@@ -149,18 +186,48 @@ class DatasetSplit:
     seed: int
 
 
-def parse_trajectories(path_or_lines) -> dict[int, RawTrack]:
-    """Parse an `id frame x y` file into frame-sorted per-pedestrian tracks.
+# bytes that the line loop splits or reads differently from np.loadtxt
+_LOOP_ONLY = b",\v\f\x1c\x1d\x1e\x1f\x00"
 
-    Accepts a path or an iterable of lines. Comment lines start with '#';
-    blank lines are skipped. A malformed field, a fractional id or frame, or
-    a non-finite x or y raises ParseError; duplicate frames for one
-    pedestrian raise NonMonotonicFrames.
-    """
-    if isinstance(path_or_lines, (str, Path)):
-        lines = Path(path_or_lines).read_text().splitlines()
-    else:
-        lines = list(path_or_lines)
+
+def _read_table(raw: bytes) -> dict[int, RawTrack] | None:
+    """The tracks of a whole file from one np.loadtxt call, or None where the
+    line loop might read the file differently or would raise."""
+    if not raw.isascii() or any(c in raw for c in _LOOP_ONLY):
+        return None
+    # CR only before LF, '#' only as the first character of a line
+    if b"\r" in raw and raw.count(b"\r") != raw.count(b"\r\n"):
+        return None
+    if raw.count(b"#") != raw.startswith(b"#") + raw.count(b"\n#"):
+        return None
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="ascii")
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # a file without data rows
+            data = np.loadtxt(text, usecols=(0, 1, 2, 3), ndmin=2)
+    except ValueError:
+        return None
+    if not len(data):
+        return {}
+    keys = data[:, :2]
+    if not np.isfinite(data).all() or (keys != np.floor(keys)).any() or (abs(keys) >= 2**53).any():
+        return None
+    ids, frames = keys.astype(int).T
+    order = np.lexsort((frames, ids))
+    ids, frames = ids[order], frames[order]
+    starts = np.diff(ids) != 0
+    if (~starts & (np.diff(frames) == 0)).any():  # a duplicate frame
+        return None
+    positions = data[order, 2:]
+    bounds = [0, *(np.flatnonzero(starts) + 1), len(ids)]
+    return {
+        int(ids[a]): RawTrack(id=int(ids[a]), frames=frames[a:b], positions=positions[a:b])
+        for a, b in zip(bounds, bounds[1:])
+    }
+
+
+def _read_lines(lines) -> dict[int, RawTrack]:
+    """The tracks of an iterable of lines, read one line at a time."""
     rows: dict[int, list[tuple[int, float, float]]] = {}
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
@@ -193,6 +260,33 @@ def parse_trajectories(path_or_lines) -> dict[int, RawTrack]:
     return tracks
 
 
+def parse_trajectories(path_or_lines) -> dict[int, RawTrack]:
+    """Parse an `id frame x y` file into frame-sorted per-pedestrian tracks.
+
+    Accepts a path or an iterable of lines. Comment lines start with '#';
+    blank lines are skipped. A malformed field, a fractional id or frame, or
+    a non-finite x or y raises ParseError; duplicate frames for one
+    pedestrian raise NonMonotonicFrames. A file is read with one np.loadtxt
+    call where that reads it as the line loop does, and by the loop otherwise.
+    """
+    if not isinstance(path_or_lines, (str, Path)):
+        return _read_lines(path_or_lines)
+    tracks = _read_table(Path(path_or_lines).read_bytes())
+    return _read_lines(Path(path_or_lines).read_text().splitlines()) if tracks is None else tracks
+
+
+@functools.cache
+def _projection(window: int, polyorder: int) -> np.ndarray:
+    """The least-squares fit over a window as a read-only (window, window)
+    matrix: row i maps a window of samples to its fitted value at offset
+    i - window // 2. Built once per setting, not once per track."""
+    half = window // 2
+    vander = np.arange(-half, half + 1.0)[:, None] ** np.arange(polyorder + 1)
+    proj = vander @ np.linalg.pinv(vander)
+    proj.flags.writeable = False
+    return proj
+
+
 def smooth(positions, window: int, polyorder: int) -> np.ndarray:
     """Savitzky-Golay smoothing of an (n, 2) position series.
 
@@ -209,9 +303,7 @@ def smooth(positions, window: int, polyorder: int) -> np.ndarray:
     if len(pts) < window:
         raise BadWindow(f"series of length {len(pts)} is shorter than window {window}")
     half = window // 2
-    vander = np.arange(-half, half + 1.0)[:, None] ** np.arange(polyorder + 1)
-    # row i maps a window of samples to its fitted value at offset i - half
-    proj = vander @ np.linalg.pinv(vander)
+    proj = _projection(window, polyorder)
     out = np.empty_like(pts)
     out[half : len(pts) - half] = sliding_window_view(pts, window, axis=0) @ proj[half]
     out[:half] = proj[:half] @ pts[:window]
@@ -332,6 +424,19 @@ def world_at(tracks, step: int):
     return present, pos, vel.reshape(-1, 2)
 
 
+def presence(tracks):
+    """Yield (step, tracks present at it) for each global step from the first
+    enter_step to the last last_step, the tracks in the order given. Every
+    track's enter and last steps are read once, not at every step."""
+    tracks = list(tracks)
+    if not tracks:
+        return
+    enter = np.array([tr.enter_step for tr in tracks])
+    last = np.array([tr.last_step for tr in tracks])
+    for step in range(enter.min(), last.max() + 1):
+        yield step, [tracks[i] for i in np.flatnonzero((enter <= step) & (step <= last))]
+
+
 def frames_at(tracks, step: int, extractor, default_heading):
     """The present tracks past their entry step and their (S, F) frames at a
     global step, from one extractor.frame call against everyone world_at
@@ -357,25 +462,27 @@ def build_samples(
     t - w + 1 .. t and targets the observed velocity of arrival at t + 1, so a
     trajectory with n velocities yields max(0, n - w) samples. Feature frames
     exist from each pedestrian's first transition onward; each global step's
-    come from one frames_at call over the trajectories in the order given.
-    With no window the table has shape (0, w, extractor.feature_dim).
+    come from one frames_at call over the trajectories present, in the order
+    given. The frames of each pedestrian with a window are written once into
+    the frame table, in id then step order; with no window the table has
+    shape (0, extractor.feature_dim) and the index (0, w).
     """
-    tracks = list(trajectories.values())
-    # frames[id][k] is the frame at step enter_step + k + 1
-    frames: dict[int, list[np.ndarray]] = {tr.id: [] for tr in tracks}
-    first = min((tr.enter_step for tr in tracks), default=0)
-    last = max((tr.last_step for tr in tracks), default=0)
-    for step in range(first + 1, last + 1):
-        for tr, frame in zip(*frames_at(tracks, step, extractor, default_heading)):
-            frames[tr.id].append(frame)
     long = [(ped, tr) for ped, tr in sorted(trajectories.items()) if tr.n_steps > w]
+    # the frame at step enter_step + k + 1 of a track is table row start[id] + k
+    counts = [tr.n_steps for _, tr in long]
+    start = dict(zip((tr.id for _, tr in long), np.cumsum([0, *counts]).tolist()))
+    table = np.empty((sum(counts), extractor.feature_dim))
+    for step, present in presence(trajectories.values()):
+        for tr, frame in zip(*frames_at(present, step, extractor, default_heading)):
+            if tr.id in start:
+                table[start[tr.id] + step - tr.enter_step - 1] = frame
     # window k of a track holds its frames k .. k + w - 1 and ends at step enter_step + w + k
-    windows = [
-        sliding_window_view(np.array(frames[tr.id]), w, axis=0)[: tr.n_steps - w].swapaxes(1, 2)
-        for _, tr in long
+    index = [
+        start[tr.id] + np.arange(tr.n_steps - w)[:, None] + np.arange(w) for _, tr in long
     ]
     return Samples(
-        np.concatenate([np.empty((0, w, extractor.feature_dim)), *windows]),
+        table,
+        np.concatenate([np.empty((0, w), np.intp), *index]),
         np.concatenate([np.empty((0, 2)), *(tr.velocities[w:] for _, tr in long)]),
         np.array([ped for ped, tr in long for _ in range(w, tr.n_steps)], np.int64),
         np.array([tr.enter_step + t for _, tr in long for t in range(w, tr.n_steps)], np.int64),

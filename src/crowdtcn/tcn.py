@@ -67,6 +67,7 @@ __all__ = [
     "TrainState",
     "dilated_causal_conv",
     "residual_block_forward",
+    "param_shapes",
     "init_params",
     "forward",
     "loss_and_grad_output",
@@ -272,31 +273,40 @@ def dilated_causal_conv(inputs, kernel, dilation: int) -> np.ndarray:
     return _im2col(z[None], plan) @ _kernel_matrix(kernel, len(plan.taps)).T
 
 
-def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
-    """Uniform +-1/sqrt(fan_in) directions; gains equal to the initial norms
-    so the effective kernels match their initialization; zero biases."""
-    rng = np.random.default_rng(seed)
-    dtype = np.dtype(dtype)
-    params: dict[str, np.ndarray] = {}
-
-    def uniform(shape, fan_in):
-        bound = 1.0 / np.sqrt(fan_in)
-        return rng.uniform(-bound, bound, shape).astype(dtype)
-
-    q = arch.kernel_size
+def param_shapes(arch: Architecture) -> dict[str, tuple[int, ...]]:
+    """The name and shape of every parameter of arch, in initialization order:
+    per block, each conv layer's direction v, gain g and bias b, then the 1x1
+    skip's w and b where the channel counts differ; then the readout."""
+    shapes: dict[str, tuple[int, ...]] = {}
     for m in range(arch.n_blocks):
         cin, cout = arch.block_channels(m)
         for prefix, c_in_layer in ((f"b{m}c1", cin), (f"b{m}c2", cout)):
-            v = uniform((cout, c_in_layer, q), c_in_layer * q)
-            params[f"{prefix}_v"] = v
-            params[f"{prefix}_g"] = _norms_per_channel(v)
-            params[f"{prefix}_b"] = np.zeros(cout, dtype=dtype)
+            shapes[f"{prefix}_v"] = (cout, c_in_layer, arch.kernel_size)
+            shapes[f"{prefix}_g"] = (cout,)
+            shapes[f"{prefix}_b"] = (cout,)
         if cin != cout:
-            params[f"b{m}s_w"] = uniform((cout, cin), cin)
-            params[f"b{m}s_b"] = np.zeros(cout, dtype=dtype)
-    c_last = arch.channels[-1]
-    params["out_w"] = uniform((2, c_last), c_last)
-    params["out_b"] = np.zeros(2, dtype=dtype)
+            shapes[f"b{m}s_w"] = (cout, cin)
+            shapes[f"b{m}s_b"] = (cout,)
+    shapes["out_w"] = (2, arch.channels[-1])
+    shapes["out_b"] = (2,)
+    return shapes
+
+
+def init_params(arch: Architecture, seed: int, dtype=np.float32) -> dict[str, np.ndarray]:
+    """Uniform +-1/sqrt(fan_in) directions and weights; gains equal to the
+    initial norms so the effective kernels match their initialization; zero
+    biases."""
+    rng = np.random.default_rng(seed)
+    dtype = np.dtype(dtype)
+    params: dict[str, np.ndarray] = {}
+    for name, shape in param_shapes(arch).items():
+        if name.endswith("_g"):
+            params[name] = _norms_per_channel(params[name[:-1] + "v"])
+        elif name.endswith("_b"):
+            params[name] = np.zeros(shape, dtype=dtype)
+        else:
+            bound = 1.0 / np.sqrt(math.prod(shape[1:]))
+            params[name] = rng.uniform(-bound, bound, shape).astype(dtype)
     return params
 
 
@@ -544,17 +554,49 @@ class NormStats:
     std: np.ndarray
 
 
-def compute_stats(inputs: np.ndarray) -> NormStats:
-    """Stats over all rows of all training windows; inputs (N, w, F).
+# window rows that compute_stats gathers at a time
+_STATS_ROWS = 4096
 
-    Features whose spread is below 1e-6 are treated as constant (std 1), not
-    just exactly-zero-variance ones: a column that is constant up to float
-    noise would otherwise get a tiny std, and any real deviation seen later
-    (e.g. during closed-loop simulation) would normalize to an enormous value.
+
+def _column_sum(frames: np.ndarray, rows: np.ndarray, center=None) -> np.ndarray:
+    """Column sums of frames[rows], or of its squared deviations from center,
+    added one row at a time in order as sum(axis=0) adds a stacked array: each
+    chunk of rows is summed from the running total, carried in as its first
+    row."""
+    buf = np.empty((min(len(rows), _STATS_ROWS) + 1, frames.shape[1]))
+    total, first = np.zeros(frames.shape[1]), 1
+    for start in range(0, len(rows), _STATS_ROWS):
+        part = rows[start : start + _STATS_ROWS]
+        body = buf[1 : len(part) + 1]
+        np.take(frames, part, axis=0, out=body)
+        if center is not None:
+            np.subtract(body, center, out=body)
+            np.multiply(body, body, out=body)
+        total = buf[first : len(part) + 1].sum(axis=0)
+        buf[0], first = total, 0
+    return total
+
+
+def compute_stats(frames: np.ndarray, index: np.ndarray | None = None) -> NormStats:
+    """Stats over all rows of all training windows, each frame counted once
+    per window that holds it: frames is (N, w, F) windows, or an (M, F) frame
+    table whose rows the (N, w) index picks for each window (ingest.Samples).
+
+    The sums run over the window rows in order, a chunk at a time, so mean
+    and std have the bits of np.mean and np.std over the stacked (N * w, F)
+    rows without that copy. Features whose spread is below 1e-6 are treated
+    as constant (std 1), not just exactly-zero-variance ones: a column that
+    is constant up to float noise would otherwise get a tiny std, and any
+    real deviation seen later (e.g. during closed-loop simulation) would
+    normalize to an enormous value.
     """
-    flat = inputs.reshape(-1, inputs.shape[-1]).astype(np.float64)
-    mean = flat.mean(axis=0)
-    std = flat.std(axis=0)
+    frames = np.asarray(frames, dtype=np.float64)
+    if index is None:
+        frames = frames.reshape(-1, frames.shape[-1])
+        index = np.arange(len(frames))
+    rows = np.ravel(index)
+    mean = _column_sum(frames, rows) / len(rows)
+    std = np.sqrt(_column_sum(frames, rows, center=mean) / len(rows))
     std = np.where(std > 1e-6, std, 1.0)
     return NormStats(mean=mean, std=std)
 
@@ -612,18 +654,22 @@ class Model:
 def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None = None):
     """Minibatch Adam over the training set, tracking the best validation loss.
 
-    split is an ingest.DatasetSplit: two ingest.Samples tables of raw windows.
-    Returns (Model with the best-validation parameters, log rows). Each log
-    row is (iteration, train_loss, val_loss, wall_time_s); validation runs in
-    inference mode before any update (iteration 0) and every eval_every
-    iterations. train_loss is the most recent minibatch loss; the iteration-0
-    row reports an inference-mode loss on the first batch-size training rows.
+    split is an ingest.DatasetSplit: two ingest.Samples tables of raw windows,
+    normally over one frame table. Each frame table is normalized once into
+    the parameter dtype; the validation windows are gathered once and each
+    minibatch with one fancy index. Returns (Model with the best-validation
+    parameters, log rows). Each log row is (iteration, train_loss, val_loss,
+    wall_time_s); validation runs in inference mode before any update
+    (iteration 0) and every eval_every iterations. train_loss is the most
+    recent minibatch loss; the iteration-0 row reports an inference-mode loss
+    on the first batch-size training rows.
     """
-    if not split.training:
+    training, validation = split.training, split.validation
+    if not training:
         raise EmptyDataset("training set is empty")
-    if not split.validation:
+    if not validation:
         raise EmptyDataset("validation set is empty")
-    _, w, f = split.training.windows.shape
+    w, f = training.index.shape[1], training.frames.shape[1]
     if arch is None:
         arch = Architecture(feature_dim=f, window=w)
     elif arch.feature_dim != f or arch.window != w:
@@ -631,11 +677,15 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
             f"architecture expects ({arch.window}, {arch.feature_dim}) windows, data is ({w}, {f})"
         )
     dtype = np.dtype(config.dtype)
-    stats = compute_stats(split.training.windows)
-    tx = normalize_features(split.training.windows, stats).astype(dtype)
-    ty = split.training.targets.astype(dtype)
-    vx = normalize_features(split.validation.windows, stats).astype(dtype)
-    vy = split.validation.targets.astype(dtype)
+    stats = compute_stats(training.frames, training.index)
+    tx = normalize_features(training.frames, stats).astype(dtype)
+    rows = training.index
+    ty = training.targets.astype(dtype)
+    if validation.frames is not training.frames:
+        vx = normalize_features(validation.frames, stats).astype(dtype)[validation.index]
+    else:
+        vx = tx[validation.index]
+    vy = validation.targets.astype(dtype)
 
     params = init_params(arch, seed=config.seed, dtype=dtype)
     state = adam_init(params, lr=config.learning_rate)
@@ -644,13 +694,13 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
     def val_loss() -> float:
         return loss(forward(params, arch, vx, training=False), vy)
 
-    n = len(tx)
+    n = len(rows)
     batch = min(config.batch_size, n)
     best_val = val_loss()
     best_params = {k: p.copy() for k, p in params.items()}
     log: list[tuple[int, float, float, float]] = []
     t0 = time.monotonic()
-    last_train = loss(forward(params, arch, tx[:batch], training=False), ty[:batch])
+    last_train = loss(forward(params, arch, tx[rows[:batch]], training=False), ty[:batch])
     for it in range(config.iterations + 1):
         if it % config.eval_every == 0 or it == config.iterations:
             vl = val_loss()
@@ -661,7 +711,7 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
         if it == config.iterations:
             break
         idx = rng.choice(n, size=batch, replace=False)
-        value, grads = backward(params, arch, tx[idx], ty[idx], training=True, rng=rng)
+        value, grads = backward(params, arch, tx[rows[idx]], ty[idx], training=True, rng=rng)
         state = adam_step(params, grads, state)
         last_train = value
     meta = {
@@ -757,12 +807,18 @@ def load_model(path) -> Model:
         raise ValueError(f"{path} is not a model: {exc} is missing from its header") from None
     except TypeError as exc:  # e.g. an unknown or missing Architecture field
         raise ValueError(f"{path} is not a model: bad header: {exc}") from None
-    needs = {k: list(p.shape) for k, p in init_params(arch, seed=0).items()}
+    needs = {k: list(shape) for k, shape in param_shapes(arch).items()}
     has = {k: list(p.shape) for k, p in params.items()}
     for k in sorted(needs.keys() | has.keys()):
         if needs.get(k) != has.get(k):
             raise ValueError(
                 f"{path} is not a model: parameter {k!r} is {has.get(k, 'absent')} "
                 f"in its header and {needs.get(k, 'absent')} in its arch"
+            )
+    for k, arr in (("stats:mean", stats.mean), ("stats:std", stats.std)):
+        if arr.shape != (arch.feature_dim,):
+            raise ValueError(
+                f"{path} is not a model: tensor {k!r} is {list(arr.shape)} "
+                f"in its header and {[arch.feature_dim]} in its arch"
             )
     return Model(arch=arch, params=params, stats=stats, meta=header.get("meta", {}))

@@ -15,7 +15,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_run_config, main
+from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _save_windows, load_run_config, main
+from crowdtcn.ingest import Samples
 from crowdtcn.scenario import BadConfig, Scenario
 from crowdtcn.simulate import SimConfig
 from crowdtcn.tcn import Architecture, TrainConfig, load_model, save_model
@@ -750,14 +751,16 @@ def _reshaped(header, name, shape):
         (lambda h: {**h, "arch": 5}, "'arch'"),
         (lambda h: _without(h, "param:b0c1_b"), "'b0c1_b'"),
         (lambda h: _reshaped(h, "param:out_b", [1, 2]), "'out_b'"),
+        (lambda h: _reshaped(h, "stats:mean", [2, 52]), "'stats:mean'"),
     ],
-    ids=["list", "arch", "missing", "shape"],
+    ids=["list", "arch", "missing", "shape", "stats"],
 )
 def test_artifact_that_is_not_a_model_of_its_arch_is_exit_2(
     trained_dir, tmp_path, capsys, change, named
 ):
-    # a header that is a list, an arch that is a number, a parameter left out
-    # and a parameter declared with the wrong shape (the same element count)
+    # a header that is a list, an arch that is a number, a parameter left out,
+    # and a parameter or the (104,) feature means declared with the wrong shape
+    # (the same element count)
     bad = tmp_path / "bad.bin"
     bad.write_bytes(_with_header((trained_dir / "out" / "model.bin").read_bytes(), change))
     argv = ["simulate", "-c", str(trained_dir / "micro.json"), "--artifact", str(bad)]
@@ -800,6 +803,24 @@ def test_features_writes_arrays(trained_dir):
     assert windows.shape[1:] == (8, 104)
     assert targets.shape == (windows.shape[0], 2)
     assert ped_ids.shape == steps.shape == (windows.shape[0],)
+    assert windows.dtype == targets.dtype == np.float64
+    assert ped_ids.dtype == steps.dtype == np.int64
+
+
+def test_windows_file_is_what_np_save_writes(tmp_path):
+    # more windows than one write, overlapping in their frame table
+    rng = np.random.default_rng(8)
+    n, w = 5000, 3
+    samples = Samples(
+        rng.normal(size=(n + w, 2)),
+        np.arange(n)[:, None] + np.arange(w),
+        np.zeros((n, 2)),
+        np.zeros(n, np.int64),
+        np.arange(n, dtype=np.int64),
+    )
+    _save_windows(tmp_path / "windows.npy", samples)
+    np.save(tmp_path / "reference.npy", samples.windows)
+    assert (tmp_path / "windows.npy").read_bytes() == (tmp_path / "reference.npy").read_bytes()
 
 
 def test_missing_config_is_exit_2(tmp_path, capsys):

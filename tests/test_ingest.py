@@ -15,13 +15,17 @@ from crowdtcn.ingest import (
     build_samples,
     load_trajectories,
     parse_trajectories,
+    presence,
     resample,
     smooth,
     split,
     world_at,
+    write_trajectory_file,
+    _read_lines,
+    _read_table,
 )
 from crowdtcn.scenario import SmoothingConfig
-from crowdtcn.synth import GEOMETRIES, write_dataset
+from crowdtcn.synth import GEOMETRIES, corridor_dataset, write_dataset
 
 
 class TestParse:
@@ -107,6 +111,81 @@ class TestParse:
         tracks = parse_trajectories(["1 3 3.0 0", "1 1 1.0 0", "1 2 2.0 0"])
         assert tracks[1].frames.tolist() == [1, 2, 3]
         assert tracks[1].positions[:, 0].tolist() == [1.0, 2.0, 3.0]
+
+
+# (file text, whether the one-call read takes it rather than the line loop)
+PARSE_CORPUS = {
+    "comments-blanks-crlf": (
+        "# id frame x y\r\n\r\n2 5 1.0 2.0\r\n   \r\n# mid\r\n1 1 0.3 0.4\r\n1 0 0.1 0.2\r\n",
+        True,
+    ),
+    "tabs-signs-no-final-newline": ("1\t0\t.5\t5.\n+1 1 -0.0 1e-3\n-4 -2 1 2", True),
+    "extra-columns": ("1 0 0.1 0.2 9.9\n1 1 0.3 0.4 z\n2 0 1 2 3 4 5\n", True),
+    "integral-float-ids": ("3.0 0 0.0 0.0\n3 1.0 0.1 0.0\n-0.0 2e0 1 1\n", True),
+    "empty": ("", True),
+    "comments-only": ("# a\n# b\n", True),
+    "commas": ("1, 0, 0.5, 1.0\n1 1 0.6 1.1\n2,0,3,4,extra\n", False),
+    "comma-fractional-frame": ("2, 1.25, 0.1, 0.0\n", False),
+    "underscore": ("1_0 0 0.0 0.0\n1_0 1 0.5 0.0\n", False),
+    "hex": ("1 0 0.0 0.0\n0x10 1 0.0 0.0\n", False),
+    "full-width-digits": ("\uff11 0 0.0 0.0\n1 \uff11 0.5 0.0\n", False),
+    "nan": ("1 0 0.0 0.0\n1 1 nan 0.0\n", False),
+    "inf-id": ("1 0 0.0 0.0\ninf 0 0.0 0.0\n", False),
+    "overflow": ("1 0 0.0 0.0\n1 1 1e400 0.0\n", False),
+    "fractional-id": ("1 0 0.0 0.0\n1.5 1 0.0 0.0\n", False),
+    "id-past-2**63": (f"{2**63} 0 0.0 0.0\n{2**63 + 4096} 1 1.0 1.0\n", False),
+    "id-past-2**53": (f"{2**53 + 1} 0 0.0 0.0\n", False),
+    "duplicate-frame": ("1 0 0.0 0.0\n2 0 1 1\n1 0 1.0 1.0\n", False),
+    "inline-hash": ("1 0 0.0 0.0\n4#x 1 0.0 0.0\n", False),
+    "hash-after-fields": ("1 0 0.0 0.0 # first\n1 1 0.5 0.5\n", False),
+    "indented-comment": ("  # c\n1 0 0.0 0.0\n", False),
+    "too-few-columns": ("1 0 0.0 0.0\n1 1 0.5\n", False),
+    "vertical-tab": ("1 0 0.0 0.0\x0b2 1 1.0 1.0\n", False),
+    "lone-cr": ("1 0 0.0 0.0\r1 1 1.0 1.0\r", False),
+    "nul": ("1 0 0.0 0.0\x00\n", False),
+    "d-exponent": ("1 0 1d5 0.0\n", False),
+}
+
+
+def _parse_outcome(read, *args):
+    """The tracks a reader returns, bit for bit, or the error it raises."""
+    try:
+        tracks = read(*args)
+    except (ParseError, NonMonotonicFrames) as exc:
+        return type(exc), str(exc), getattr(exc, "line_number", None)
+    return [
+        (key, type(key), tr.id, type(tr.id), tr.frames.dtype, tr.frames.tolist(),
+         tr.positions.dtype, tr.positions.shape, tr.positions.tobytes())
+        for key, tr in tracks.items()
+    ]
+
+
+class TestParsePaths:
+    """The one-call read of a file and the line loop give the same tracks or
+    the same error; the corpus says which files the one-call read takes."""
+
+    @pytest.mark.parametrize("name", sorted(PARSE_CORPUS))
+    def test_both_paths_agree(self, name, tmp_path):
+        text, fast = PARSE_CORPUS[name]
+        path = tmp_path / "traj.txt"
+        path.write_bytes(text.encode("utf-8"))
+        loop = _parse_outcome(_read_lines, path.read_text().splitlines())
+        assert _parse_outcome(parse_trajectories, path) == loop
+        table = _read_table(path.read_bytes())
+        assert (table is not None) == fast
+        if fast:
+            assert _parse_outcome(lambda: table) == loop
+
+    def test_written_files_take_the_one_call_read(self, tmp_path):
+        dataset = corridor_dataset(n_train=6, n_test=2, seed=4)
+        raw = write_dataset(dataset, tmp_path)["training"]
+        sim = tmp_path / "sim.txt"
+        write_trajectory_file(sim, load_trajectories(raw, dataset.scenario).values())
+        for path in (raw, sim):
+            table = _read_table(path.read_bytes())
+            assert table is not None and len(table) > 1
+            loop = _parse_outcome(_read_lines, path.read_text().splitlines())
+            assert _parse_outcome(lambda: table) == loop
 
 
 def make_track(frames, xs, ys=None, ped=1):
@@ -339,11 +418,22 @@ class TestWorldAt:
         assert world_at([a, b], 1)[0] == [] and world_at([a, b], 1)[1].shape == (0, 2)
 
 
+    def test_presence_is_world_at_at_every_step(self):
+        shapes = ((4, 3, 5), (2, 0, 2), (9, 6, 1))  # id, enter step, steps
+        tracks = [straight_trajectory(ped, enter, n) for ped, enter, n in shapes]
+        seen = list(presence(tracks))
+        assert [step for step, _ in seen] == list(range(0, 9))
+        for step, present in seen:
+            assert present == world_at(tracks, step)[0]
+        assert list(presence([])) == []
+
+
 class TestSplit:
     def make(self, n):
-        # steps tell the rows apart
+        # steps tell the rows apart; window i reads frames i .. i + 7
         steps = np.arange(n, dtype=np.int64)
-        return Samples(np.zeros((n, 8, 3)), np.zeros((n, 2)), np.zeros(n, np.int64), steps)
+        index = np.arange(n)[:, None] + np.arange(8)
+        return Samples(np.zeros((n + 7, 3)), index, np.zeros((n, 2)), np.zeros(n, np.int64), steps)
 
     def test_ten_gives_eight_two(self):
         ds = split(self.make(10), seed=0)
@@ -372,6 +462,13 @@ class TestSplit:
         for side in (ds.training, ds.validation):
             assert (np.diff(side.steps) > 0).all()
             assert side.windows.shape[1:] == (8, 3) and len(side.targets) == len(side)
+
+    def test_both_sides_share_the_frame_table(self):
+        samples = self.make(23)
+        ds = split(samples, seed=5)
+        assert ds.training.frames is ds.validation.frames is samples.frames
+        assert np.shares_memory(ds.training.frames, ds.validation.frames)
+        np.testing.assert_array_equal(ds.validation.windows, samples.windows[ds.validation.steps])
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):

@@ -603,6 +603,26 @@ def test_normalize_stats_values():
     np.testing.assert_array_equal(z[:, :, 1], np.zeros((2, 2)))
 
 
+def test_stats_over_the_frame_table_have_the_bits_of_the_stacked_windows():
+    # overlapping windows count a frame once per window, over several chunks
+    rng = np.random.default_rng(26)
+    frames = rng.normal(size=(700, 5)) * [1.0, 1e3, 1e-4, 1.0, 1.0] + [0.0, 7.0, 0.0, -2.0, 0.0]
+    frames[:, 3] = -2.0
+    frames[:, 4] = -0.0
+    w = 8
+    index = np.concatenate(
+        [np.arange(a, b - w)[:, None] + np.arange(w) for a, b in ((0, 300), (300, 520), (520, 700))]
+    )
+    index = np.concatenate([index, index, index[::-1], index[:1200]])  # rows repeat
+    assert len(index) * w > 3 * tcn._STATS_ROWS
+    stacked = frames[index]
+    flat = stacked.reshape(-1, 5)
+    for stats in (compute_stats(frames, index), compute_stats(stacked)):
+        assert stats.mean.tobytes() == flat.mean(axis=0).tobytes()
+        std = flat.std(axis=0)
+        assert stats.std.tobytes() == np.where(std > 1e-6, std, 1.0).tobytes()
+
+
 # ------------------------------------------------------------------- training
 
 
@@ -611,7 +631,8 @@ def _make_split(n, w, f, seed, map_fn):
     windows = np.stack([rng.normal(size=(w, f)) for _ in range(n)])
     targets = np.stack([map_fn(window) for window in windows])
     rows = np.arange(n, dtype=np.int64)
-    samples = Samples(windows, targets, ped_ids=rows, steps=w + rows)
+    index = np.arange(n * w).reshape(n, w)
+    samples = Samples(windows.reshape(-1, f), index, targets, ped_ids=rows, steps=w + rows)
     n_val = max(1, n // 5)
     return DatasetSplit(training=samples[:-n_val], validation=samples[-n_val:], seed=seed)
 
@@ -763,6 +784,17 @@ def test_artifact_round_trip(tmp_path):
     rng = np.random.default_rng(24)
     x = rng.normal(size=(3, model.arch.window, model.arch.feature_dim))
     np.testing.assert_array_equal(loaded.predict(x), model.predict(x))
+
+
+def test_loading_an_artifact_draws_no_parameters(tmp_path, monkeypatch):
+    # the shapes to check come from the architecture, not from an initialization
+    save_model(tmp_path / "model.bin", _tiny_model())
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("load_model initialized parameters")
+
+    monkeypatch.setattr(tcn, "init_params", refuse)
+    assert load_model(tmp_path / "model.bin").arch == _small_arch()
 
 
 def test_artifact_bytes_are_reproducible(tmp_path):
