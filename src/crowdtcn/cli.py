@@ -399,27 +399,11 @@ def cmd_features(args) -> int:
         raise EmptyDataset("no window samples could be built from the input files")
     out = cfg.output_dir / "features"
     out.mkdir(parents=True, exist_ok=True)
-    _save_windows(out / "windows.npy", samples)
-    for name in ("targets", "ped_ids", "steps"):
+    for name in ("windows", "targets", "ped_ids", "steps"):
         np.save(out / f"{name}.npy", getattr(samples, name))
     w, f = samples.index.shape[1], samples.frames.shape[1]
     print(f"{len(samples)} samples, window {w}, {f} features -> {out}")
     return EXIT_OK
-
-
-def _save_windows(path: Path, samples: Samples) -> None:
-    """Write samples.windows in np.save's format, gathering 4096 windows at a
-    time from the frame table instead of the whole (N, w, F) array at once."""
-    shape = (len(samples), samples.index.shape[1], samples.frames.shape[1])
-    header = {
-        "descr": np.lib.format.dtype_to_descr(samples.frames.dtype),
-        "fortran_order": False,
-        "shape": shape,
-    }
-    with open(path, "wb") as fp:
-        np.lib.format.write_array_header_1_0(fp, header)
-        for start in range(0, len(samples), 4096):
-            fp.write(samples[start : start + 4096].windows.tobytes())
 
 
 def _pooled_metrics(per_file: list[dict]) -> dict:

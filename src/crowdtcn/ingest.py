@@ -25,7 +25,6 @@ windows overlap in the table and are copied out only when read.
 
 from __future__ import annotations
 
-import functools
 import io
 import math
 import warnings
@@ -275,18 +274,6 @@ def parse_trajectories(path_or_lines) -> dict[int, RawTrack]:
     return _read_lines(Path(path_or_lines).read_text().splitlines()) if tracks is None else tracks
 
 
-@functools.cache
-def _projection(window: int, polyorder: int) -> np.ndarray:
-    """The least-squares fit over a window as a read-only (window, window)
-    matrix: row i maps a window of samples to its fitted value at offset
-    i - window // 2. Built once per setting, not once per track."""
-    half = window // 2
-    vander = np.arange(-half, half + 1.0)[:, None] ** np.arange(polyorder + 1)
-    proj = vander @ np.linalg.pinv(vander)
-    proj.flags.writeable = False
-    return proj
-
-
 def smooth(positions, window: int, polyorder: int) -> np.ndarray:
     """Savitzky-Golay smoothing of an (n, 2) position series.
 
@@ -303,7 +290,9 @@ def smooth(positions, window: int, polyorder: int) -> np.ndarray:
     if len(pts) < window:
         raise BadWindow(f"series of length {len(pts)} is shorter than window {window}")
     half = window // 2
-    proj = _projection(window, polyorder)
+    vander = np.arange(-half, half + 1.0)[:, None] ** np.arange(polyorder + 1)
+    # row i maps a window of samples to its fitted value at offset i - half
+    proj = vander @ np.linalg.pinv(vander)
     out = np.empty_like(pts)
     out[half : len(pts) - half] = sliding_window_view(pts, window, axis=0) @ proj[half]
     out[:half] = proj[:half] @ pts[:window]

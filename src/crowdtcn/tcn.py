@@ -577,10 +577,10 @@ def _column_sum(frames: np.ndarray, rows: np.ndarray, center=None) -> np.ndarray
     return total
 
 
-def compute_stats(frames: np.ndarray, index: np.ndarray | None = None) -> NormStats:
+def compute_stats(frames: np.ndarray, index: np.ndarray) -> NormStats:
     """Stats over all rows of all training windows, each frame counted once
-    per window that holds it: frames is (N, w, F) windows, or an (M, F) frame
-    table whose rows the (N, w) index picks for each window (ingest.Samples).
+    per window that holds it: frames is an (M, F) frame table whose rows the
+    (N, w) index picks for each window (ingest.Samples).
 
     The sums run over the window rows in order, a chunk at a time, so mean
     and std have the bits of np.mean and np.std over the stacked (N * w, F)
@@ -591,9 +591,6 @@ def compute_stats(frames: np.ndarray, index: np.ndarray | None = None) -> NormSt
     normalize to an enormous value.
     """
     frames = np.asarray(frames, dtype=np.float64)
-    if index is None:
-        frames = frames.reshape(-1, frames.shape[-1])
-        index = np.arange(len(frames))
     rows = np.ravel(index)
     mean = _column_sum(frames, rows) / len(rows)
     std = np.sqrt(_column_sum(frames, rows, center=mean) / len(rows))
@@ -654,21 +651,24 @@ class Model:
 def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None = None):
     """Minibatch Adam over the training set, tracking the best validation loss.
 
-    split is an ingest.DatasetSplit: two ingest.Samples tables of raw windows,
-    normally over one frame table. Each frame table is normalized once into
-    the parameter dtype; the validation windows are gathered once and each
-    minibatch with one fancy index. Returns (Model with the best-validation
-    parameters, log rows). Each log row is (iteration, train_loss, val_loss,
-    wall_time_s); validation runs in inference mode before any update
-    (iteration 0) and every eval_every iterations. train_loss is the most
-    recent minibatch loss; the iteration-0 row reports an inference-mode loss
-    on the first batch-size training rows.
+    split is an ingest.DatasetSplit: two ingest.Samples tables of raw windows
+    over one frame table, as ingest.split makes them (ValueError otherwise).
+    The frame table is normalized once into the parameter dtype; the
+    validation windows are gathered once and each minibatch with one fancy
+    index. Returns (Model with the best-validation parameters, log rows).
+    Each log row is (iteration, train_loss, val_loss, wall_time_s);
+    validation runs in inference mode before any update (iteration 0) and
+    every eval_every iterations. train_loss is the most recent minibatch
+    loss; the iteration-0 row reports an inference-mode loss on the first
+    batch-size training rows.
     """
     training, validation = split.training, split.validation
     if not training:
         raise EmptyDataset("training set is empty")
     if not validation:
         raise EmptyDataset("validation set is empty")
+    if validation.frames is not training.frames:
+        raise ValueError("training and validation windows must share one frame table")
     w, f = training.index.shape[1], training.frames.shape[1]
     if arch is None:
         arch = Architecture(feature_dim=f, window=w)
@@ -681,10 +681,7 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
     tx = normalize_features(training.frames, stats).astype(dtype)
     rows = training.index
     ty = training.targets.astype(dtype)
-    if validation.frames is not training.frames:
-        vx = normalize_features(validation.frames, stats).astype(dtype)[validation.index]
-    else:
-        vx = tx[validation.index]
+    vx = tx[validation.index]
     vy = validation.targets.astype(dtype)
 
     params = init_params(arch, seed=config.seed, dtype=dtype)

@@ -15,8 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, _save_windows, load_run_config, main
-from crowdtcn.ingest import Samples
+from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_run_config, main
 from crowdtcn.scenario import BadConfig, Scenario
 from crowdtcn.simulate import SimConfig
 from crowdtcn.tcn import Architecture, TrainConfig, load_model, save_model
@@ -805,22 +804,6 @@ def test_features_writes_arrays(trained_dir):
     assert ped_ids.shape == steps.shape == (windows.shape[0],)
     assert windows.dtype == targets.dtype == np.float64
     assert ped_ids.dtype == steps.dtype == np.int64
-
-
-def test_windows_file_is_what_np_save_writes(tmp_path):
-    # more windows than one write, overlapping in their frame table
-    rng = np.random.default_rng(8)
-    n, w = 5000, 3
-    samples = Samples(
-        rng.normal(size=(n + w, 2)),
-        np.arange(n)[:, None] + np.arange(w),
-        np.zeros((n, 2)),
-        np.zeros(n, np.int64),
-        np.arange(n, dtype=np.int64),
-    )
-    _save_windows(tmp_path / "windows.npy", samples)
-    np.save(tmp_path / "reference.npy", samples.windows)
-    assert (tmp_path / "windows.npy").read_bytes() == (tmp_path / "reference.npy").read_bytes()
 
 
 def test_missing_config_is_exit_2(tmp_path, capsys):

@@ -449,7 +449,9 @@ def test_batched_rows_match_single_window_predict():
     arch = Architecture(
         feature_dim=sc.feature_dim, window=3, channels=(6, 8), kernel_size=2, dilations=(1, 2)
     )
-    stats = compute_stats(np.concatenate(batches))
+    windows = np.concatenate(batches)
+    n = len(windows)
+    stats = compute_stats(windows.reshape(n * 3, -1), np.arange(n * 3).reshape(n, 3))
     model = Model(arch, init_params(arch, seed=3), stats)
     for windows in batches:
         predicted = model.predict(windows)

@@ -584,10 +584,16 @@ def test_adam_rejects_mismatched_keys():
 # -------------------------------------------------------------- normalization
 
 
+def _stacked_stats(windows):
+    """compute_stats over (N, w, F) windows, each row of the table once."""
+    n, w, f = windows.shape
+    return compute_stats(windows.reshape(-1, f), np.arange(n * w).reshape(n, w))
+
+
 def test_normalize_matches_formula():
     rng = np.random.default_rng(16)
     x = rng.normal(size=(10, 4, 6)) * 3 + 1
-    stats = compute_stats(x)
+    stats = _stacked_stats(x)
     np.testing.assert_array_equal(normalize_features(x, stats), (x - stats.mean) / stats.std)
 
 
@@ -596,7 +602,7 @@ def test_normalize_stats_values():
     x[:, :, 0] = [[1, 1], [3, 3]]  # mean 2, std 1
     x[:, :, 1] = 5.0  # constant: std clamps to 1
     x[:, :, 2] = [[0, 2], [4, 6]]  # mean 3
-    stats = compute_stats(x)
+    stats = _stacked_stats(x)
     np.testing.assert_allclose(stats.mean, [2.0, 5.0, 3.0])
     assert stats.std[1] == 1.0
     z = normalize_features(x, stats)
@@ -617,7 +623,7 @@ def test_stats_over_the_frame_table_have_the_bits_of_the_stacked_windows():
     assert len(index) * w > 3 * tcn._STATS_ROWS
     stacked = frames[index]
     flat = stacked.reshape(-1, 5)
-    for stats in (compute_stats(frames, index), compute_stats(stacked)):
+    for stats in (compute_stats(frames, index), _stacked_stats(stacked)):
         assert stats.mean.tobytes() == flat.mean(axis=0).tobytes()
         std = flat.std(axis=0)
         assert stats.std.tobytes() == np.where(std > 1e-6, std, 1.0).tobytes()
@@ -704,6 +710,14 @@ def test_train_rejects_empty_sets():
         train(DatasetSplit(split.training[:0], split.validation, seed=0), arch=arch)
     with pytest.raises(EmptyDataset):
         train(DatasetSplit(split.training, split.validation[:0], seed=0), arch=arch)
+
+
+def test_train_rejects_sides_over_two_frame_tables():
+    arch = _small_arch()
+    split = _make_split(20, arch.window, arch.feature_dim, 28, lambda w: w[-1, :2])
+    validation = dataclasses.replace(split.validation, frames=split.validation.frames.copy())
+    with pytest.raises(ValueError, match="one frame table"):
+        train(DatasetSplit(split.training, validation, seed=0), TrainConfig(iterations=1), arch)
 
 
 def test_train_rejects_mismatched_architecture():
