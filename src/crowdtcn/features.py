@@ -46,6 +46,7 @@ __all__ = [
     "radar_neighbors",
     "forward_wall_rays",
     "assemble_frame",
+    "feature_dim",
     "FeatureExtractor",
 ]
 

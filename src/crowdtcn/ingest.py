@@ -182,7 +182,6 @@ class Samples:
 class DatasetSplit:
     training: Samples
     validation: Samples
-    seed: int
 
 
 # bytes that the line loop splits or reads differently from np.loadtxt
@@ -488,4 +487,4 @@ def split(samples: Samples, seed: int, ratio: tuple[int, int] = (4, 1)) -> Datas
     rng = np.random.default_rng(seed)
     validation = np.zeros(n, dtype=bool)
     validation[rng.permutation(n)[: n * ratio[1] // total]] = True
-    return DatasetSplit(training=samples[~validation], validation=samples[validation], seed=seed)
+    return DatasetSplit(training=samples[~validation], validation=samples[validation])

@@ -693,15 +693,15 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
 
     n = len(rows)
     batch = min(config.batch_size, n)
-    best_val = val_loss()
-    best_params = {k: p.copy() for k, p in params.items()}
     log: list[tuple[int, float, float, float]] = []
     t0 = time.monotonic()
     last_train = loss(forward(params, arch, tx[rows[:batch]], training=False), ty[:batch])
     for it in range(config.iterations + 1):
         if it % config.eval_every == 0 or it == config.iterations:
             vl = val_loss()
-            if vl < best_val:
+            # iteration 0 seeds the best unconditionally, so a NaN first loss
+            # keeps the initial parameters
+            if it == 0 or vl < best_val:
                 best_val = vl
                 best_params = {k: p.copy() for k, p in params.items()}
             log.append((it, last_train, vl, time.monotonic() - t0))

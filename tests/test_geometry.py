@@ -383,17 +383,12 @@ class TestPolygonOps:
                 polys.append(hull)
             inter = polygon_clip(polys[0], polys[1])
             samples = rng.uniform(-2, 2, (4000, 2))
-            both = np.array(
-                [
-                    point_in_polygon(p, polys[0], include_boundary=False)
-                    and point_in_polygon(p, polys[1], include_boundary=False)
-                    for p in samples
-                ]
-            )
+            both = point_in_polygon(samples, polys[0], include_boundary=False)
+            both &= point_in_polygon(samples, polys[1], include_boundary=False)
             if len(inter) < 3:
                 assert both.mean() < 1e-3
                 continue
-            in_clip = np.array([point_in_polygon(p, inter) for p in samples])
+            in_clip = point_in_polygon(samples, inter)
             agree = (both == in_clip).mean()
             assert agree >= 0.999
 

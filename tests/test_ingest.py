@@ -477,4 +477,3 @@ class TestSplit:
     def test_split_type(self):
         ds = split(self.make(10), seed=3)
         assert isinstance(ds, DatasetSplit)
-        assert ds.seed == 3

@@ -640,7 +640,7 @@ def _make_split(n, w, f, seed, map_fn):
     index = np.arange(n * w).reshape(n, w)
     samples = Samples(windows.reshape(-1, f), index, targets, ped_ids=rows, steps=w + rows)
     n_val = max(1, n // 5)
-    return DatasetSplit(training=samples[:-n_val], validation=samples[-n_val:], seed=seed)
+    return DatasetSplit(training=samples[:-n_val], validation=samples[-n_val:])
 
 
 def test_train_zero_learning_rate_keeps_initial_params():
@@ -653,6 +653,21 @@ def test_train_zero_learning_rate_keeps_initial_params():
     for k in init:
         np.testing.assert_array_equal(model.params[k], init[k])
     assert [row[0] for row in log] == [0, 4, 8]
+
+
+def test_nan_validation_loss_keeps_initial_params():
+    # a NaN never compares less, so the iteration-0 parameters stay the best
+    arch = _small_arch()
+    split = _make_split(20, arch.window, arch.feature_dim, 29, lambda w: w[-1, :2])
+    validation = dataclasses.replace(
+        split.validation, targets=np.full_like(split.validation.targets, np.nan)
+    )
+    cfg = TrainConfig(iterations=6, batch_size=4, learning_rate=1e-2, eval_every=2, seed=5)
+    model, log = train(DatasetSplit(split.training, validation), cfg, arch=arch)
+    assert np.isnan([row[2] for row in log]).all() and np.isnan(model.meta["best_val_loss"])
+    init = init_params(arch, seed=cfg.seed, dtype=np.float32)
+    for k in init:
+        np.testing.assert_array_equal(model.params[k], init[k])
 
 
 def test_train_is_deterministic():
@@ -707,9 +722,9 @@ def test_train_rejects_empty_sets():
     arch = _small_arch()
     split = _make_split(20, arch.window, arch.feature_dim, 22, lambda w: w[-1, :2])
     with pytest.raises(EmptyDataset):
-        train(DatasetSplit(split.training[:0], split.validation, seed=0), arch=arch)
+        train(DatasetSplit(split.training[:0], split.validation), arch=arch)
     with pytest.raises(EmptyDataset):
-        train(DatasetSplit(split.training, split.validation[:0], seed=0), arch=arch)
+        train(DatasetSplit(split.training, split.validation[:0]), arch=arch)
 
 
 def test_train_rejects_sides_over_two_frame_tables():
@@ -717,7 +732,7 @@ def test_train_rejects_sides_over_two_frame_tables():
     split = _make_split(20, arch.window, arch.feature_dim, 28, lambda w: w[-1, :2])
     validation = dataclasses.replace(split.validation, frames=split.validation.frames.copy())
     with pytest.raises(ValueError, match="one frame table"):
-        train(DatasetSplit(split.training, validation, seed=0), TrainConfig(iterations=1), arch)
+        train(DatasetSplit(split.training, validation), TrainConfig(iterations=1), arch)
 
 
 def test_train_rejects_mismatched_architecture():
