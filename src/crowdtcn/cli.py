@@ -47,7 +47,7 @@ from .ingest import (
     split,
     write_trajectory_file,
 )
-from .scenario import BadConfig, Scenario, load_scenario, typed, typed_fields
+from .scenario import BadConfig, Scenario, load_scenario, read_document, read_section, typed
 from .simulate import MissingSeedData, ModelShapeMismatch, SimConfig, run
 from .synth import GEOMETRIES, write_dataset
 from .tcn import (
@@ -61,7 +61,7 @@ from .tcn import (
     write_training_log,
 )
 
-__all__ = ["RunConfig", "load_run_config", "main"]
+__all__ = ["RunConfig", "SweepConfig", "load_run_config", "main"]
 
 log = logging.getLogger("crowdtcn")
 
@@ -83,6 +83,24 @@ _CONFIG_ERRORS = (
     OSError,
 )
 
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """The sweep grid of ray exit distances and step angles; jobs cells run at once."""
+
+    exit_distances: tuple = ()
+    step_degs: tuple = ()
+    jobs: int = 1
+
+    def __post_init__(self):
+        for name in ("exit_distances", "step_degs"):
+            values = getattr(self, name)
+            if not all(type(v) in (int, float) and math.isfinite(v) for v in values):
+                raise ValueError(f"{name!r} must be finite numbers, got {list(values)}")
+        if self.jobs < 1:
+            raise ValueError(f"'jobs' must be at least 1, got {self.jobs}")
+
+
 @dataclass
 class RunConfig:
     """One validated run document; all paths are resolved absolute.
@@ -95,23 +113,30 @@ class RunConfig:
     training_files: list[Path]
     testing_files: list[Path]
     output_dir: Path
-    seed: int
-    window: int
-    iterations: int
-    batch_size: int
-    learning_rate: float
-    eval_every: int
-    dropout: float
-    dtype: str
-    channels: tuple
-    kernel_size: int
-    dilations: tuple
-    split_ratio: tuple
     sim: SimConfig
-    sweep: dict
+    sweep: SweepConfig
+    split_ratio: tuple = (4, 1)
+    seed: int = TrainConfig.seed
+    window: int = Architecture.window
+    iterations: int = TrainConfig.iterations
+    batch_size: int = TrainConfig.batch_size
+    learning_rate: float = TrainConfig.learning_rate
+    eval_every: int = TrainConfig.eval_every
+    dropout: float = Architecture.dropout
+    dtype: str = TrainConfig.dtype
+    channels: tuple = Architecture.channels
+    kernel_size: int = Architecture.kernel_size
+    dilations: tuple = Architecture.dilations
+
+    def __post_init__(self):
+        ratio = self.split_ratio
+        if len(ratio) != 2 or not all(type(v) is int and v > 0 for v in ratio):
+            raise ValueError(f"split_ratio must be two positive integers, got {ratio}")
+        self.train_config()
+        self.architecture()
 
     def _settings(self, cls) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(cls) if f.name in _MODEL_DEFAULTS}
+        return {f.name: getattr(self, f.name) for f in fields(cls) if f.default is not MISSING}
 
     def architecture(self) -> Architecture:
         return Architecture(feature_dim=self.scenario.feature_dim, **self._settings(Architecture))
@@ -120,106 +145,43 @@ class RunConfig:
         return TrainConfig(**self._settings(TrainConfig))
 
 
-# the run document's keys: RunConfig's fields plus the scenario overrides
-_KNOWN_KEYS = {f.name for f in fields(RunConfig)} | {"radar", "rays"}
-
-# training and network settings, with the defaults of their config classes
-_MODEL_DEFAULTS = {
-    f.name: f.default
-    for cls in (TrainConfig, Architecture)
-    for f in fields(cls)
-    if f.default is not MISSING
-}
-
-
-def _split_ratio(value) -> tuple:
-    ratio = tuple(value)
-    if len(ratio) != 2 or not all(type(v) is int and v > 0 for v in ratio):
-        raise ValueError(f"must be two positive integers, got {value!r}")
-    return ratio
-
-
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run-config JSON file.
 
-    overrides maps top-level keys to replacement values (CLI flags); None
-    values are ignored. Referenced files must exist.
+    overrides maps top-level keys to replacement values (CLI flags), and
+    "sweep" to values merged into that section; None values are ignored.
+    Referenced files must exist.
     """
     path = Path(path)
-    if not path.exists():
-        raise BadConfig(f"run config not found: {path}")
-    try:
-        doc = json.loads(path.read_text())
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise BadConfig(f"run config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise BadConfig(f"run config {path} must be a JSON object")
-    unknown = sorted(set(doc) - _KNOWN_KEYS)
-    if unknown:
-        raise BadConfig(f"run config {path} has unknown keys: {unknown}")
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            doc[key] = value
-    for section in ("radar", "rays", "sim", "sweep"):
-        if not isinstance(doc.get(section, {}), dict):
-            raise BadConfig(f"{section!r} must be an object")
-
+    # RunConfig's fields, and the radar and rays sections that override the scenario's
+    known = {f.name for f in fields(RunConfig)} | {"radar", "rays"}
+    doc = read_document(path, "run config", known, overrides)
     base = path.parent.resolve()
     if "scenario" not in doc:
         raise BadConfig(f"run config {path} is missing the 'scenario' path")
-    if not isinstance(doc["scenario"], str):
-        raise BadConfig(f"'scenario' must be a path string, got {doc['scenario']!r}")
-    # run-config radar/rays sections override the scenario's own values
-    scenario = load_scenario(
-        (base / doc["scenario"]).resolve(),
-        {section: doc[section] for section in ("radar", "rays") if section in doc},
+    doc["scenario"] = load_scenario(
+        (base / typed(doc["scenario"], str, "scenario")).resolve(),
+        {section: doc.pop(section) for section in ("radar", "rays") if section in doc},
     )
 
     def file_list(key):
         names = doc.get(key, [])
         if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
             raise BadConfig(f"{key!r} must be a list of path strings, got {names!r}")
-        out = []
-        for name in names:
-            p = (base / name).resolve()
+        paths = [(base / name).resolve() for name in names]
+        for p in paths:
             if not p.exists():
                 raise BadConfig(f"{key} entry not found: {p}")
-            out.append(p)
-        return out
+        return paths
 
-    def value(key, convert, default):
-        try:
-            return convert(doc.get(key, default))
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadConfig(f"bad {key!r} in run config {path}: {exc}") from exc
-
-    def setting(key, default):
-        if type(default) is tuple:
-            return value(key, tuple, default)
-        return typed(doc.get(key, default), type(default), key)
-
-    settings = {key: setting(key, default) for key, default in _MODEL_DEFAULTS.items()}
-    try:
-        sim = SimConfig(**typed_fields(SimConfig, doc.get("sim", {}), "sim"))
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise BadConfig(f"bad 'sim' section: {exc}") from exc
-
-    cfg = RunConfig(
-        scenario=scenario,
+    doc.update(
         training_files=file_list("training_files"),
         testing_files=file_list("testing_files"),
-        output_dir=(base / doc.get("output_dir", "out")).resolve(),
-        split_ratio=value("split_ratio", _split_ratio, (4, 1)),
-        sim=sim,
-        sweep=doc.get("sweep", {}),
-        **settings,
+        output_dir=(base / typed(doc.get("output_dir", "out"), str, "output_dir")).resolve(),
+        sim=read_section(SimConfig, doc.get("sim", {}), "sim"),
+        sweep=read_section(SweepConfig, doc.get("sweep", {}), "sweep"),
     )
-    try:
-        cfg.train_config()
-        cfg.architecture()
-    except ValueError as exc:
-        raise BadConfig(f"run config {path}: {exc}") from exc
-    return cfg
+    return read_section(RunConfig, doc, "run config")
 
 
 def _write_json(path: Path, doc: dict) -> None:
@@ -456,41 +418,25 @@ _SWEEP_COLUMNS = [
 ]
 
 
-def _finite_numbers(key: str, values) -> list[float]:
-    """A sweep axis as floats; BadConfig naming ``key`` unless all are finite numbers."""
-    if not isinstance(values, list) or not all(
-        type(v) in (int, float) and math.isfinite(v) for v in values
-    ):
-        raise BadConfig(f"bad {key!r} in the sweep: expected finite numbers, got {values!r}")
-    return [float(v) for v in values]
-
-
 def cmd_sweep(args) -> int:
     overrides = _overrides(args)
     cfg = load_run_config(args.config, overrides)
     grid = cfg.sweep
-    exit_distances = args.exit_distances or grid.get("exit_distances")
-    step_degs = args.step_degs or grid.get("step_degs")
-    if not exit_distances or not step_degs:
+    if not grid.exit_distances or not grid.step_degs:
         raise BadConfig(
             "sweep needs exit distances and ray step angles "
             "(--exit-distances/--step-degs or a 'sweep' config section)"
         )
-    exit_distances = _finite_numbers("exit_distances", exit_distances)
-    step_degs = _finite_numbers("step_degs", step_degs)
-    jobs = grid.get("jobs", 1) if args.jobs is None else args.jobs
-    if type(jobs) is not int or jobs < 1:
-        raise BadConfig(f"bad 'jobs' in the sweep: expected an integer >= 1, got {jobs!r}")
     tasks = []
-    for de in exit_distances:
-        for beta in step_degs:
+    for de in map(float, grid.exit_distances):
+        for beta in map(float, grid.step_degs):
             label = f"{de:g}-{beta:g}"
             tasks.append((str(args.config), overrides, de, beta, label))
-    if jobs > 1:
+    if grid.jobs > 1:
         # imported here: multiprocessing costs every other command about 20 ms at start
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=grid.jobs) as pool:
             rows = list(pool.map(_sweep_one, tasks))
     else:
         rows = [_sweep_one(t) for t in tasks]
@@ -540,11 +486,11 @@ def cmd_synth(args) -> int:
         "testing_files": [paths["testing"].name],
         "output_dir": "out",
         "seed": args.seed,
-        "window": _MODEL_DEFAULTS["window"],
+        "window": RunConfig.window,
         "iterations": 800,
         "batch_size": 64,
         "learning_rate": 1e-3,
-        "eval_every": _MODEL_DEFAULTS["eval_every"],
+        "eval_every": RunConfig.eval_every,
     }
     config_path = Path(args.out) / "run.json"
     _write_json(config_path, run_doc)
@@ -557,13 +503,17 @@ def cmd_synth(args) -> int:
 
 
 def _overrides(args) -> dict:
+    """Flag values by run-config key; the sweep flags merge into its section."""
     keys = ("seed", "iterations", "output_dir", "learning_rate", "batch_size")
-    return {k: getattr(args, k, None) for k in keys}
+    grid = {k: getattr(args, k, None) for k in ("exit_distances", "step_degs", "jobs")}
+    overrides = {k: getattr(args, k, None) for k in keys}
+    return {**overrides, "sweep": {k: v for k, v in grid.items() if v is not None}}
 
 
-def _float_list(text: str) -> list[float]:
+def _float_list(text: str) -> list[float] | None:
+    """Comma-separated numbers; None for none, which leaves the config's own."""
     try:
-        return [float(v) for v in text.split(",") if v.strip()]
+        return [float(v) for v in text.split(",") if v.strip()] or None
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"expected comma-separated numbers: {text}") from exc
 

@@ -225,21 +225,26 @@ def voronoi_measures(
     clipped by it at once. The walkable region must not cross itself
     (SelfIntersecting).
     """
+    area_m = _checked_area(walkable, measurement_area)
+    return _step_measures(positions, speeds, walkable, measurement_area, area_m, width)
+
+
+def _checked_area(walkable, measurement_area) -> float:
+    """The area of M, once the walkable region and M pass their checks."""
     ensure_simple_polygon(walkable)
-    return _step_measures(positions, speeds, walkable, measurement_area, width)
+    if not is_convex(measurement_area):
+        raise ValueError("measurement_area must be convex")
+    return polygon_area(measurement_area)
 
 
-def _step_measures(positions, speeds, walkable, measurement_area, width):
-    """voronoi_measures for a walkable region already checked for self-crossing."""
+def _step_measures(positions, speeds, walkable, measurement_area, area_m, width):
+    """voronoi_measures for regions already checked, with M of area area_m."""
     positions = np.asarray(positions, dtype=float).reshape(-1, 2)
     speeds = np.asarray(speeds, dtype=float).reshape(-1)
     if len(positions) != len(speeds):
         raise ValueError("need one speed per position")
     if len(positions) == 0:
         return None
-    if not is_convex(measurement_area):
-        raise ValueError("measurement_area must be convex")
-    area_m = polygon_area(measurement_area)
     cells = bounded_voronoi(positions, walkable)
     inter = polygon_clip_areas([cell.polygon for cell in cells], measurement_area)
     hit = inter > 0.0
@@ -279,9 +284,10 @@ def profiles(
 
     Steps where no pedestrian (with a defined arrival velocity) intersects the
     measurement area are absent from the series rather than zero-filled. The
-    walkable region is checked for self-crossing once, not at every step.
+    walkable region is checked for self-crossing, and the measurement area
+    for convexity, once rather than at every step.
     """
-    ensure_simple_polygon(walkable)
+    area_m = _checked_area(walkable, measurement_area)
     steps: list[int] = []
     rho: list[float] = []
     vel: list[float] = []
@@ -291,7 +297,9 @@ def profiles(
         # entry-step pedestrians have no arrival velocity yet
         moving = [i for i, tr in enumerate(present) if tr.enter_step < t]
         speeds = np.hypot(*velocities[moving].T)
-        sample = _step_measures(positions[moving], speeds, walkable, measurement_area, width)
+        sample = _step_measures(
+            positions[moving], speeds, walkable, measurement_area, area_m, width
+        )
         if sample is None:
             continue
         steps.append(t)

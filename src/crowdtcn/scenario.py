@@ -31,6 +31,9 @@ derived ray_walls (walls, then virtual walls) and departure_segments (exits,
 then entrances) are built from them at the same time. The walkable polygon
 defaults to the clipping polygon. The measurement area must be convex. All
 lengths are meters, angles degrees, times seconds.
+
+The run config is read by the same two functions: read_document reads a
+file's object, and read_section builds a dataclass from an object.
 """
 
 from __future__ import annotations
@@ -51,20 +54,35 @@ from .features import (
 )
 from .geometry import ensure_simple_polygon, is_convex
 
-__all__ = ["BadConfig", "SmoothingConfig", "Scenario", "load_scenario", "typed", "typed_fields"]
+__all__ = [
+    "BadConfig",
+    "SmoothingConfig",
+    "Scenario",
+    "load_scenario",
+    "read_document",
+    "read_section",
+    "typed",
+]
 
 
 class BadConfig(ValueError):
     """Raised when a scenario or run configuration is invalid."""
 
 
-_KINDS = {bool: "true or false", int: "an integer", float: "a number", str: "a string"}
+_KINDS = {
+    bool: "true or false",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    tuple: "a list",
+}
 
 
 def typed(value, kind: type, label: str):
-    """A JSON value as bool, int, float or str. An int takes an integral
-    number (8.0 passes), a float any number; booleans and strings pass only
-    as themselves. Anything else is a BadConfig naming ``label``."""
+    """A JSON value as bool, int, float, str or tuple. An int takes an
+    integral number (8.0 passes), a float any number and a tuple a list;
+    booleans and strings pass only as themselves. Anything else is a
+    BadConfig naming ``label``."""
     if kind is int and type(value) is float and value.is_integer():
         value = int(value)
     elif kind is float and type(value) is int:
@@ -72,18 +90,68 @@ def typed(value, kind: type, label: str):
             value = float(value)
         except OverflowError as exc:
             raise BadConfig(f"{label} must be a number a float can hold: {exc}") from exc
+    elif kind is tuple and type(value) is list:
+        value = tuple(value)
     if type(value) is not kind:
         raise BadConfig(f"{label} must be {_KINDS[kind]}, got {value!r}")
     return value
 
 
-def typed_fields(cls, section: dict, label: str) -> dict:
-    """A section checked by typed against cls's field defaults' types."""
+def _object(value, label: str, known=None) -> dict:
+    """value, if it is a JSON object whose keys are all in known (when given)."""
+    if not isinstance(value, dict):
+        raise BadConfig(f"{label} must be a JSON object, got {type(value).__name__}")
+    unknown = sorted(set(value) - set(value if known is None else known))
+    if unknown:
+        raise BadConfig(f"{label} has unknown keys: {unknown}")
+    return value
+
+
+def read_document(path, what: str, known=None, overrides: dict | None = None) -> dict:
+    """The JSON object in the file at path, with overrides applied.
+
+    A missing file, one that is not JSON, one that holds anything but an
+    object and, when known is given, one with a key outside it are each a
+    BadConfig naming ``what`` and the path. An override of None is skipped,
+    an object merges into the section of its name, and any other value
+    replaces the file's own.
+    """
+    p = Path(path)
+    if not p.exists():
+        raise BadConfig(f"{what} not found: {p}")
+    try:
+        doc = json.loads(p.read_text())
+    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
+        raise BadConfig(f"{what} {p} is not valid JSON: {exc}") from exc
+    doc = _object(doc, f"{what} {p}", known)
+    for key, value in (overrides or {}).items():
+        if isinstance(value, dict):
+            value = {**_object(doc.get(key, {}), repr(key)), **value}
+        if value is not None:
+            doc[key] = value
+    return doc
+
+
+def read_section(cls, value, label: str):
+    """cls built from value, the JSON object of the section named label.
+
+    Each key must be a field of cls. A field whose default is a bool, int,
+    float, str or tuple takes only a value of that JSON type (see typed);
+    any other field takes its value as given, for cls to check. Every error
+    is a BadConfig naming the section, and a mistyped value names its key.
+    """
+    section = _object(value, repr(label), [f.name for f in fields(cls)])
     kinds = {f.name: type(f.default) for f in fields(cls)}
-    return {
-        key: typed(value, kinds[key], f"{label}.{key}") if key in kinds else value
-        for key, value in section.items()
-    }
+    values = {}
+    for key, v in section.items():
+        try:
+            values[key] = typed(v, kinds[key], f"{label}.{key}") if kinds[key] in _KINDS else v
+        except BadConfig as exc:
+            raise BadConfig(f"bad {key!r}: {exc}") from None
+    try:
+        return cls(**values)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise BadConfig(f"bad {label!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -95,8 +163,6 @@ class SmoothingConfig:
     polyorder: int = 3
 
     def __post_init__(self):
-        for name, value in typed_fields(SmoothingConfig, asdict(self), "smoothing").items():
-            object.__setattr__(self, name, value)
         if self.window % 2 == 0 or self.window <= self.polyorder or self.polyorder < 0:
             raise BadConfig(
                 f"smoothing window must be odd and greater than polyorder, "
@@ -186,6 +252,7 @@ class Scenario:
         if norm == 0.0:
             raise BadConfig("default_heading must be nonzero")
         self.default_heading = head / norm
+        self.static_velocity_mode = StaticVelocityMode(self.static_velocity_mode)
         diameter = self.diameter()
         if self.rays.exit_distance <= diameter:
             raise BadConfig(
@@ -229,32 +296,17 @@ class Scenario:
     def from_dict(cls, doc: dict) -> "Scenario":
         """Validate a scenario document: one key per field. An absent key
         takes the field's default, and an absent segment list is empty."""
-        doc = _object(doc, "scenario")
-        given = {f.name: doc[f.name] for f in fields(cls) if f.name in doc}
-        try:
-            for key, kind in _FROM_JSON.items():
-                if key in given:
-                    value = given[key]
-                    given[key] = typed(value, kind, key) if kind in _KINDS else kind(value)
-            sections = {
-                key: make(**typed_fields(make, _section(doc, key), key))
-                for key, make in _SECTIONS.items()
-            }
-            return cls(**{"name": "scenario", **_NO_SEGMENTS, **given, **sections})
-        except (TypeError, ValueError, OverflowError) as exc:
-            if isinstance(exc, BadConfig):
-                raise
-            raise BadConfig(str(exc)) from exc
+        given = {"name": "scenario", **_NO_SEGMENTS, **_object(doc, "scenario")}
+        for key, kind in _REQUIRED.items():
+            if key in given:
+                given[key] = typed(given[key], kind, key)
+        for key, make in _SECTIONS.items():
+            given[key] = read_section(make, given.get(key, {}), key)
+        return read_section(cls, given, "scenario")
 
 
-# document values checked by typed or converted before validation, and the sections
-_FROM_JSON = {
-    "name": str,
-    "frame_rate": float,
-    "dt": float,
-    "measurement_width": float,
-    "static_velocity_mode": StaticVelocityMode,
-}
+# the JSON types of the fields without a default, which read_section cannot see
+_REQUIRED = {"name": str, "frame_rate": float, "measurement_width": float}
 _SECTIONS = {"smoothing": SmoothingConfig, "radar": RadarConfig, "rays": RayScanConfig}
 _NO_SEGMENTS = {"walls": [], "entrances": [], "exits": []}
 
@@ -267,16 +319,6 @@ def _to_json(value):
     return asdict(value) if is_dataclass(value) else value
 
 
-def _object(value, label: str) -> dict:
-    if not isinstance(value, dict):
-        raise BadConfig(f"{label} must be a JSON object, got {type(value).__name__}")
-    return value
-
-
-def _section(doc: dict, name: str) -> dict:
-    return _object(doc.get(name, {}), f"scenario section {name!r}")
-
-
 def load_scenario(path, sections: dict | None = None) -> Scenario:
     """Read and validate a scenario file.
 
@@ -284,14 +326,4 @@ def load_scenario(path, sections: dict | None = None) -> Scenario:
     that override the file's own, merged in before validation, so an
     override can repair a value the file alone would fail on.
     """
-    p = Path(path)
-    if not p.exists():
-        raise BadConfig(f"scenario file not found: {p}")
-    try:
-        doc = json.loads(p.read_text())
-    except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
-        raise BadConfig(f"scenario file {p} is not valid JSON: {exc}") from exc
-    doc = _object(doc, f"scenario file {p}")
-    for name, values in (sections or {}).items():
-        doc[name] = {**_section(doc, name), **values}
-    return Scenario.from_dict(doc)
+    return Scenario.from_dict(read_document(path, "scenario file", overrides=sections))

@@ -612,7 +612,8 @@ class TrainConfig:
     dtype: str = "float32"
 
     def __post_init__(self):
-        for name, low in (("iterations", 0), ("batch_size", 1), ("eval_every", 1)):
+        bounds = (("iterations", 0), ("batch_size", 1), ("eval_every", 1), ("seed", 0))
+        for name, low in bounds:
             if getattr(self, name) < low:
                 raise ValueError(f"{name} must be at least {low}, got {getattr(self, name)}")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0.0):

@@ -156,12 +156,21 @@ def _run_config(dataset_dir, path, **changes):
         ("dtype", 32),
         ("sim", {"drop_short_seeds": "no"}),
         ("sim", {"standoff": True}),
+        ("seed", -1),
     ],
 )
 def test_run_config_bad_value_names_its_key(dataset_dir, tmp_path, key, value):
     path = _run_config(dataset_dir, tmp_path / "bad.json", **{key: value})
     with pytest.raises(BadConfig, match=key):
         load_run_config(path)
+
+
+def test_output_dir_of_wrong_type_is_exit_2(dataset_dir, tmp_path, capsys):
+    path = _run_config(dataset_dir, tmp_path / "run.json", output_dir=5)
+    with pytest.raises(BadConfig, match="output_dir"):
+        load_run_config(path)
+    assert main(["train", "-c", str(path)]) == EXIT_CONFIG
+    assert "output_dir" in capsys.readouterr().err
 
 
 def test_run_config_defaults_are_the_config_classes(dataset_dir, tmp_path):
@@ -863,6 +872,29 @@ def test_malformed_sweep_is_exit_2_naming_its_key(
     rc = main(["sweep", "-c", str(path), "--output-dir", str(tmp_path / "out"), *flags])
     assert rc == EXIT_CONFIG
     assert f"'{key}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "section", ["run config", "sim", "sweep", "scenario", "smoothing", "radar", "rays"]
+)
+def test_unknown_key_in_each_json_object_is_exit_2(dataset_dir, tmp_path, capsys, section):
+    # a misspelt key must not fall back to a default without a word
+    scenario = json.loads((dataset_dir / "scenario.json").read_text())
+    changes = {"scenario": str(tmp_path / "scenario.json"), "sweep": dict(GRID)}
+    if section == "run config":
+        changes["walkable_polygn"] = 1
+    elif section == "scenario":
+        scenario["walkable_polygn"] = 1
+    elif section in ("sim", "sweep"):
+        changes[section] = {**changes.get(section, {}), "walkable_polygn": 1}
+    else:
+        scenario[section]["walkable_polygn"] = 1
+    (tmp_path / "scenario.json").write_text(json.dumps(scenario))
+    path = _run_config(dataset_dir, tmp_path / "run.json", **changes)
+    rc = main(["sweep", "-c", str(path), "--output-dir", str(tmp_path / "out")])
+    assert rc == EXIT_CONFIG
+    assert "['walkable_polygn']" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

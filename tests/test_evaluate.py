@@ -271,6 +271,23 @@ def test_voronoi_non_convex_measurement_area_rejected():
         voronoi_measures([[5.0, 5.0]], [1.0], SQUARE, m, 10.0)
 
 
+def test_profiles_check_and_measure_the_measurement_area_once(monkeypatch):
+    from crowdtcn import evaluate
+
+    calls = []
+
+    def counted(name):
+        real = getattr(evaluate, name)
+        return lambda polygon: calls.append(name) or real(polygon)
+
+    for name in ("is_convex", "polygon_area"):
+        monkeypatch.setattr(evaluate, name, counted(name))
+    trs = [straight(1, 0, (1.0, 5.0), (1.0, 0.0), 10), straight(2, 2, (1.0, 3.0), (1.0, 0.25), 8)]
+    series = profiles(trs, SQUARE, SQUARE, width=10.0)
+    assert len(series) > 1
+    assert sorted(calls) == ["is_convex", "polygon_area"]
+
+
 def test_voronoi_density_equals_count_when_m_is_walkable():
     rng = np.random.default_rng(4)
     pts = rng.uniform(1, 9, size=(8, 2))
