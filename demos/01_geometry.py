@@ -34,12 +34,9 @@ print(f"\nmeasurement box area {polygon_area(box):.1f} m^2, "
       f"inside the room: {polygon_area(inter):.2f} m^2")
 
 sites = np.array([[1.0, 1.0], [2.5, 2.0], [1.0, 4.5], [6.0, 1.5]])
-cells = bounded_voronoi(sites, room)
+cells = bounded_voronoi(sites, room)  # one padded table, row i for site i
 print("\nVoronoi cells bounded by the room:")
-total = 0.0
-for cell in cells:
-    a = polygon_area(cell.polygon)
-    total += a
-    inside = point_in_polygon(sites[cell.site_index], cell.polygon)
-    print(f"  pedestrian {cell.site_index} owns {a:5.2f} m^2 (site inside: {inside})")
-print(f"  cells cover {total:.2f} m^2 of {polygon_area(room):.2f} m^2")
+for i in np.flatnonzero(cells.counts):
+    inside = point_in_polygon(sites[i], cells.polygons[i, : cells.counts[i]])
+    print(f"  pedestrian {i} owns {cells.areas[i]:5.2f} m^2 (site inside: {inside})")
+print(f"  cells cover {cells.areas.sum():.2f} m^2 of {polygon_area(room):.2f} m^2")

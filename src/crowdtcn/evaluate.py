@@ -245,16 +245,14 @@ def _step_measures(positions, speeds, walkable, measurement_area, area_m, width)
         raise ValueError("need one speed per position")
     if len(positions) == 0:
         return None
-    cells = bounded_voronoi(positions, walkable)
-    inter = polygon_clip_areas([cell.polygon for cell in cells], measurement_area)
+    polygons, counts, areas = bounded_voronoi(positions, walkable)
+    inter = polygon_clip_areas(polygons, counts, measurement_area)
     hit = inter > 0.0
     if not hit.any():
         return None
     inter = inter[hit]
-    cell_area = np.array([cell.area for cell in cells])[hit]
-    cell_speed = speeds[[cell.site_index for cell in cells]][hit]
-    rho = float((inter / cell_area).sum()) / area_m
-    vel = float((cell_speed * inter).sum() / inter.sum())
+    rho = float((inter / areas[hit]).sum()) / area_m
+    vel = float((speeds[hit] * inter).sum() / inter.sum())
     return rho, vel, rho * vel * width
 
 

@@ -12,7 +12,7 @@ EPS_GEO, far below the centimetre resolution of trajectory data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ EPS_GEO = 1e-9
 
 __all__ = [
     "EPS_GEO",
-    "VoronoiCell",
+    "VoronoiCells",
     "DegenerateSites",
     "SelfIntersecting",
     "closest_points",
@@ -45,14 +45,16 @@ class SelfIntersecting(ValueError):
     """Polygon has a proper self-intersection."""
 
 
-@dataclass(frozen=True)
-class VoronoiCell:
-    """Convex cell of one site, clipped to the bounding area."""
+class VoronoiCells(NamedTuple):
+    """The cells of n sites as one padded table; row i is site i's cell.
 
-    site: np.ndarray
-    polygon: np.ndarray  # (n, 2) ordered vertices
-    area: float
-    site_index: int
+    Row i of ``polygons`` (n, K, 2) holds ``counts[i]`` ordered vertices and
+    ``areas[i]`` is their area. A dropped cell has count 0 and area 0.
+    """
+
+    polygons: np.ndarray
+    counts: np.ndarray
+    areas: np.ndarray
 
 
 def closest_points(p, a, b) -> tuple[np.ndarray, np.ndarray]:
@@ -285,20 +287,17 @@ def polygon_clip(subject, clip) -> np.ndarray:
     return cells[0, : counts[0]]
 
 
-def polygon_clip_areas(polygons, clip) -> np.ndarray:
-    """Area of each polygon's intersection with a convex clip polygon.
+def polygon_clip_areas(polygons, counts, clip) -> np.ndarray:
+    """Area of each padded polygon's intersection with a convex clip polygon.
 
-    All polygons are clipped at once; unlike polygon_clip, the subjects are
-    not checked for self-crossing, so callers validate them (for Voronoi
-    cells it is enough to validate the area they partition). Raises
-    ValueError for a clip polygon that is not convex.
+    Row r of ``polygons`` (m, K, 2) holds a polygon of ``counts[r]``
+    vertices, as in a VoronoiCells table; a row of count 0 has area 0. All
+    rows are clipped at once; unlike polygon_clip, the subjects are not
+    checked for self-crossing, so callers validate them (for Voronoi cells
+    it is enough to validate the area they partition). Raises ValueError
+    for a clip polygon that is not convex.
     """
-    polys = [np.asarray(p, dtype=float).reshape(-1, 2) for p in polygons]
-    counts = np.array([len(p) for p in polys], dtype=int)
-    cells = np.zeros((len(polys), counts.max(initial=0), 2))
-    for row, p in enumerate(polys):
-        cells[row, : len(p)] = p
-    return _shoelace(*_clip_convex(cells, counts, clip))
+    return _shoelace(*_clip_convex(np.asarray(polygons, float), np.asarray(counts), clip))
 
 
 def point_in_polygon(p, polygon, include_boundary: bool = True):
@@ -336,15 +335,15 @@ def _farthest(cells: np.ndarray, counts: np.ndarray, sites: np.ndarray) -> np.nd
     return np.where(np.arange(cells.shape[1]) < counts[:, None], dist, 0.0).max(axis=1, initial=0.0)
 
 
-def bounded_voronoi(sites, area) -> list[VoronoiCell]:
-    """Voronoi cells of ``sites`` clipped to the ``area`` polygon.
+def bounded_voronoi(sites, area) -> VoronoiCells:
+    """Voronoi cells of ``sites`` clipped to the ``area`` polygon, row i for site i.
 
     Each cell is obtained by half-plane clipping of the area polygon against
     the perpendicular bisectors with every other site (O(n^2), exact enough
     at crowd scale). Sites may lie outside the area; cells that end up empty
-    are dropped, so the returned cells partition the area. So are cells of
-    area at most EPS_GEO times the area's extent: the rounding noise that a
-    site outside a non-convex area can be left with.
+    are dropped (count 0, area 0), so the live cells partition the area. So
+    are cells of area at most EPS_GEO times the area's extent: the rounding
+    noise that a site outside a non-convex area can be left with.
 
     All cells are clipped together as one padded array. Round j clips every
     live cell i != j by the bisector with site j, so each cell meets the
@@ -388,11 +387,6 @@ def bounded_voronoi(sites, area) -> list[VoronoiCell]:
         cells[rows, : clipped.shape[1]] = clipped
         counts[rows] = kept
         reach[rows] = 2.0 * _farthest(clipped, kept, pts[rows]) + EPS_GEO
-    min_area = EPS_GEO * np.ptp(poly, axis=0).max()
-    out = []
-    for i in np.flatnonzero(counts >= 3):
-        polygon = cells[i, : counts[i]].copy()
-        a = polygon_area(polygon)
-        if a > min_area:
-            out.append(VoronoiCell(site=pts[i], polygon=polygon, area=a, site_index=int(i)))
-    return out
+    areas = np.array([polygon_area(cells[i, : counts[i]]) for i in range(n)])
+    live = areas > EPS_GEO * np.ptp(poly, axis=0).max()
+    return VoronoiCells(cells, np.where(live, counts, 0), np.where(live, areas, 0.0))

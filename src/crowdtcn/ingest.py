@@ -238,11 +238,13 @@ def _read_lines(lines) -> dict[int, RawTrack]:
             ped, frame, x, y = (float(f) for f in fields[:4])
         except ValueError as exc:
             raise ParseError(lineno, f"malformed numeric field ({exc})") from exc
-        # 3.0 reads as 3, but a fractional or non-finite id or frame is refused
-        if not (ped.is_integer() and frame.is_integer()):
+        # 3.0 reads as 3, but a fractional or non-finite id or frame is refused,
+        # and so is one of magnitude 2^53 or more, where floats skip integers
+        if not (ped.is_integer() and frame.is_integer() and max(abs(ped), abs(frame)) < 2**53):
             raise ParseError(
                 lineno,
-                f"malformed numeric field (non-integer id or frame: {fields[0]} {fields[1]})",
+                f"malformed numeric field (non-integer id or frame, or one of magnitude "
+                f"2^53 or more: {fields[0]} {fields[1]})",
             )
         if not (math.isfinite(x) and math.isfinite(y)):
             raise ParseError(lineno, f"non-finite coordinate ({fields[2]}, {fields[3]})")
@@ -262,10 +264,11 @@ def parse_trajectories(path_or_lines) -> dict[int, RawTrack]:
     """Parse an `id frame x y` file into frame-sorted per-pedestrian tracks.
 
     Accepts a path or an iterable of lines. Comment lines start with '#';
-    blank lines are skipped. A malformed field, a fractional id or frame, or
-    a non-finite x or y raises ParseError; duplicate frames for one
-    pedestrian raise NonMonotonicFrames. A file is read with one np.loadtxt
-    call where that reads it as the line loop does, and by the loop otherwise.
+    blank lines are skipped. A malformed field, a fractional id or frame, an
+    id or frame of magnitude 2^53 or more, or a non-finite x or y raises
+    ParseError; duplicate frames for one pedestrian raise NonMonotonicFrames.
+    A file is read with one np.loadtxt call where that reads it as the line
+    loop does, and by the loop otherwise.
     """
     if not isinstance(path_or_lines, (str, Path)):
         return _read_lines(path_or_lines)

@@ -170,12 +170,17 @@ class SmoothingConfig:
             )
 
 
-def _segments(raw, label: str) -> np.ndarray:
-    """Validate a segment list as a (W, 2, 2) float array of endpoint pairs."""
+def _named(label: str, make, value, **kwargs):
+    """make(value, **kwargs), with any error it raises a BadConfig naming label."""
     try:
-        segs = np.array(raw, dtype=float)
+        return make(value, **kwargs)
     except (TypeError, ValueError, OverflowError) as exc:
         raise BadConfig(f"invalid {label}: {exc}") from exc
+
+
+def _segments(raw, label: str) -> np.ndarray:
+    """Validate a segment list as a (W, 2, 2) float array of endpoint pairs."""
+    segs = _named(label, np.array, raw, dtype=float)
     if segs.shape == (0,):
         segs = segs.reshape(0, 2, 2)
     if segs.ndim != 3 or segs.shape[1:] != (2, 2):
@@ -232,18 +237,14 @@ class Scenario:
             raise BadConfig("at least one exit segment is required")
         self.ray_walls = np.concatenate([self.walls, self.virtual_walls])
         self.departure_segments = np.concatenate([self.exits, self.entrances])
-        self.clipping_polygon = ensure_simple_polygon(self.clipping_polygon)
-        self.measurement_area = ensure_simple_polygon(self.measurement_area)
+        for label in ("clipping_polygon", "measurement_area", "walkable_polygon"):
+            if getattr(self, label) is not None:
+                setattr(self, label, _named(label, ensure_simple_polygon, getattr(self, label)))
         if not is_convex(self.measurement_area):
             raise BadConfig("measurement_area must be convex")
         if self.walkable_polygon is None:
             self.walkable_polygon = self.clipping_polygon.copy()
-        else:
-            self.walkable_polygon = ensure_simple_polygon(self.walkable_polygon)
-        try:
-            head = np.asarray(self.default_heading, dtype=float)
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise BadConfig(f"invalid default_heading: {exc}") from exc
+        head = _named("default_heading", np.asarray, self.default_heading, dtype=float)
         if head.shape != (2,) or not np.isfinite(head).all():
             raise BadConfig(
                 f"default_heading must be two finite numbers [x, y], got {self.default_heading!r}"
@@ -252,7 +253,9 @@ class Scenario:
         if norm == 0.0:
             raise BadConfig("default_heading must be nonzero")
         self.default_heading = head / norm
-        self.static_velocity_mode = StaticVelocityMode(self.static_velocity_mode)
+        self.static_velocity_mode = _named(
+            "static_velocity_mode", StaticVelocityMode, self.static_velocity_mode
+        )
         diameter = self.diameter()
         if self.rays.exit_distance <= diameter:
             raise BadConfig(

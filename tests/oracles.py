@@ -6,10 +6,11 @@ serve as an oracle for the production code without sharing its structure.
 """
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
-from crowdtcn.geometry import EPS_GEO, DegenerateSites, VoronoiCell, polygon_area
+from crowdtcn.geometry import EPS_GEO, DegenerateSites, polygon_area
 from crowdtcn.ingest import frames_at
 
 
@@ -311,8 +312,17 @@ def convex_clip_loop(subject, clip):
     return pts
 
 
+class LoopCell(NamedTuple):
+    """One kept cell of bounded_voronoi_loop."""
+
+    polygon: np.ndarray  # (n, 2) ordered vertices
+    area: float
+    site_index: int
+
+
 def bounded_voronoi_loop(sites, area):
-    """Each cell clipped from the whole area by every other site's bisector, in index order."""
+    """Each cell clipped from the whole area by every other site's bisector, in
+    index order; the kept cells as a list of LoopCell."""
     pts = np.asarray(sites, dtype=float).reshape(-1, 2)
     poly = np.asarray(area, dtype=float)
     n = len(pts)
@@ -331,7 +341,7 @@ def bounded_voronoi_loop(sites, area):
             cell = clip_halfplane_loop(cell, mid, normal)
         a = polygon_area(cell) if len(cell) >= 3 else 0.0
         if a > EPS_GEO * np.ptp(poly, axis=0).max():  # rounding-noise cells too
-            cells.append(VoronoiCell(site=pts[i], polygon=cell, area=a, site_index=i))
+            cells.append(LoopCell(polygon=cell, area=a, site_index=i))
     return cells
 
 

@@ -461,6 +461,25 @@ def test_malformed_default_heading_is_exit_2(dataset_dir, tmp_path, capsys, head
 @pytest.mark.parametrize(
     "key, value",
     [
+        ("clipping_polygon", [[0.0, -1.5], [10.0, -1.5]]),
+        ("measurement_area", [[4.0, -1.5], [6.0, -1.5], [6.0, -1.5]]),
+        ("walkable_polygon", [[0.0, -1.5], [10.0, 1.5], [10.0, -1.5], [0.0, 1.5]]),
+        ("static_velocity_mode", "x"),
+    ],
+)
+def test_bad_scenario_value_names_its_key(dataset_dir, tmp_path, capsys, key, value):
+    doc = json.loads((dataset_dir / "scenario.json").read_text())
+    doc[key] = value
+    (tmp_path / "scenario.json").write_text(json.dumps(doc))
+    path = _run_config(dataset_dir, tmp_path / "run.json", scenario=str(tmp_path / "scenario.json"))
+    assert main(["train", "-c", str(path), "--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+    assert f"invalid {key}: " in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [
         ("scenario", 5),
         ("training_files", "train.txt"),
         ("training_files", [5]),

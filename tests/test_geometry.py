@@ -342,7 +342,7 @@ class TestPolygonOps:
         with pytest.raises(ValueError, match="convex"):
             polygon_clip(UNIT_SQUARE, L_SHAPE)
         with pytest.raises(ValueError, match="convex"):
-            polygon_clip_areas([UNIT_SQUARE], L_SHAPE)
+            polygon_clip_areas(UNIT_SQUARE[None], [4], L_SHAPE)
 
     @pytest.mark.parametrize(
         "poly, convex",
@@ -369,8 +369,36 @@ class TestPolygonOps:
             got = polygon_clip(subject, clip)
             want = convex_clip_loop(subject, clip)
             assert np.array_equal(got, want.reshape(-1, 2))
-            area = polygon_clip_areas([subject], clip)[0]
+            area = polygon_clip_areas(np.asarray(subject, dtype=float)[None], [len(subject)], clip)[0]
             assert area == pytest.approx(polygon_area(want) if len(want) >= 3 else 0.0, rel=1e-12, abs=1e-15)
+
+    def test_clip_areas_of_a_padded_table(self):
+        # a zero-count row has area 0, and the padding after a row's vertices
+        # is never read. Quadrilaterals cut by a quadrilateral keep the
+        # clipped table at most 8 vertices wide, and there every row has the
+        # bits of clipping it alone; wider, numpy sums each row pairwise
+        # across the whole width, so the last bits follow the widest row
+        rng = np.random.default_rng(21)
+        for sides in (4, 12):
+            for _ in range(50):
+                clip = _convex_hull(rng.uniform(-2, 2, (sides, 2)))
+                polys = [_convex_hull(rng.uniform(-2, 2, (sides, 2))) for _ in range(6)]
+                counts = np.array([len(p) for p in polys])
+                table = rng.uniform(-9, 9, (len(polys), counts.max() + 3, 2))
+                for row, p in enumerate(polys):
+                    table[row, : len(p)] = p
+                dead = rng.integers(len(polys))
+                counts[dead] = 0
+                got = polygon_clip_areas(table, counts, clip)
+                assert got[dead] == 0.0
+                for row, p in enumerate(polys):
+                    if row == dead:
+                        continue
+                    alone = polygon_clip_areas(p[None], [len(p)], clip)[0]
+                    if sides == 4:
+                        assert got[row].tobytes() == alone.tobytes()
+                    else:
+                        assert got[row] == pytest.approx(alone, rel=1e-12, abs=1e-15)
 
     def test_random_convex_pairs_membership(self):
         # oracle: point sampling agreement between clip result and the two inputs
@@ -470,14 +498,14 @@ class TestPointInPolygonArray:
 class TestBoundedVoronoi:
     def test_single_site_covers_area(self):
         cells = bounded_voronoi([[0.5, 0.5]], UNIT_SQUARE)
-        assert len(cells) == 1
-        assert cells[0].area == pytest.approx(1.0)
+        assert cells.counts.tolist() == [4]
+        assert cells.areas[0] == pytest.approx(1.0)
 
     def test_two_symmetric_sites(self):
         cells = bounded_voronoi([[0.25, 0.5], [0.75, 0.5]], UNIT_SQUARE)
-        assert len(cells) == 2
-        assert cells[0].area == pytest.approx(0.5)
-        assert cells[1].area == pytest.approx(0.5)
+        assert len(cells.counts) == 2 and (cells.counts > 0).all()
+        assert cells.areas[0] == pytest.approx(0.5)
+        assert cells.areas[1] == pytest.approx(0.5)
 
     def test_degenerate_sites_rejected(self):
         with pytest.raises(DegenerateSites):
@@ -489,7 +517,7 @@ class TestBoundedVoronoi:
             n = rng.integers(2, 25)
             sites = rng.uniform(0.05, 0.95, (n, 2))
             cells = bounded_voronoi(sites, UNIT_SQUARE)
-            total = sum(c.area for c in cells)
+            total = cells.areas.sum()
             assert total == pytest.approx(1.0, rel=1e-6)
 
     def test_monte_carlo_cell_areas(self):
@@ -501,24 +529,25 @@ class TestBoundedVoronoi:
         d2 = ((samples[:, None, :] - sites[None, :, :]) ** 2).sum(axis=2)
         owner = d2.argmin(axis=1)
         counts = np.bincount(owner, minlength=len(sites))
-        for cell in cells:
-            mc_area = counts[cell.site_index] / len(samples)
+        for i in np.flatnonzero(cells.counts):
+            mc_area = counts[i] / len(samples)
             # binomial std error is at most 5e-4 per cell; 2e-3 is > 4 sigma
-            assert mc_area == pytest.approx(cell.area, abs=2e-3)
+            assert mc_area == pytest.approx(cells.areas[i], abs=2e-3)
 
     def test_cells_are_nearest_site_regions(self):
         rng = np.random.default_rng(18)
         sites = rng.uniform(0.1, 0.9, (8, 2))
         cells = bounded_voronoi(sites, UNIT_SQUARE)
-        for cell in cells:
+        for i in np.flatnonzero(cells.counts):
+            polygon = cells.polygons[i, : cells.counts[i]]
             # sample inside the cell polygon via rejection from its bbox
-            lo = cell.polygon.min(axis=0)
-            hi = cell.polygon.max(axis=0)
+            lo = polygon.min(axis=0)
+            hi = polygon.max(axis=0)
             pts = rng.uniform(lo, hi, (400, 2))
-            inside = [p for p in pts if point_in_polygon(p, cell.polygon, include_boundary=False)]
+            inside = [p for p in pts if point_in_polygon(p, polygon, include_boundary=False)]
             for p in inside:
                 d = np.linalg.norm(sites - p, axis=1)
-                assert d.argmin() == cell.site_index
+                assert d.argmin() == i
 
 
 def _oracle_scenes():
@@ -545,12 +574,14 @@ class TestBoundedVoronoiMatchesLoop:
         for sites, area in _oracle_scenes():
             got = bounded_voronoi(sites, area)
             want = bounded_voronoi_loop(sites, area)
-            assert [c.site_index for c in got] == [c.site_index for c in want]
-            for g, w in zip(got, want):
-                assert np.array_equal(g.polygon, w.polygon)
-                assert np.array_equal(g.site, w.site)
-                assert g.area == pytest.approx(w.area, rel=1e-12, abs=0)
-            emptied += len(sites) - len(got)
+            live = np.flatnonzero(got.counts)
+            assert live.tolist() == [c.site_index for c in want]
+            assert len(got.polygons) == len(got.counts) == len(got.areas) == len(sites)
+            assert (got.areas[got.counts == 0] == 0.0).all()
+            for i, w in zip(live, want):
+                assert np.array_equal(got.polygons[i, : got.counts[i]], w.polygon)
+                assert got.areas[i] == pytest.approx(w.area, rel=1e-12, abs=0)
+            emptied += len(sites) - len(live)
         assert emptied > 0
 
     @pytest.mark.parametrize(

@@ -61,6 +61,18 @@ class TestParse:
             parse_trajectories(["# id frame x y", "1 0 0.0 0.0", line])
         assert err.value.line_number == 3
 
+    @pytest.mark.parametrize(
+        "lines, line_number",
+        [
+            (["9007199254740993 0 0.0 0.0", "9007199254740992 1 1.0 0.0"], 1),  # ids merge as floats
+            (["1 0 0.0 0.0", "1 -9007199254740992 1.0 0.0"], 2),
+        ],
+    )
+    def test_id_or_frame_past_2_53_reports_line(self, lines, line_number):
+        with pytest.raises(ParseError, match="2\\^53") as err:
+            parse_trajectories(lines)
+        assert err.value.line_number == line_number
+
     def test_integral_float_id_and_frame_read_as_integers(self):
         tracks = parse_trajectories(["3.0 0 0.0 0.0", "3 1.0 0.1 0.0", "3.0, 2.0, 0.2, 0.0"])
         assert list(tracks) == [3]
