@@ -7,6 +7,9 @@ fields. Identical config + seed yields byte-identical primary outputs (model
 artifacts, trajectory files, metric tables); only wall-time fields in logs
 and reports may differ between runs.
 
+A sweep cell is the run config loaded with the cell's ``rays`` and
+``output_dir`` overrides, so it is checked by the same reader as any run.
+
 Exit codes: 0 success, 1 runtime failure, 2 configuration or IO error.
 Set CROWDTCN_LOG=debug|info|warning to control log verbosity.
 """
@@ -19,7 +22,8 @@ import logging
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields, replace
+from dataclasses import MISSING, dataclass, fields
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +39,6 @@ from .evaluate import (
     tde,
     tte_ptte,
 )
-from .features import RayScanConfig
 from .ingest import (
     NonMonotonicFrames,
     ParseError,
@@ -148,9 +151,9 @@ class RunConfig:
 def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     """Parse and validate a run-config JSON file.
 
-    overrides maps top-level keys to replacement values (CLI flags), and
-    "sweep" to values merged into that section; None values are ignored.
-    Referenced files must exist.
+    overrides maps top-level keys to replacement values (CLI flags, a sweep
+    cell's output_dir), and a section name ("sweep", "rays") to values merged
+    into that section; None values are ignored. Referenced files must exist.
     """
     path = Path(path)
     # RunConfig's fields, and the radar and rays sections that override the scenario's
@@ -380,42 +383,31 @@ def _pooled_metrics(per_file: list[dict]) -> dict:
     return out
 
 
-def _sweep_one(task: tuple) -> dict:
-    config_path, overrides, exit_distance, step_deg, label = task
-    row = {
-        "label": label,
-        "exit_distance_m": exit_distance,
-        "ray_step_deg": step_deg,
-        "status": "ok",
-    }
+# the grid's axes: each one's sweep.csv column and the rays key its values set
+_SWEEP_AXES = (("exit_distance_m", "exit_distance"), ("ray_step_deg", "step_deg"))
+_SWEEP_COLUMNS = [
+    "label",
+    *(column for column, _ in _SWEEP_AXES),
+    *("ete_s", "pete", "tte_s", "ptte", "tde_m", "fde_m", "status"),
+]
+
+
+def _sweep_one(config_path: str, cell: tuple) -> dict:
+    """Train, simulate and score one (label, overrides) cell; its sweep.csv row."""
+    label, overrides = cell
+    row = {"label": label, **{col: overrides["rays"][key] for col, key in _SWEEP_AXES}}
     try:
         cfg = load_run_config(config_path, overrides)
-        scenario = replace(cfg.scenario, rays=RayScanConfig(step_deg, exit_distance))
-        cfg = replace(cfg, scenario=scenario, output_dir=cfg.output_dir / label)
         model, *_ = _train_stage(cfg)
         per_file = []
         for stem, seeds, result in _simulate_stage(cfg, model, {}):
             doc = _metric_doc(TrajectoryPair(seeds, result.trajectories))
             _write_json(cfg.output_dir / f"{stem}.metrics.json", doc)
             per_file.append(doc)
-        row.update(_pooled_metrics(per_file))
+        row.update(_pooled_metrics(per_file), status="ok")
     except Exception as exc:  # per-combination failures must not stop the sweep
         row["status"] = f"failed: {exc}"
     return row
-
-
-_SWEEP_COLUMNS = [
-    "label",
-    "exit_distance_m",
-    "ray_step_deg",
-    "ete_s",
-    "pete",
-    "tte_s",
-    "ptte",
-    "tde_m",
-    "fde_m",
-    "status",
-]
 
 
 def cmd_sweep(args) -> int:
@@ -427,34 +419,34 @@ def cmd_sweep(args) -> int:
             "sweep needs exit distances and ray step angles "
             "(--exit-distances/--step-degs or a 'sweep' config section)"
         )
-    tasks = []
+    cells = {}
     for de in map(float, grid.exit_distances):
         for beta in map(float, grid.step_degs):
             label = f"{de:g}-{beta:g}"
-            tasks.append((str(args.config), overrides, de, beta, label))
-    if grid.jobs > 1:
+            if label in cells:
+                raise BadConfig(f"two sweep cells share the label {label!r} and its directory")
+            rays = {"exit_distance": de, "step_deg": beta}
+            cells[label] = {**overrides, "rays": rays, "output_dir": str(cfg.output_dir / label)}
+    run_cell = partial(_sweep_one, str(args.config))
+    workers = min(grid.jobs, len(cells))
+    if workers > 1:
         # imported here: multiprocessing costs every other command about 20 ms at start
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=grid.jobs) as pool:
-            rows = list(pool.map(_sweep_one, tasks))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            rows = list(pool.map(run_cell, cells.items()))
     else:
-        rows = [_sweep_one(t) for t in tasks]
+        rows = list(map(run_cell, cells.items()))
 
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
+
+    def text(value):
+        return f"{value:.9g}" if isinstance(value, float) else str(value).replace(",", ";")
+
     lines = [",".join(_SWEEP_COLUMNS)]
-    for row in rows:
-        cells = []
-        for col in _SWEEP_COLUMNS:
-            value = row.get(col, "")
-            if isinstance(value, float):
-                cells.append(f"{value:.9g}")
-            else:
-                cells.append(str(value).replace(",", ";"))
-        lines.append(",".join(cells))
+    lines += [",".join(text(row.get(col, "")) for col in _SWEEP_COLUMNS) for row in rows]
     table_path = cfg.output_dir / "sweep.csv"
     table_path.write_text("\n".join(lines) + "\n")
-    failed = [r for r in rows if r["status"] != "ok"]
     for row in rows:
         if row["status"] == "ok":
             print(
@@ -465,7 +457,7 @@ def cmd_sweep(args) -> int:
         else:
             print(f"{row['label']}: {row['status']}")
     print(f"table: {table_path}")
-    return EXIT_RUNTIME if failed else EXIT_OK
+    return EXIT_OK if all(row["status"] == "ok" for row in rows) else EXIT_RUNTIME
 
 
 def cmd_synth(args) -> int:

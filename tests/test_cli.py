@@ -960,6 +960,85 @@ def test_sweep_single_combo_matches_pipeline(dataset_dir, tmp_path):
     row = (out / "sweep.csv").read_text().splitlines()[1]
     metrics = json.loads((out / "20-18" / "test.metrics.json").read_text())
     assert f"{metrics['tde_m']['mean']:.9g}" in row
+    # the cell scores its run in memory the way evaluate scores the written file
+    rc = main(
+        [
+            "evaluate",
+            "--scenario",
+            str(dataset_dir / "scenario.json"),
+            "--experiment",
+            str(dataset_dir / "test.txt"),
+            "--simulation",
+            str(tmp_path / "ref" / "test.sim.txt"),
+            "--output-dir",
+            str(tmp_path / "eval"),
+        ]
+    )
+    assert rc == EXIT_OK
+    assert (tmp_path / "eval" / "metrics.json").read_bytes() == (
+        out / "20-18" / "test.metrics.json"
+    ).read_bytes()
+
+
+def test_duplicate_sweep_labels_are_exit_2(dataset_dir, tmp_path, capsys):
+    # both exit distances print as 20, so both cells would write 20-18/
+    argv = ["sweep", "-c", str(dataset_dir / "micro.json"), "--output-dir", str(tmp_path / "out")]
+    rc = main([*argv, "--exit-distances", "20,20.0000001", "--step-degs", "18"])
+    assert rc == EXIT_CONFIG
+    assert "'20-18'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_pool_has_no_more_workers_than_cells(dataset_dir, tmp_path, monkeypatch):
+    import concurrent.futures
+
+    pools = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+    argv = ["sweep", "-c", str(dataset_dir / "micro.json"), "--iterations", "2"]
+    grid = ["--exit-distances", "20,30", "--step-degs", "18"]
+    rc = main([*argv, *grid, "--jobs", "64", "--output-dir", str(tmp_path / "two")])
+    assert rc == EXIT_OK and pools == [2]
+    assert len((tmp_path / "two" / "sweep.csv").read_text().splitlines()) == 3
+    grid = ["--exit-distances", "20", "--step-degs", "18"]
+    rc = main([*argv, *grid, "--jobs", "8", "--output-dir", str(tmp_path / "one")])
+    assert rc == EXIT_OK and pools == [2]  # one cell runs in this process
+    assert (tmp_path / "one" / "20-18" / "model.bin").exists()
+
+
+def test_sweep_outputs_do_not_depend_on_jobs(dataset_dir, tmp_path):
+    # run as a command so that the pool forks a fresh process, not the test runner
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    grid = ["--exit-distances", "20,30", "--step-degs", "18"]
+    for jobs in ("1", "2"):
+        argv = ["sweep", "-c", str(dataset_dir / "micro.json"), *grid, "--jobs", jobs]
+        subprocess.run(
+            [sys.executable, "-m", "crowdtcn", *argv, "--output-dir", str(tmp_path / jobs)],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+            check=True,
+        )
+    names = ["sweep.csv"] + [
+        f"{label}/{name}"
+        for label in ("20-18", "30-18")
+        for name in ("model.bin", "test.sim.txt", "test.metrics.json")
+    ]
+    for name in names:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
 
 
 def test_cli_import_loads_no_scipy():
