@@ -32,6 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import (
+    DegenerateSites,
     bounded_voronoi,
     ensure_simple_polygon,
     is_convex,
@@ -286,47 +287,31 @@ def profiles(
     for convexity, once rather than at every step.
     """
     area_m = _checked_area(walkable, measurement_area)
-    steps: list[int] = []
-    rho: list[float] = []
-    vel: list[float] = []
-    flow: list[float] = []
+    rows = []
     for t, present in presence(_as_map(trajectories).values()):
         present, positions, velocities = world_at(present, t)
         # entry-step pedestrians have no arrival velocity yet
         moving = [i for i, tr in enumerate(present) if tr.enter_step < t]
         speeds = np.hypot(*velocities[moving].T)
-        sample = _step_measures(
-            positions[moving], speeds, walkable, measurement_area, area_m, width
-        )
-        if sample is None:
-            continue
-        steps.append(t)
-        rho.append(sample[0])
-        vel.append(sample[1])
-        flow.append(sample[2])
-    return MeasurementSeries(
-        label=label,
-        width=width,
-        steps=np.asarray(steps, dtype=int),
-        density=np.asarray(rho, dtype=float),
-        velocity=np.asarray(vel, dtype=float),
-        flow=np.asarray(flow, dtype=float),
-    )
+        try:
+            sample = _step_measures(
+                positions[moving], speeds, walkable, measurement_area, area_m, width
+            )
+        except DegenerateSites as exc:
+            a, b = (present[moving[k]].id for k in exc.pair)
+            msg = f"pedestrians {a} and {b} coincide at step {t}"
+            raise DegenerateSites(f"{label}: {msg}" if label else msg, (a, b)) from exc
+        if sample is not None:
+            rows.append((t, *sample))
+    steps, rho, vel, flow = np.array(rows, dtype=float).reshape(-1, 4).T
+    return MeasurementSeries(label, width, steps.astype(int), rho, vel, flow)
 
 
 def fundamental_diagram(series_list) -> list[tuple]:
     """Flatten measurement series into (label, step, density, velocity,
     specific_flow) rows; specific flow is flow per unit width."""
-    rows: list[tuple] = []
-    for series in series_list:
-        for i in range(len(series)):
-            rows.append(
-                (
-                    series.label,
-                    int(series.steps[i]),
-                    float(series.density[i]),
-                    float(series.velocity[i]),
-                    float(series.flow[i]) / series.width,
-                )
-            )
-    return rows
+    return [
+        (s.label, int(t), float(rho), float(vel), float(flow) / s.width)
+        for s in series_list
+        for t, rho, vel, flow in zip(s.steps, s.density, s.velocity, s.flow)
+    ]

@@ -8,6 +8,10 @@ crossing_params broadcast over (..., 2) arrays, so one call serves one point
 or ray and many alike.
 Coordinates are double precision; predicates use an absolute tolerance
 EPS_GEO, far below the centimetre resolution of trajectory data.
+
+Every area is one row of _shoelace, which adds a polygon's cross terms
+x_k y_{k+1} - y_k x_{k+1} by a running sum in vertex order (k = 0 .. n - 1,
+the closing term last), so it has the same bits alone and in any table.
 """
 
 from __future__ import annotations
@@ -38,7 +42,11 @@ __all__ = [
 
 
 class DegenerateSites(ValueError):
-    """Two Voronoi sites coincide within tolerance."""
+    """Two Voronoi sites coincide within tolerance; ``pair`` holds the two named."""
+
+    def __init__(self, message: str, pair: tuple = ()):
+        super().__init__(message)
+        self.pair = pair
 
 
 class SelfIntersecting(ValueError):
@@ -151,12 +159,20 @@ def crossing_params(p0, p1, a, b) -> np.ndarray:
 def polygon_area(polygon) -> float:
     """Unsigned shoelace area of a polygon given as (n, 2) vertices."""
     pts = np.asarray(polygon, dtype=float)
-    return abs(_signed_area(pts)) if len(pts) >= 3 else 0.0
+    return abs(float(_shoelace(pts[None], np.array([len(pts)]))[0]))
 
 
-def _signed_area(pts: np.ndarray) -> float:
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+def _shoelace(cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Signed areas of padded polygons, positive counter-clockwise; rows with
+    fewer than 3 vertices get 0. Each row is summed in vertex order."""
+    m, k = cells.shape[:2]
+    if k == 0:
+        return np.zeros(m)
+    slot = np.arange(k)
+    nxt = cells[np.arange(m)[:, None], np.where(slot + 1 < counts[:, None], slot + 1, 0)]
+    twice = cells[..., 0] * nxt[..., 1] - cells[..., 1] * nxt[..., 0]
+    total = np.cumsum(np.where(slot < counts[:, None], twice, 0.0), axis=1)[:, -1]
+    return np.where(counts >= 3, 0.5 * total, 0.0)
 
 
 def _check_simple(pts: np.ndarray) -> None:
@@ -252,7 +268,7 @@ def _clip_convex(cells: np.ndarray, counts: np.ndarray, clip) -> tuple[np.ndarra
     clp = np.asarray(clip, dtype=float)
     if not is_convex(clp):
         raise ValueError("clip polygon must be convex")
-    if _signed_area(clp) < 0:
+    if _shoelace(clp[None], np.array([len(clp)]))[0] < 0:
         clp = clp[::-1]
     for a, b in zip(clp, np.roll(clp, -1, axis=0)):
         if not counts.any():
@@ -260,15 +276,6 @@ def _clip_convex(cells: np.ndarray, counts: np.ndarray, clip) -> tuple[np.ndarra
         edge = b - a
         cells, counts = _clip_halfplanes(cells, counts, a, np.array([edge[1], -edge[0]]))
     return cells, counts
-
-
-def _shoelace(cells: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Unsigned areas of padded polygons; rows with fewer than 3 vertices get 0."""
-    slot = np.arange(cells.shape[1])
-    live = slot < counts[:, None]
-    nxt = cells[np.arange(len(cells))[:, None], np.where(slot + 1 < counts[:, None], slot + 1, 0)]
-    twice = cells[..., 0] * nxt[..., 1] - cells[..., 1] * nxt[..., 0]
-    return np.where(counts >= 3, 0.5 * np.abs(np.where(live, twice, 0.0).sum(axis=1)), 0.0)
 
 
 def polygon_clip(subject, clip) -> np.ndarray:
@@ -297,7 +304,7 @@ def polygon_clip_areas(polygons, counts, clip) -> np.ndarray:
     it is enough to validate the area they partition). Raises ValueError
     for a clip polygon that is not convex.
     """
-    return _shoelace(*_clip_convex(np.asarray(polygons, float), np.asarray(counts), clip))
+    return np.abs(_shoelace(*_clip_convex(np.asarray(polygons, float), np.asarray(counts), clip)))
 
 
 def point_in_polygon(p, polygon, include_boundary: bool = True):
@@ -368,7 +375,7 @@ def bounded_voronoi(sites, area) -> VoronoiCells:
     close = np.argwhere(np.triu(gap < 1e-6, k=1))
     if len(close):
         i, j = close[0]
-        raise DegenerateSites(f"sites {i} and {j} coincide")
+        raise DegenerateSites(f"sites {i} and {j} coincide", (int(i), int(j)))
     cells = np.broadcast_to(poly, (n,) + poly.shape).copy()
     counts = np.full(n, len(poly))
     reach = 2.0 * _farthest(cells, counts, pts) + EPS_GEO
@@ -387,6 +394,6 @@ def bounded_voronoi(sites, area) -> VoronoiCells:
         cells[rows, : clipped.shape[1]] = clipped
         counts[rows] = kept
         reach[rows] = 2.0 * _farthest(clipped, kept, pts[rows]) + EPS_GEO
-    areas = np.array([polygon_area(cells[i, : counts[i]]) for i in range(n)])
+    areas = np.abs(_shoelace(cells, counts))
     live = areas > EPS_GEO * np.ptp(poly, axis=0).max()
     return VoronoiCells(cells, np.where(live, counts, 0), np.where(live, areas, 0.0))

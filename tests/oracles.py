@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from crowdtcn.geometry import EPS_GEO, DegenerateSites, polygon_area
+from crowdtcn.geometry import EPS_GEO, DegenerateSites
 from crowdtcn.ingest import frames_at
 
 
@@ -271,6 +271,19 @@ def first_self_crossing_loop(polygon):
     return None
 
 
+def shoelace_loop(polygon):
+    """Signed area, positive counter-clockwise: the shoelace cross terms of
+    each vertex and the next, added one at a time in Python floats; 0 below
+    three vertices."""
+    pts = [(float(x), float(y)) for x, y in np.asarray(polygon, dtype=float).reshape(-1, 2)]
+    if len(pts) < 3:
+        return 0.0
+    twice = 0.0
+    for (x0, y0), (x1, y1) in zip(pts, pts[1:] + pts[:1]):
+        twice += x0 * y1 - y0 * x1
+    return 0.5 * twice
+
+
 def clip_halfplane_loop(pts, point, normal):
     """Per-vertex Sutherland-Hodgman step keeping (x - point) . normal <= 0."""
     if len(pts) == 0:
@@ -339,7 +352,7 @@ def bounded_voronoi_loop(sites, area):
             mid = 0.5 * (pts[i] + pts[j])
             normal = pts[j] - pts[i]  # keep the side nearer to site i
             cell = clip_halfplane_loop(cell, mid, normal)
-        a = polygon_area(cell) if len(cell) >= 3 else 0.0
+        a = abs(shoelace_loop(cell))
         if a > EPS_GEO * np.ptp(poly, axis=0).max():  # rounding-noise cells too
             cells.append(LoopCell(polygon=cell, area=a, site_index=i))
     return cells
@@ -349,7 +362,7 @@ def voronoi_measures_loop(positions, speeds, walkable, measurement_area, width):
     """Area-weighted Voronoi density, velocity and flow summed cell by cell."""
     ratio_sum = weight_sum = speed_sum = 0.0
     for cell in bounded_voronoi_loop(positions, walkable):
-        a = polygon_area(convex_clip_loop(cell.polygon, measurement_area))
+        a = abs(shoelace_loop(convex_clip_loop(cell.polygon, measurement_area)))
         if a <= 0.0:
             continue
         ratio_sum += a / cell.area
@@ -357,7 +370,7 @@ def voronoi_measures_loop(positions, speeds, walkable, measurement_area, width):
         speed_sum += speeds[cell.site_index] * a
     if weight_sum <= 0.0:
         return None
-    rho = ratio_sum / polygon_area(measurement_area)
+    rho = ratio_sum / abs(shoelace_loop(measurement_area))
     vel = speed_sum / weight_sum
     return rho, vel, rho * vel * width
 

@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 
 from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_run_config, main
-from crowdtcn.scenario import BadConfig, Scenario
+from crowdtcn.ingest import parse_trajectories
+from crowdtcn.scenario import BadConfig, Scenario, load_scenario
 from crowdtcn.simulate import SimConfig
 from crowdtcn.tcn import Architecture, TrainConfig, load_model, save_model
 
@@ -416,6 +417,31 @@ def test_evaluate_unmatched_id_is_runtime_error(trained_dir, tmp_path, capsys):
     err = capsys.readouterr().err
     for pid in (101, 102, 103, 104):
         assert str(pid) in err
+
+
+def test_evaluate_names_coincident_pedestrians(dataset_dir, tmp_path, capsys):
+    # two simulated pedestrians meet at step 1 in the middle of the
+    # measurement area; the run fails with their ids, not their sites
+    a, b = sorted(parse_trajectories(dataset_dir / "test.txt"))[:2]
+    x, y = map(float, load_scenario(dataset_dir / "scenario.json").measurement_area.mean(axis=0))
+    sim = tmp_path / "meet.sim.txt"
+    rows = [f"{pid} {k} {x + side * (1 - k)!r} {y!r}" for pid, side in ((a, -1), (b, 1)) for k in range(3)]
+    sim.write_text("\n".join(rows) + "\n")
+    rc = main(
+        [
+            "evaluate",
+            "--scenario",
+            str(dataset_dir / "scenario.json"),
+            "--experiment",
+            str(dataset_dir / "test.txt"),
+            "--simulation",
+            str(sim),
+            "--output-dir",
+            str(tmp_path / "ev"),
+        ]
+    )
+    assert rc == EXIT_RUNTIME
+    assert f"error: simulation: pedestrians {a} and {b} coincide at step 1\n" in capsys.readouterr().err
 
 
 def _evaluate(dataset_dir, out, scenario=None, experiment=None):

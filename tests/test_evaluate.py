@@ -19,7 +19,7 @@ from crowdtcn.evaluate import (
 )
 from crowdtcn.ingest import Trajectory
 
-from crowdtcn.geometry import SelfIntersecting, bounded_voronoi, polygon_area
+from crowdtcn.geometry import DegenerateSites, SelfIntersecting, bounded_voronoi, polygon_area
 from oracles import tde_double_loop, voronoi_measures_loop
 
 DT = 0.5
@@ -367,6 +367,22 @@ def test_profiles_match_per_step_oracle():
     assert series.density[idx] == rho
     assert series.velocity[idx] == vel
     assert series.flow[idx] == flow
+
+
+def test_profiles_name_coincident_pedestrians_by_id_and_step():
+    # pedestrians 7 and 9 meet at step 1, where they are sites 1 and 2 of
+    # the moving set: the error names them by id, with the step and label
+    trs = [
+        straight(3, 0, (1.0, 1.0), (1.0, 0.0), 4),
+        straight(7, 0, (4.0, 5.0), (2.0, 0.0), 4),
+        straight(9, 0, (6.0, 5.0), (-2.0, 0.0), 4),
+    ]
+    want = "pedestrians 7 and 9 coincide at step 1"
+    with pytest.raises(DegenerateSites, match=f"^simulation: {want}$") as err:
+        profiles(trs, SQUARE, SQUARE, width=10.0, label="simulation")
+    assert err.value.pair == (7, 9)
+    with pytest.raises(DegenerateSites, match=f"^{want}$"):
+        profiles(trs, SQUARE, SQUARE, width=10.0)
 
 
 def test_fundamental_diagram_is_pure_reshaping():

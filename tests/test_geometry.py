@@ -16,6 +16,7 @@ from crowdtcn.geometry import (
     polygon_clip_areas,
     ray_segment_params,
 )
+from crowdtcn import geometry
 from oracles import (
     bounded_voronoi_loop,
     convex_clip_loop,
@@ -23,6 +24,7 @@ from oracles import (
     first_crossing,
     first_self_crossing_loop,
     point_in_polygon_loop,
+    shoelace_loop,
     solve_ray_segment,
 )
 
@@ -373,11 +375,10 @@ class TestPolygonOps:
             assert area == pytest.approx(polygon_area(want) if len(want) >= 3 else 0.0, rel=1e-12, abs=1e-15)
 
     def test_clip_areas_of_a_padded_table(self):
-        # a zero-count row has area 0, and the padding after a row's vertices
-        # is never read. Quadrilaterals cut by a quadrilateral keep the
-        # clipped table at most 8 vertices wide, and there every row has the
-        # bits of clipping it alone; wider, numpy sums each row pairwise
-        # across the whole width, so the last bits follow the widest row
+        # a zero-count row has area 0, the padding after a row's vertices is
+        # never read, and every row has the bits of clipping it alone: its
+        # cross terms are added in vertex order whatever the table's width,
+        # including 12-gon tables wide enough for numpy's sum to go pairwise
         rng = np.random.default_rng(21)
         for sides in (4, 12):
             for _ in range(50):
@@ -395,10 +396,32 @@ class TestPolygonOps:
                     if row == dead:
                         continue
                     alone = polygon_clip_areas(p[None], [len(p)], clip)[0]
-                    if sides == 4:
-                        assert got[row].tobytes() == alone.tobytes()
-                    else:
-                        assert got[row] == pytest.approx(alone, rel=1e-12, abs=1e-15)
+                    assert got[row].tobytes() == alone.tobytes()
+
+    def test_shoelace_matches_loop(self):
+        # polygons star-shaped about a centre with every angular gap below pi
+        # are simple and counter-clockwise; half are walked clockwise, which
+        # the signed kernel must report negative. Rows share a padded table
+        # whose padding is junk
+        rng = np.random.default_rng(22)
+        polys = []
+        for trial in range(300):
+            n = 3 + trial % 14
+            angles = 2.0 * np.pi * (np.arange(n) + rng.uniform(0.0, 0.45, n)) / n
+            radii = rng.uniform(0.1, 5.0, (n, 1))
+            poly = rng.uniform(-50, 50, 2) + radii * np.column_stack([np.cos(angles), np.sin(angles)])
+            polys.append(poly[::-1] if trial % 2 else poly)
+        counts = np.array([len(p) for p in polys])
+        table = rng.uniform(-9, 9, (len(polys), counts.max() + 2, 2))
+        for row, p in enumerate(polys):
+            table[row, : len(p)] = p
+        got = geometry._shoelace(table, counts)
+        for row, p in enumerate(polys):
+            want = shoelace_loop(p)
+            assert np.sign(want) == (-1.0 if row % 2 else 1.0)
+            assert got[row] == pytest.approx(want, rel=1e-12, abs=0)
+            assert polygon_area(p) == pytest.approx(abs(want), rel=1e-12, abs=0)
+        assert polygon_area(UNIT_SQUARE[:2]) == 0.0 and polygon_area(np.zeros((0, 2))) == 0.0
 
     def test_random_convex_pairs_membership(self):
         # oracle: point sampling agreement between clip result and the two inputs
@@ -508,8 +531,9 @@ class TestBoundedVoronoi:
         assert cells.areas[1] == pytest.approx(0.5)
 
     def test_degenerate_sites_rejected(self):
-        with pytest.raises(DegenerateSites):
-            bounded_voronoi([[0.5, 0.5], [0.5, 0.5 + 1e-8]], UNIT_SQUARE)
+        with pytest.raises(DegenerateSites, match="^sites 1 and 2 coincide$") as err:
+            bounded_voronoi([[0.1, 0.1], [0.5, 0.5], [0.5, 0.5 + 1e-8]], UNIT_SQUARE)
+        assert err.value.pair == (1, 2)
 
     def test_partition_of_area(self):
         rng = np.random.default_rng(16)
@@ -583,6 +607,13 @@ class TestBoundedVoronoiMatchesLoop:
                 assert got.areas[i] == pytest.approx(w.area, rel=1e-12, abs=0)
             emptied += len(sites) - len(live)
         assert emptied > 0
+
+    def test_cell_areas_are_those_of_each_cell_alone(self):
+        for sites, area in _oracle_scenes():
+            cells = bounded_voronoi(sites, area)
+            for i, count in enumerate(cells.counts):
+                alone = polygon_area(cells.polygons[i, :count])
+                assert cells.areas[i].tobytes() == np.float64(alone).tobytes()
 
     @pytest.mark.parametrize(
         "sites",
