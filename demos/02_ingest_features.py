@@ -30,7 +30,7 @@ speeds = np.linalg.norm(trajs[ped].velocities, axis=1)
 print(f"  speed after resampling: {speeds.min():.3f}..{speeds.max():.3f} m/s")
 
 extractor = scenario.extractor()
-samples = build_samples(trajs, extractor, scenario.default_heading, w=8)
+samples = build_samples(trajs, extractor, w=8)
 f_dim = feature_dim(scenario.radar, scenario.rays)
 print(f"\n{len(samples)} window samples, {f_dim} features per frame")
 

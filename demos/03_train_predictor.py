@@ -19,7 +19,7 @@ paths = write_dataset(dataset, out)
 scenario = dataset.scenario
 
 trajs = load_trajectories(paths["training"], scenario)
-samples = build_samples(trajs, scenario.extractor(), scenario.default_heading, w=8)
+samples = build_samples(trajs, scenario.extractor(), w=8)
 print(f"{len(trajs)} pedestrians -> {len(samples)} window samples "
       f"of shape {samples.windows.shape[1:]}")
 

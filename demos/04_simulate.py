@@ -23,7 +23,7 @@ paths = write_dataset(dataset, out)
 scenario = dataset.scenario
 
 trajs = load_trajectories(paths["training"], scenario)
-samples = build_samples(trajs, scenario.extractor(), scenario.default_heading, w=8)
+samples = build_samples(trajs, scenario.extractor(), w=8)
 arch = Architecture(
     feature_dim=samples.windows.shape[2],
     window=8,

@@ -50,7 +50,7 @@ from .ingest import (
     split,
     write_trajectory_file,
 )
-from .scenario import BadConfig, Scenario, load_scenario, read_document, read_section, typed
+from .scenario import BadConfig, Scenario, load_scenario, merge, read_document, read_section, typed
 from .simulate import MissingSeedData, ModelShapeMismatch, SimConfig, run
 from .synth import GEOMETRIES, write_dataset
 from .tcn import (
@@ -197,7 +197,7 @@ def _collect_samples(cfg: RunConfig, files) -> Samples:
     tables = []
     for f in files:
         trajs = load_trajectories(f, cfg.scenario)
-        tables.append(build_samples(trajs, extractor, cfg.scenario.default_heading, w=cfg.window))
+        tables.append(build_samples(trajs, extractor, cfg.window))
         log.info("%s: %d pedestrians, %d samples", f.name, len(trajs), len(tables[-1]))
     return Samples.concat(tables)
 
@@ -329,11 +329,7 @@ def cmd_evaluate(args) -> int:
     scenario = load_scenario(args.scenario)
     expt = load_trajectories(args.experiment, scenario)
     sim = load_step_trajectories(args.simulation, dt=scenario.dt)
-    pair = TrajectoryPair(expt, sim)
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    doc = _metric_doc(pair)
-    _write_json(out / "metrics.json", doc)
+    doc = _metric_doc(TrajectoryPair(expt, sim))
     series = [
         profiles(
             trajectories.values(),
@@ -344,6 +340,10 @@ def cmd_evaluate(args) -> int:
         )
         for label, trajectories in (("experiment", expt), ("simulation", sim))
     ]
+    # written only once everything is computed, so a failed run leaves no table
+    out = Path(args.output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    _write_json(out / "metrics.json", doc)
     _write_profile_tables(out, series)
     _print_metrics(doc)
     print(f"tables: {out / 'metrics.json'}, {out / 'profiles.csv'}, {out / 'fd.csv'}")
@@ -461,16 +461,10 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    builder = GEOMETRIES[args.geometry]
-    kwargs = {"seed": args.seed, "n_train": args.n_train, "n_test": args.n_test}
-    if args.step_deg is not None:
-        kwargs["step_deg"] = args.step_deg
-    if args.exit_distance is not None:
-        kwargs["exit_distance"] = args.exit_distance
-    try:
-        dataset = builder(**kwargs)
-    except ValueError as exc:  # e.g. a ray step that does not divide 180
-        raise BadConfig(str(exc)) from exc
+    dataset = GEOMETRIES[args.geometry](seed=args.seed, n_train=args.n_train, n_test=args.n_test)
+    rays = {k: v for k in ("step_deg", "exit_distance") if (v := getattr(args, k)) is not None}
+    if rays:  # the ray flags are a rays override, checked by the scenario reader
+        dataset.scenario = Scenario.from_dict(merge(dataset.scenario.to_dict(), {"rays": rays}))
     paths = write_dataset(dataset, args.out)
     run_doc = {
         "scenario": paths["scenario"].name,
@@ -500,6 +494,13 @@ def _overrides(args) -> dict:
     grid = {k: getattr(args, k, None) for k in ("exit_distances", "step_degs", "jobs")}
     overrides = {k: getattr(args, k, None) for k in keys}
     return {**overrides, "sweep": {k: v for k, v in grid.items() if v is not None}}
+
+
+def _non_negative_int(text: str) -> int:
+    """A non-negative integer flag value."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def _float_list(text: str) -> list[float] | None:
@@ -561,9 +562,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     p.add_argument("--geometry", choices=sorted(GEOMETRIES), default="corridor")
     p.add_argument("--out", required=True, help="dataset output directory")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n-train", dest="n_train", type=int, default=50)
-    p.add_argument("--n-test", dest="n_test", type=int, default=12)
+    p.add_argument("--seed", type=_non_negative_int, default=0)
+    p.add_argument("--n-train", dest="n_train", type=_non_negative_int, default=50)
+    p.add_argument("--n-test", dest="n_test", type=_non_negative_int, default=12)
     p.add_argument("--step-deg", dest="step_deg", type=float)
     p.add_argument("--exit-distance", dest="exit_distance", type=float)
     p.set_defaults(func=cmd_synth)

@@ -316,7 +316,7 @@ class FeatureExtractor:
     radar_walls are the physical walls considered as sector neighbors;
     ray_walls additionally include virtual entrance walls so forward rays
     cannot escape through the inflow boundary. Both are (W, 2, 2) arrays of
-    segment endpoint pairs.
+    segment endpoint pairs. default_heading heads a subject that has not moved.
     """
 
     radar: RadarConfig
@@ -324,10 +324,15 @@ class FeatureExtractor:
     radar_walls: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
     ray_walls: np.ndarray = field(default_factory=lambda: np.zeros((0, 2, 2)))
     static_mode: StaticVelocityMode = StaticVelocityMode.MINUS_OWN
+    default_heading: np.ndarray = field(default_factory=lambda: np.array([1.0, 0.0]))
 
     @property
     def feature_dim(self) -> int:
         return feature_dim(self.radar, self.rays)
+
+    def heading(self, velocity_history) -> np.ndarray:
+        """The heading after velocity_history, falling back to default_heading."""
+        return heading(velocity_history, self.default_heading)
 
     def frame(
         self, position, velocity, heading_vec, others_pos, others_vel, self_index=None

@@ -34,7 +34,6 @@ from pathlib import Path
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .features import heading as _heading
 from .geometry import point_in_polygon
 
 __all__ = [
@@ -428,25 +427,20 @@ def presence(tracks):
         yield step, [tracks[i] for i in np.flatnonzero((enter <= step) & (step <= last))]
 
 
-def frames_at(tracks, step: int, extractor, default_heading):
+def frames_at(tracks, step: int, extractor):
     """The present tracks past their entry step and their (S, F) frames at a
-    global step, from one extractor.frame call against everyone world_at
-    finds; self_index points each subject at its own row, which it skips."""
+    global step, from one extractor.frame call against everyone world_at finds,
+    headed by extractor.heading; each subject skips its own row (self_index)."""
     present, pos, vel = world_at(tracks, step)
     movers = [i for i, tr in enumerate(present) if tr.enter_step < step]
     if not movers:
         return [], []
     subjects = [present[i] for i in movers]
-    heads = [_heading(tr.velocities[: step - tr.enter_step], default_heading) for tr in subjects]
+    heads = [extractor.heading(tr.velocities[: step - tr.enter_step]) for tr in subjects]
     return subjects, extractor.frame(pos[movers], vel[movers], np.array(heads), pos, vel, movers)
 
 
-def build_samples(
-    trajectories: dict[int, Trajectory],
-    extractor,
-    default_heading,
-    w: int = 8,
-) -> Samples:
+def build_samples(trajectories: dict[int, Trajectory], extractor, w: int) -> Samples:
     """Sliding-window samples over all pedestrians, in id then step order.
 
     A sample at global step t stacks the pedestrian's feature frames for steps
@@ -464,7 +458,7 @@ def build_samples(
     start = dict(zip((tr.id for _, tr in long), np.cumsum([0, *counts]).tolist()))
     table = np.empty((sum(counts), extractor.feature_dim))
     for step, present in presence(trajectories.values()):
-        for tr, frame in zip(*frames_at(present, step, extractor, default_heading)):
+        for tr, frame in zip(*frames_at(present, step, extractor)):
             if tr.id in start:
                 table[start[tr.id] + step - tr.enter_step - 1] = frame
     # window k of a track holds its frames k .. k + w - 1 and ends at step enter_step + w + k

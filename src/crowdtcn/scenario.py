@@ -59,6 +59,7 @@ __all__ = [
     "SmoothingConfig",
     "Scenario",
     "load_scenario",
+    "merge",
     "read_document",
     "read_section",
     "typed",
@@ -108,13 +109,11 @@ def _object(value, label: str, known=None) -> dict:
 
 
 def read_document(path, what: str, known=None, overrides: dict | None = None) -> dict:
-    """The JSON object in the file at path, with overrides applied.
+    """The JSON object in the file at path, with overrides applied by merge.
 
     A missing file, one that is not JSON, one that holds anything but an
     object and, when known is given, one with a key outside it are each a
-    BadConfig naming ``what`` and the path. An override of None is skipped,
-    an object merges into the section of its name, and any other value
-    replaces the file's own.
+    BadConfig naming ``what`` and the path.
     """
     p = Path(path)
     if not p.exists():
@@ -123,7 +122,12 @@ def read_document(path, what: str, known=None, overrides: dict | None = None) ->
         doc = json.loads(p.read_text())
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise BadConfig(f"{what} {p} is not valid JSON: {exc}") from exc
-    doc = _object(doc, f"{what} {p}", known)
+    return merge(_object(doc, f"{what} {p}", known), overrides)
+
+
+def merge(doc: dict, overrides: dict | None) -> dict:
+    """doc with overrides applied in place: None is skipped, an object merges
+    into the section of its name, and any other value replaces doc's own."""
     for key, value in (overrides or {}).items():
         if isinstance(value, dict):
             value = {**_object(doc.get(key, {}), repr(key)), **value}
@@ -286,6 +290,7 @@ class Scenario:
             radar_walls=self.walls,
             ray_walls=self.ray_walls,
             static_mode=self.static_velocity_mode,
+            default_heading=self.default_heading,
         )
 
     def to_dict(self) -> dict:

@@ -48,7 +48,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .features import FeatureExtractor, heading
 from .geometry import crossing_params, point_in_polygon
 from .ingest import Trajectory, frames_at, world_at
 from .scenario import Scenario
@@ -136,7 +135,7 @@ class SimWorld:
         self.model = model
         self.dt = scenario.dt
         self.window = model.arch.window
-        self.extractor: FeatureExtractor = scenario.extractor()
+        self.extractor = scenario.extractor()
         self.peds: list[_PedState] = sorted(
             (_PedState(ped_id=tr.id, enter_step=tr.enter_step, seed=tr) for tr in seeds),
             key=lambda st: st.ped_id,
@@ -178,10 +177,7 @@ class SimWorld:
                 "the walkable region"
             )
         speed = float(np.hypot(v_hat[0], v_hat[1]))
-        if speed > 1e-12:
-            prior_dir = v_hat / speed
-        else:
-            prior_dir = heading(st.velocities, self.scenario.default_heading)
+        prior_dir = v_hat / speed if speed > 1e-12 else self.extractor.heading(st.velocities)
         tangent = e / np.hypot(e[0], e[1])
         if float(tangent @ prior_dir) < 0:
             tangent = -tangent
@@ -200,7 +196,7 @@ class SimWorld:
         s_new = st.steps_since_entry  # after append
         for local in range(max(1, s_new - k + 1), s_new):
             others, pos, vel = world_at(self.peds, st.enter_step + local)
-            head = heading(velocities[:local], self.scenario.default_heading)
+            head = self.extractor.heading(velocities[:local])
             st.frames[local - 1] = self.extractor.frame(
                 st.positions[local], velocities[local - 1], head, pos, vel, others.index(st)
             )
@@ -214,7 +210,7 @@ class SimWorld:
                 st.positions.append(np.asarray(st.seed.positions[0], dtype=float).copy())
 
         states, pos, _ = world_at(self.peds, t)
-        for st, frame in zip(*frames_at(states, t, self.extractor, self.scenario.default_heading)):
+        for st, frame in zip(*frames_at(states, t, self.extractor)):
             st.frames.append(frame)
 
         # seed velocities until the history covers the window, then one

@@ -35,6 +35,8 @@ OVERSHOOT = 0.6
 CORRIDOR_HALF_WIDTH = 2.0
 # T-junction: each arm is 6 m long, the stem 6 m; arms and stem are 2.4 m wide
 T_ARM, T_WIDTH, T_STEM = 6.0, 2.4, 6.0
+# the rays of every synthetic scenario; `crowdtcn synth` overrides them as a rays section
+RAYS = RayScanConfig(step_deg=18.0, exit_distance=20.0)
 
 
 def _walk_polyline(waypoints, speed: float) -> np.ndarray:
@@ -51,10 +53,8 @@ def _walk_polyline(waypoints, speed: float) -> np.ndarray:
     return pts[i] + ((s - bounds[i]) / lengths[i])[:, None] * vecs[i]
 
 
-def _scenario(
-    name, walls, entrances, exit_, polygon, area, width, heading, step_deg, exit_distance
-) -> Scenario:
-    """A 16 fps scenario with default dt, radar and smoothing; entrances are virtual walls."""
+def _scenario(name, walls, entrances, exit_, polygon, area, width, heading) -> Scenario:
+    """A 16 fps scenario with RAYS, default dt, radar, smoothing; entrances are virtual walls."""
     return Scenario(
         name=name,
         frame_rate=FRAME_RATE,
@@ -66,13 +66,11 @@ def _scenario(
         measurement_area=area,
         measurement_width=width,
         default_heading=np.array(heading),
-        rays=RayScanConfig(step_deg=step_deg, exit_distance=exit_distance),
+        rays=RAYS,
     )
 
 
-def corridor_scenario(
-    *, length: float = 10.0, step_deg: float = 18.0, exit_distance: float = 20.0
-) -> Scenario:
+def corridor_scenario(*, length: float = 10.0) -> Scenario:
     """Straight corridor: entrance at x=0, exit at x=length, walls at y=±2."""
     hw = CORRIDOR_HALF_WIDTH
     mid, half = length / 2.0, min(1.0, length / 4.0)
@@ -83,14 +81,11 @@ def corridor_scenario(
         ((length, -hw), (length, hw)),
         [[0.0, -hw], [length, -hw], [length, hw], [0.0, hw]],
         [[mid - half, -hw], [mid + half, -hw], [mid + half, hw], [mid - half, hw]],
-        2.0 * hw, [1.0, 0.0], step_deg, exit_distance,
+        2.0 * hw, [1.0, 0.0],
     )
 
 
-def corner_scenario(
-    *, arm_length: float = 8.0, width: float = 2.4, step_deg: float = 18.0,
-    exit_distance: float = 20.0,
-) -> Scenario:
+def corner_scenario(*, arm_length: float = 8.0, width: float = 2.4) -> Scenario:
     """Right-angle corner: walk east along the lower arm, turn north, exit at the top."""
     a, b = arm_length, width
     if b >= a:
@@ -103,11 +98,11 @@ def corner_scenario(
         ((a - b, a), (a, a)),
         [[0.0, 0.0], [a, 0.0], [a, a], [a - b, a], [a - b, b], [0.0, b]],
         [[a - b, 0.0], [a, 0.0], [a, b], [a - b, b]],
-        b, [1.0, 0.0], step_deg, exit_distance,
+        b, [1.0, 0.0],
     )
 
 
-def t_junction_scenario(*, step_deg: float = 18.0, exit_distance: float = 20.0) -> Scenario:
+def t_junction_scenario() -> Scenario:
     """T-junction: inflows from both arm ends merge and exit through the top stem."""
     l, b, top = T_ARM, T_WIDTH, T_WIDTH + T_STEM
     sw = T_WIDTH / 2.0
@@ -119,7 +114,7 @@ def t_junction_scenario(*, step_deg: float = 18.0, exit_distance: float = 20.0) 
         ((-sw, top), (sw, top)),
         [[-l, 0.0], [l, 0.0], [l, b], [sw, b], [sw, top], [-sw, top], [-sw, b], [-l, b]],
         [[-sw, b], [sw, b], [sw, b + 2.0], [-sw, b + 2.0]],
-        T_WIDTH, [0.0, 1.0], step_deg, exit_distance,
+        T_WIDTH, [0.0, 1.0],
     )
 
 
@@ -155,8 +150,7 @@ def _dataset(scenario, seed, n_train, n_test, path_fn) -> SyntheticDataset:
 
 
 def corridor_dataset(
-    *, n_train: int = 50, n_test: int = 12, seed: int = 0, length: float = 10.0,
-    step_deg: float = 18.0, exit_distance: float = 20.0,
+    *, n_train: int = 50, n_test: int = 12, seed: int = 0, length: float = 10.0
 ) -> SyntheticDataset:
     """Lane walkers crossing a corridor at constant per-pedestrian speed."""
     hw = CORRIDOR_HALF_WIDTH
@@ -165,13 +159,12 @@ def corridor_dataset(
         y = rng.uniform(-hw + LANE_MARGIN, hw - LANE_MARGIN)
         return [(0.0, y), (length + OVERSHOOT, y)]
 
-    scenario = corridor_scenario(length=length, step_deg=step_deg, exit_distance=exit_distance)
-    return _dataset(scenario, seed, n_train, n_test, path)
+    return _dataset(corridor_scenario(length=length), seed, n_train, n_test, path)
 
 
 def corner_dataset(
     *, n_train: int = 40, n_test: int = 10, seed: int = 0, arm_length: float = 8.0,
-    width: float = 2.4, step_deg: float = 18.0, exit_distance: float = 20.0,
+    width: float = 2.4,
 ) -> SyntheticDataset:
     """Walkers entering the lower arm, turning the corner, leaving at the top."""
 
@@ -180,15 +173,12 @@ def corner_dataset(
         xt = rng.uniform(arm_length - width + LANE_MARGIN, arm_length - LANE_MARGIN)
         return [(0.0, y), (xt, y), (xt, arm_length + OVERSHOOT)]
 
-    scenario = corner_scenario(
-        arm_length=arm_length, width=width, step_deg=step_deg, exit_distance=exit_distance
-    )
+    scenario = corner_scenario(arm_length=arm_length, width=width)
     return _dataset(scenario, seed, n_train, n_test, path)
 
 
 def t_junction_dataset(
-    *, n_train: int = 40, n_test: int = 10, seed: int = 0, step_deg: float = 18.0,
-    exit_distance: float = 20.0,
+    *, n_train: int = 40, n_test: int = 10, seed: int = 0
 ) -> SyntheticDataset:
     """Two opposing streams merging into the stem; walkers alternate sides."""
     sw = T_WIDTH / 2.0
@@ -199,8 +189,7 @@ def t_junction_dataset(
         x0 = -T_ARM if j % 2 == 0 else T_ARM
         return [(x0, y), (xt, y), (xt, T_WIDTH + T_STEM + OVERSHOOT)]
 
-    scenario = t_junction_scenario(step_deg=step_deg, exit_distance=exit_distance)
-    return _dataset(scenario, seed, n_train, n_test, path)
+    return _dataset(t_junction_scenario(), seed, n_train, n_test, path)
 
 
 GEOMETRIES = {

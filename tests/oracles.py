@@ -433,7 +433,7 @@ def walk_polyline_loop(waypoints, speed, frame_rate):
     return out
 
 
-def build_samples_loop(trajectories, extractor, default_heading, w):
+def build_samples_loop(trajectories, extractor, w):
     """Window samples one at a time: a list of (window (w, F), target (2,),
     pedestrian id, step) in id then step order, each window stacked from a
     per-step dict of one pedestrian's frames."""
@@ -442,7 +442,7 @@ def build_samples_loop(trajectories, extractor, default_heading, w):
     first = min((tr.enter_step for tr in tracks), default=0)
     last = max((tr.last_step for tr in tracks), default=0)
     for step in range(first + 1, last + 1):
-        for tr, frame in zip(*frames_at(tracks, step, extractor, default_heading)):
+        for tr, frame in zip(*frames_at(tracks, step, extractor)):
             frames[tr.id][step] = frame
     samples = []
     for ped, traj in sorted(trajectories.items()):

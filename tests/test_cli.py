@@ -96,6 +96,15 @@ def test_synth_bad_ray_setting_is_exit_2(tmp_path, capsys, flag, value):
     assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--seed", "--n-train", "--n-test"])
+def test_synth_negative_count_is_exit_2(tmp_path, capsys, flag):
+    with pytest.raises(SystemExit) as exit_:
+        main(["synth", "--out", str(tmp_path / "d"), flag, "-1"])
+    assert exit_.value.code == EXIT_CONFIG
+    assert f"argument {flag}: expected a non-negative integer, got '-1'" in capsys.readouterr().err
+    assert not (tmp_path / "d").exists()
+
+
 def test_run_config_validation(dataset_dir, tmp_path):
     cfg = load_run_config(dataset_dir / "micro.json")
     assert cfg.scenario.feature_dim == 104
@@ -442,6 +451,9 @@ def test_evaluate_names_coincident_pedestrians(dataset_dir, tmp_path, capsys):
     )
     assert rc == EXIT_RUNTIME
     assert f"error: simulation: pedestrians {a} and {b} coincide at step 1\n" in capsys.readouterr().err
+    # a failed evaluate writes none of its tables
+    for table in ("metrics.json", "profiles.csv", "fd.csv"):
+        assert not (tmp_path / "ev" / table).exists()
 
 
 def _evaluate(dataset_dir, out, scenario=None, experiment=None):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from oracles import build_samples_loop
 
+from crowdtcn.features import heading
 from crowdtcn.ingest import (
     BadWindow,
     DatasetSplit,
@@ -344,6 +345,9 @@ class DummyExtractor:
 
     feature_dim = 3
 
+    def heading(self, velocity_history):
+        return heading(velocity_history, [1, 0])
+
     def frame(self, position, velocity, heading_vec, others_pos, others_vel, self_index=None):
         return np.column_stack([velocity[:, 0], velocity[:, 1], position[:, 0]])
 
@@ -358,13 +362,13 @@ def straight_trajectory(ped, enter, n_velocities, speed=1.0, dt=0.5):
 class TestBuildSamples:
     def test_nine_steps_one_sample(self):
         trajs = {1: straight_trajectory(1, 0, 9)}
-        samples = build_samples(trajs, DummyExtractor(), [1, 0], w=8)
+        samples = build_samples(trajs, DummyExtractor(), w=8)
         assert len(samples) == 1
         assert samples.windows[0].shape == (8, 3)
 
     def test_eight_steps_zero_samples(self):
         trajs = {1: straight_trajectory(1, 0, 8)}
-        samples = build_samples(trajs, DummyExtractor(), [1, 0], w=8)
+        samples = build_samples(trajs, DummyExtractor(), w=8)
         assert len(samples) == 0
         assert samples.windows.shape == (0, 8, 3) and samples.targets.shape == (0, 2)
 
@@ -374,7 +378,7 @@ class TestBuildSamples:
         for ped in range(20):
             n = int(rng.integers(2, 31))
             trajs[ped] = straight_trajectory(ped, int(rng.integers(0, 10)), n)
-        samples = build_samples(trajs, DummyExtractor(), [1, 0], w=8)
+        samples = build_samples(trajs, DummyExtractor(), w=8)
         expected = sum(max(0, t.n_steps - 8) for t in trajs.values())
         assert len(samples) == expected
 
@@ -385,7 +389,7 @@ class TestBuildSamples:
         positions = np.column_stack([xs, np.zeros_like(xs)])
         velocities = np.diff(positions, axis=0) / dt
         traj = Trajectory(id=1, enter_step=0, positions=positions, velocities=velocities, dt=dt)
-        samples = build_samples({1: traj}, DummyExtractor(), [1, 0], w=8)
+        samples = build_samples({1: traj}, DummyExtractor(), w=8)
         assert len(samples) == 3
         for window, target, step in zip(samples.windows, samples.targets, samples.steps):
             local_t = step - traj.enter_step
@@ -404,8 +408,8 @@ class TestBuildSamples:
             for pid, tr in trajs.items()
         }
         for subset in (trajs, cut):
-            samples = build_samples(subset, sc.extractor(), sc.default_heading, w=8)
-            oracle = build_samples_loop(subset, sc.extractor(), sc.default_heading, w=8)
+            samples = build_samples(subset, sc.extractor(), w=8)
+            oracle = build_samples_loop(subset, sc.extractor(), w=8)
             assert len(samples) == len(oracle)
             assert samples.windows.shape == (len(oracle), 8, sc.feature_dim)
             assert samples.windows.dtype == samples.targets.dtype == np.float64

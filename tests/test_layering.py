@@ -21,10 +21,10 @@ LAYERS = {
     "crowdtcn.tcn": set(),
     "crowdtcn.features": {"geometry"},
     "crowdtcn.scenario": {"features", "geometry"},
-    "crowdtcn.ingest": {"features", "geometry"},
+    "crowdtcn.ingest": {"geometry"},
     "crowdtcn.synth": {"features", "geometry", "ingest", "scenario"},
     "crowdtcn.simulate": {"features", "geometry", "ingest", "scenario"},
-    "crowdtcn.evaluate": {"features", "geometry", "ingest"},
+    "crowdtcn.evaluate": {"geometry", "ingest"},
     "crowdtcn.cli": {
         "evaluate", "features", "geometry", "ingest", "scenario", "simulate", "synth", "tcn",
     },

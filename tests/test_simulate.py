@@ -371,7 +371,7 @@ def test_replay_matches_training_windows(tmp_path):
         world.step()
         assert model.queue == []
     assert len(exited(world)) == len(trajs)
-    samples = build_samples(trajs, sc.extractor(), sc.default_heading, w=w)
+    samples = build_samples(trajs, sc.extractor(), w=w)
     assert len(samples)
     for window, ped, step in zip(samples.windows, samples.ped_ids, samples.steps):
         got = fed[(ped, step)]

@@ -5,8 +5,10 @@ import hashlib
 import numpy as np
 import pytest
 
+from crowdtcn.cli import EXIT_OK, main
 from crowdtcn.geometry import point_in_polygon, polygon_area
 from crowdtcn.ingest import build_samples, load_trajectories, parse_trajectories
+from crowdtcn.scenario import Scenario, merge
 from crowdtcn.synth import (
     GEOMETRIES,
     _walk_polyline,
@@ -39,8 +41,9 @@ def test_scenario_geometry_and_feature_dim():
 
 
 def test_feature_dim_variants():
-    assert corridor_scenario(step_deg=5.0).feature_dim == 156
-    assert corridor_scenario(step_deg=18.0).feature_dim == 104
+    for step_deg, dim in ((5.0, 156), (18.0, 104)):
+        doc = merge(corridor_scenario().to_dict(), {"rays": {"step_deg": step_deg}})
+        assert Scenario.from_dict(doc).feature_dim == dim
 
 
 def test_generation_is_deterministic(tmp_path):
@@ -52,27 +55,29 @@ def test_generation_is_deterministic(tmp_path):
     assert a["training"].read_bytes() != c["training"].read_bytes()
 
 
-# SHA-256 of scenario.json, train.txt and test.txt. Every synthetic path
-# segment is axis-aligned, so np.hypot is exact and the bytes do not depend
-# on the platform's libm.
+# SHA-256 of the scenario.json, train.txt and test.txt that `crowdtcn synth`
+# writes with the given extra flags. Every synthetic path segment is
+# axis-aligned, so np.hypot is exact and the bytes do not depend on the
+# platform's libm.
 PINNED_DIGESTS = [
-    ("corridor", {}, (
+    ("corridor", [], (
         "14efb8123dcaada595c83dfa21e502f8db3ef4b826f0cc207d523f686531e98a",
         "052b4d96b7279e35ca1776d7c3eb79a1298e7223919569aa7ce3583919a5dbc4",
         "e8bb11bad40b1bc6bf59966e613a7c4c309ce42c41f99f5e6b43c6ee842b7d3c",
     )),
-    ("corner", {}, (
+    ("corner", [], (
         "f972f0f1c3f7ed49a6948a3267f752ab1be44976240c4097ab83a4f18c853d6f",
         "0a50763e547de78665926bd395ebfcc92ba6e1e8c5229825093a256d1de9132a",
         "2fe19a26a9b1770762fc19de36e8905fd1cfded200a9b47239e2092d843158ee",
     )),
-    ("t-junction", {}, (
+    ("t-junction", [], (
         "3c35b40220ffc6a46901606de4618ef05f0b52d2f4ba33a12dc6c7c887fa9139",
         "8a8e4b6430d6fcf4fd9e64c913f1b63825fc9fc75616c9c5481158e318b9753d",
         "10ce6087adbaa6153e855634b692fed6b88e164d806d32827afbc24242a2b6b0",
     )),
-    ("t-junction", {"step_deg": 5, "exit_distance": 30}, (
-        "0099c3b3039c86586559d60d0987b30881534df367767c32d7acb1977430ee90",
+    # the ray flags are a rays override, which the reader stores as floats
+    ("t-junction", ["--step-deg", "5", "--exit-distance", "30"], (
+        "e2a9589f6e358aa56a3062056340bd8d3f3aba5a3922ba8a2dd8b04e3afbbb1e",
         "8a8e4b6430d6fcf4fd9e64c913f1b63825fc9fc75616c9c5481158e318b9753d",
         "10ce6087adbaa6153e855634b692fed6b88e164d806d32827afbc24242a2b6b0",
     )),
@@ -81,10 +86,10 @@ PINNED_DIGESTS = [
 
 @pytest.mark.parametrize("name, extra, digests", PINNED_DIGESTS)
 def test_dataset_bytes_are_pinned(tmp_path, name, extra, digests):
-    ds = GEOMETRIES[name](seed=3, n_train=4, n_test=2, **extra)
-    paths = write_dataset(ds, tmp_path)
-    keys = ("scenario", "training", "testing")
-    got = tuple(hashlib.sha256(paths[k].read_bytes()).hexdigest() for k in keys)
+    argv = ["synth", "--geometry", name, "--seed", "3", "--n-train", "4", "--n-test", "2"]
+    assert main([*argv, *extra, "--out", str(tmp_path)]) == EXIT_OK
+    files = ("scenario.json", "train.txt", "test.txt")
+    got = tuple(hashlib.sha256((tmp_path / f).read_bytes()).hexdigest() for f in files)
     assert got == digests
 
 
@@ -177,9 +182,7 @@ def test_samples_build_from_synthetic_corridor(tmp_path):
     ds = corridor_dataset(seed=9, n_train=6, n_test=2, length=8.0)
     paths = write_dataset(ds, tmp_path / "d")
     trajs = load_trajectories(paths["training"], ds.scenario)
-    samples = build_samples(
-        trajs, ds.scenario.extractor(), ds.scenario.default_heading, w=8
-    )
+    samples = build_samples(trajs, ds.scenario.extractor(), w=8)
     assert len(samples) > 0
     assert samples.windows[0].shape == (8, ds.scenario.feature_dim)
     assert samples.targets[0].shape == (2,)
