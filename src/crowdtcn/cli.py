@@ -153,7 +153,7 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
 
     overrides maps top-level keys to replacement values (CLI flags, a sweep
     cell's output_dir), and a section name ("sweep", "rays") to values merged
-    into that section; None values are ignored. Referenced files must exist.
+    into that section; None is skipped at every depth. Referenced files must exist.
     """
     path = Path(path)
     # RunConfig's fields, and the radar and rays sections that override the scenario's
@@ -462,9 +462,9 @@ def cmd_sweep(args) -> int:
 
 def cmd_synth(args) -> int:
     dataset = GEOMETRIES[args.geometry](seed=args.seed, n_train=args.n_train, n_test=args.n_test)
-    rays = {k: v for k in ("step_deg", "exit_distance") if (v := getattr(args, k)) is not None}
-    if rays:  # the ray flags are a rays override, checked by the scenario reader
-        dataset.scenario = Scenario.from_dict(merge(dataset.scenario.to_dict(), {"rays": rays}))
+    # the ray flags are a rays override, checked by the scenario reader
+    rays = {k: getattr(args, k) for k in ("step_deg", "exit_distance")}
+    dataset.scenario = Scenario.from_dict(merge(dataset.scenario.to_dict(), {"rays": rays}))
     paths = write_dataset(dataset, args.out)
     run_doc = {
         "scenario": paths["scenario"].name,
@@ -491,9 +491,8 @@ def cmd_synth(args) -> int:
 def _overrides(args) -> dict:
     """Flag values by run-config key; the sweep flags merge into its section."""
     keys = ("seed", "iterations", "output_dir", "learning_rate", "batch_size")
-    grid = {k: getattr(args, k, None) for k in ("exit_distances", "step_degs", "jobs")}
-    overrides = {k: getattr(args, k, None) for k in keys}
-    return {**overrides, "sweep": {k: v for k, v in grid.items() if v is not None}}
+    grid = {f.name: getattr(args, f.name, None) for f in fields(SweepConfig)}
+    return {**{k: getattr(args, k, None) for k in keys}, "sweep": grid}
 
 
 def _non_negative_int(text: str) -> int:

@@ -427,17 +427,22 @@ def presence(tracks):
         yield step, [tracks[i] for i in np.flatnonzero((enter <= step) & (step <= last))]
 
 
-def frames_at(tracks, step: int, extractor):
+def frames_at(tracks, step: int, extractor, histories=None):
     """The present tracks past their entry step and their (S, F) frames at a
     global step, from one extractor.frame call against everyone world_at finds,
-    headed by extractor.heading; each subject skips its own row (self_index)."""
+    headed by extractor.heading; each subject skips its own row (self_index).
+    histories, when given, maps the only subjects (simulated pedestrians: a
+    Trajectory does not hash) to the velocity histories that set their own
+    velocity and heading; everyone else is framed from world_at as without it."""
     present, pos, vel = world_at(tracks, step)
-    movers = [i for i, tr in enumerate(present) if tr.enter_step < step]
+    own = [tr.velocities if histories is None else histories.get(tr) for tr in present]
+    movers = [i for i, tr in enumerate(present) if tr.enter_step < step and own[i] is not None]
     if not movers:
         return [], []
-    subjects = [present[i] for i in movers]
-    heads = [extractor.heading(tr.velocities[: step - tr.enter_step]) for tr in subjects]
-    return subjects, extractor.frame(pos[movers], vel[movers], np.array(heads), pos, vel, movers)
+    local = [step - present[i].enter_step for i in movers]
+    heads = np.array([extractor.heading(own[i][:k]) for i, k in zip(movers, local)])
+    v = np.array([own[i][k - 1] for i, k in zip(movers, local)])
+    return [present[i] for i in movers], extractor.frame(pos[movers], v, heads, pos, vel, movers)
 
 
 def build_samples(trajectories: dict[int, Trajectory], extractor, w: int) -> Samples:

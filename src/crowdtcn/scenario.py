@@ -126,11 +126,11 @@ def read_document(path, what: str, known=None, overrides: dict | None = None) ->
 
 
 def merge(doc: dict, overrides: dict | None) -> dict:
-    """doc with overrides applied in place: None is skipped, an object merges
-    into the section of its name, and any other value replaces doc's own."""
+    """doc with overrides applied in place: at every depth None is skipped, an
+    object merges into the object of its name, any other value replaces doc's."""
     for key, value in (overrides or {}).items():
         if isinstance(value, dict):
-            value = {**_object(doc.get(key, {}), repr(key)), **value}
+            value = merge(dict(_object(doc.get(key, {}), repr(key))), value)
         if value is not None:
             doc[key] = value
     return doc

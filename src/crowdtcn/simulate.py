@@ -29,7 +29,8 @@ pedestrian is placed STANDOFF = 0.05 m inside the wall at the crossing point,
 its recent velocities are rewritten to the direction of TANGENT_BLEND = 0.7
 times the wall tangent plus INWARD_BLEND = 0.3 times the inward normal, at
 its recent mean speed, and its stored feature frames over that span are
-recomputed so later predictions see the corrected history.
+recomputed so later predictions see the corrected history. Every stored frame
+comes from ingest.frames_at, the call build_samples makes in training.
 
 Positions integrate as p[t+1] = p[t] + dt * v[t+1]. The internal velocity
 history, which drives the features, is re-derived from each committed
@@ -122,7 +123,8 @@ class SimWorld:
     peds is the one roster, every seeded pedestrian sorted by id; who is in
     the world at step t is ingest.world_at(peds, t). Each step computes the
     new feature frames of the pedestrians present past their entry step with
-    one ingest.frames_at call over the roster.
+    one ingest.frames_at call over the roster, and the frames its boundary
+    corrections rewrite with one frames_at call per rewritten world step.
     """
 
     def __init__(self, scenario: Scenario, model, seeds):
@@ -150,16 +152,11 @@ class SimWorld:
         return all(st.exit_step is not None for st in self.peds)
 
     def _correct(self, st: _PedState, p_cur, v_hat, tentative, wall, t_hit, t: int):
-        """Place the pedestrian STANDOFF inside the crossed (2, 2) ``wall``,
-        which the step crosses at motion parameter ``t_hit``, and recompute
-        its feature frames over its last window velocities, rewritten.
-        Returns the rewritten velocity history, which step assigns once every
-        decision of the step is made.
-
-        The recomputed frames take the pedestrian's own position, velocity and
-        heading from its rewritten history and everyone else from world_at
-        over the roster, whose histories hold the corrections of earlier steps
-        but not those of this one."""
+        """The corrected position STANDOFF inside the crossed (2, 2) ``wall``,
+        which the step crosses at motion parameter ``t_hit``, and the
+        pedestrian's velocity history with its last window velocities
+        rewritten. Mutates nothing: step reframes the rewritten span and
+        commits both once every decision of the step is made."""
         a, b = wall
         e = b - a
         # inward normal: the pedestrian came from the walkable side, so point
@@ -190,17 +187,7 @@ class SimWorld:
             np.mean([np.hypot(v[0], v[1]) for v in velocities[-k:]], dtype=np.float64)
         )
         velocities[-k:] = [direction * mean_speed for _ in range(k)]
-        st.positions.append(corrected)
-        st.corrected_steps.append(t + 1)
-        # recompute this pedestrian's stored frames over the rewritten span
-        s_new = st.steps_since_entry  # after append
-        for local in range(max(1, s_new - k + 1), s_new):
-            others, pos, vel = world_at(self.peds, st.enter_step + local)
-            head = self.extractor.heading(velocities[:local])
-            st.frames[local - 1] = self.extractor.frame(
-                st.positions[local], velocities[local - 1], head, pos, vel, others.index(st)
-            )
-        return velocities
+        return corrected, velocities
 
     def step(self) -> None:
         """Advance the world from its clock t to t + 1."""
@@ -246,30 +233,42 @@ class SimWorld:
         dep_t = dep_t.min(axis=1, initial=np.inf)
         hit_t = wall_t.min(axis=1, initial=np.inf)
         exits = (dep_t < np.inf) & (dep_t <= hit_t)
-        rewrites: list[tuple] = []
+        rewrites: dict[_PedState, list] = {}
         for i, st in enumerate(states):
-            p_cur, tentative = pos[i], tentatives[i]
             if not exits[i] and hit_t[i] < np.inf:
                 wall = walls[np.argmin(wall_t[i])]
-                rewritten = self._correct(st, p_cur, decisions[i], tentative, wall, hit_t[i], t)
-                rewrites.append((st, rewritten))
-                continue
-            if not exits[i] and not inside[i]:
+                tentatives[i], rewrites[st] = self._correct(
+                    st, pos[i], decisions[i], tentatives[i], wall, hit_t[i], t
+                )
+            elif not exits[i] and not inside[i]:
                 raise NoInwardDirection(
                     f"pedestrian {st.ped_id} left the walkable region at step {t + 1} "
-                    f"at ({tentative[0]:.3f}, {tentative[1]:.3f}) without crossing "
-                    "a wall or departure segment"
+                    f"at ({tentatives[i][0]:.3f}, {tentatives[i][1]:.3f}) without "
+                    "crossing a wall or departure segment"
                 )
-            st.positions.append(tentative)
-            st.velocities.append((tentative - p_cur) / self.dt)
 
-        # corrections and exits commit after all decisions, so within a step
-        # nobody observes another pedestrian's corrected history, and world_at
-        # still finds an exiting walker at step t
-        for st, velocities in rewrites:
-            st.velocities = velocities
-        for i in np.flatnonzero(exits):
-            states[i].exit_step = t + 1
+        # reframe each rewritten span (the last window - 1 steps, none before
+        # entry) with one frames_at call per world step against the world
+        # before this step's commits: its own rewritten history sets each
+        # subject's velocity and heading, and nobody sees another's
+        spans: dict[int, dict] = {}
+        for st, velocities in rewrites.items():
+            for g in range(max(st.enter_step + 1, t + 2 - self.window), t + 1):
+                spans.setdefault(g, {})[st] = velocities
+        for g, histories in sorted(spans.items()):
+            for st, frame in zip(*frames_at(self.peds, g, self.extractor, histories)):
+                st.frames[g - st.enter_step - 1] = frame
+
+        # commits come last, so world_at still finds an exiting walker at step t
+        for i, st in enumerate(states):
+            st.positions.append(tentatives[i])
+            if st in rewrites:
+                st.velocities = rewrites[st]
+                st.corrected_steps.append(t + 1)
+            else:
+                st.velocities.append((tentatives[i] - pos[i]) / self.dt)
+            if exits[i]:
+                st.exit_step = t + 1
         self.clock = t + 1
 
 

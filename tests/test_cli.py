@@ -231,6 +231,18 @@ def test_run_config_ray_overrides(dataset_dir, tmp_path):
     assert (rays.step_deg, rays.exit_distance) == (scenario["rays"]["step_deg"], 50.0)
 
 
+def test_none_override_keeps_the_file_value_at_every_depth(dataset_dir, tmp_path):
+    def seen(cfg):  # a Scenario holds arrays, so compare its document
+        return {**vars(cfg), "scenario": cfg.scenario.to_dict()}
+
+    for own in ({}, {"rays": {"step_deg": 9.0}, "sweep": {"jobs": 2}}):
+        path = _run_config(dataset_dir, tmp_path / "run.json", **own)
+        plain = seen(load_run_config(path))
+        assert seen(load_run_config(path, {"rays": {"step_deg": None}})) == plain
+        nones = {"seed": None, "sweep": {"jobs": None}, "radar": {"radius": None}}
+        assert seen(load_run_config(path, nones)) == plain
+
+
 def test_train_writes_artifact_and_log(trained_dir, capsys):
     text = (trained_dir / "out" / "training_log.csv").read_text()
     assert text.splitlines()[0] == "iteration,train_loss,val_loss,wall_time_s"

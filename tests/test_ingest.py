@@ -1,3 +1,5 @@
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
 from oracles import build_samples_loop
@@ -14,6 +16,7 @@ from crowdtcn.ingest import (
     TooShort,
     Trajectory,
     build_samples,
+    frames_at,
     load_trajectories,
     parse_trajectories,
     presence,
@@ -442,6 +445,82 @@ class TestWorldAt:
         for step, present in seen:
             assert present == world_at(tracks, step)[0]
         assert list(presence([])) == []
+
+
+@dataclass(eq=False)
+class Walker:
+    """A hashable track, as a simulated pedestrian is: frames_at's histories
+    are keyed by track, which a Trajectory cannot be."""
+
+    enter_step: int
+    positions: np.ndarray
+    velocities: np.ndarray
+
+    @property
+    def last_step(self) -> int:
+        return self.enter_step + len(self.velocities)
+
+
+class TestFramesAt:
+    STEP = 5
+
+    @staticmethod
+    def scene():
+        """Eight random corridor walkers, at least one entering at STEP, and
+        the real extractor of the synth corridor."""
+        rng = np.random.default_rng(26)
+        walkers = []
+        for enter in (0, 1, 2, 3, 4, 5, 5, 9):
+            vel = rng.uniform(-1.0, 1.0, (int(rng.integers(3, 8)), 2))
+            start = rng.uniform([2.0, -1.0], [8.0, 1.0])
+            walkers.append(Walker(enter, np.vstack([start, start + 0.5 * vel.cumsum(0)]), vel))
+        return walkers, corridor_dataset(n_train=1, n_test=1, seed=0).scenario.extractor()
+
+    def test_histories_frame_only_the_mapped_movers(self):
+        walkers, ex = self.scene()
+        step, rng = self.STEP, np.random.default_rng(7)
+        # mapped: movers, a walker entering at step, one gone by then and one to come
+        gone = [w for w in walkers if w.last_step < step][:1]
+        mapped = [walkers[i] for i in (1, 3, 4, 6, 7)] + gone
+        histories = {w: rng.uniform(-1.5, 1.5, w.velocities.shape) for w in mapped}
+        present, pos, vel = world_at(walkers, step)
+        movers = [w for w in present if w in histories and w.enter_step < step]
+        assert len(movers) >= 3 and any(w.enter_step == step for w in mapped)
+        subjects, frames = frames_at(walkers, step, ex, histories)
+        assert subjects == movers
+        for w, frame in zip(subjects, frames):
+            k, own = step - w.enter_step, histories[w]
+            others = [i for i, o in enumerate(present) if o is not w]
+            single = ex.frame(
+                w.positions[k], own[k - 1], ex.heading(own[:k]), pos[others], vel[others]
+            )
+            np.testing.assert_array_equal(frame, single)
+        # a mover's own history frames it as without histories
+        own = {w: w.velocities for w in walkers}
+        np.testing.assert_array_equal(
+            frames_at(walkers, step, ex, own)[1], frames_at(walkers, step, ex)[1]
+        )
+        assert frames_at(walkers, step, ex, {}) == ([], [])
+
+    def test_no_histories_frames_every_mover_from_world_at(self):
+        walkers, ex = self.scene()
+        # Trajectory does not hash, so this path must not look tracks up
+        tracks = [
+            Trajectory(i, w.enter_step, w.positions, w.velocities, 0.5)
+            for i, w in enumerate(walkers)
+        ]
+        with pytest.raises(TypeError):
+            hash(tracks[0])
+        for step in range(12):
+            present, pos, vel = world_at(tracks, step)
+            movers = [i for i, tr in enumerate(present) if tr.enter_step < step]
+            got, frames = frames_at(tracks, step, ex)
+            subjects = [present[i] for i in movers]
+            assert got == subjects
+            if movers:
+                heads = [ex.heading(tr.velocities[: step - tr.enter_step]) for tr in subjects]
+                expected = ex.frame(pos[movers], vel[movers], np.array(heads), pos, vel, movers)
+                np.testing.assert_array_equal(frames, expected)
 
 
 class TestSplit:

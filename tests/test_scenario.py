@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from crowdtcn.features import RayScanConfig
-from crowdtcn.scenario import BadConfig, Scenario
+from crowdtcn.scenario import BadConfig, Scenario, merge
 from crowdtcn.synth import corridor_scenario
 
 SEGMENT_FIELDS = ("walls", "virtual_walls", "entrances", "exits")
@@ -95,3 +95,12 @@ def test_malformed_default_heading_names_the_field(heading):
     doc["default_heading"] = heading
     with pytest.raises(BadConfig, match="default_heading"):
         Scenario.from_dict(doc)
+
+
+def test_merge_skips_none_at_every_depth_and_copies_sections():
+    section = {"b": 1, "c": {"d": 2}}
+    doc = {"a": section, "g": 4}
+    overrides = {"a": {"b": None, "c": {"d": None, "e": 3}}, "f": None, "g": None}
+    assert merge(doc, overrides) == {"a": {"b": 1, "c": {"d": 2, "e": 3}}, "g": 4}
+    assert section == {"b": 1, "c": {"d": 2}}  # merged into a copy
+    assert merge({"a": 1}, None) == {"a": 1}

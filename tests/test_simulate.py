@@ -623,3 +623,41 @@ def test_simulated_velocities_are_displacement_rates():
     for tr in result.trajectories:
         assert isinstance(tr, Trajectory)
         np.testing.assert_array_equal(tr.velocities, np.diff(tr.positions, axis=0) / DT)
+
+
+def test_batched_reframing_matches_single_calls_on_pre_step_histories():
+    # three walkers land on the top wall at step 6, three at step 7 and two at
+    # step 8; walker 6 is still in its seed phase, so its first span stops at
+    # its entry and its seed carries it into the wall again. 8 never hits one
+    sc = corridor(half_width=1.5, length=20.0)
+    v = np.array([0.6, 0.8])
+    starts = {1: (0, (1.0, -0.9)), 2: (0, (1.6, -0.9)), 3: (0, (2.2, -0.9)),
+              4: (0, (1.3, -1.3)), 5: (1, (2.5, -0.9)), 6: (5, (3.0, 0.7)),
+              7: (2, (1.9, -0.9))}
+    seeds = [make_seed(pid, enter, start, v, 4) for pid, (enter, start) in starts.items()]
+    seeds.append(make_seed(8, 0, (0.5, 0.0), (1.0, 0.0), 4))
+    model = StubModel(lambda w: v if w[-1, 1] > 0 else [1.0, 0.0], sc.feature_dim)
+    world = SimWorld(sc, model, seeds)
+    corrected: dict[int, list] = {}
+    while not world.finished:
+        pre = {st: [np.array(u) for u in st.velocities] for st in world.peds}
+        t = world.clock
+        world.step()
+        for st in world.peds:
+            if st.corrected_steps[-1:] != [t + 1]:
+                continue
+            corrected.setdefault(t + 1, []).append(st.ped_id)
+            for g in range(max(st.enter_step + 1, t + 2 - world.window), t + 1):
+                local = g - st.enter_step
+                present = world_at(world.peds, g)[0]
+                others = [o for o in present if o is not st]
+                k = [g - o.enter_step for o in others]
+                single = world.extractor.frame(
+                    st.positions[local],
+                    st.velocities[local - 1],
+                    heading(st.velocities[:local], sc.default_heading),
+                    np.array([o.positions[j] for o, j in zip(others, k)]).reshape(-1, 2),
+                    np.array([pre[o][j - 1] if j else (0.0, 0.0) for o, j in zip(others, k)]),
+                )
+                np.testing.assert_array_equal(st.frames[local - 1], single)
+    assert corrected == {6: [1, 2, 3], 7: [4, 5, 6], 8: [6, 7]}
