@@ -18,7 +18,9 @@ area M, and contributes its area fraction to density and its speed (weighted
 by intersection area) to velocity. M must be convex, because cells are cut
 by its edges one half-plane at a time (Sutherland-Hodgman). Flow is defined
 as density * velocity * measurement width, so that identity holds at every
-sample by construction.
+sample by construction. profiles measures a whole series as one table
+(one bounded_voronoi group per step) and sums each step's rows as
+voronoi_measures sums its one step, so the samples agree bitwise.
 
 Pedestrians participate in a time step's measurement only from one step after
 entry, when their arrival velocity is defined.
@@ -227,7 +229,15 @@ def voronoi_measures(
     (SelfIntersecting).
     """
     area_m = _checked_area(walkable, measurement_area)
-    return _step_measures(positions, speeds, walkable, measurement_area, area_m, width)
+    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
+    speeds = np.asarray(speeds, dtype=float).reshape(-1)
+    if len(positions) != len(speeds):
+        raise ValueError("need one speed per position")
+    if len(positions) == 0:
+        return None
+    return _series_measures(
+        positions, speeds, [len(positions)], walkable, measurement_area, area_m, width
+    )[0]
 
 
 def _checked_area(walkable, measurement_area) -> float:
@@ -238,23 +248,24 @@ def _checked_area(walkable, measurement_area) -> float:
     return polygon_area(measurement_area)
 
 
-def _step_measures(positions, speeds, walkable, measurement_area, area_m, width):
-    """voronoi_measures for regions already checked, with M of area area_m."""
-    positions = np.asarray(positions, dtype=float).reshape(-1, 2)
-    speeds = np.asarray(speeds, dtype=float).reshape(-1)
-    if len(positions) != len(speeds):
-        raise ValueError("need one speed per position")
-    if len(positions) == 0:
-        return None
-    polygons, counts, areas = bounded_voronoi(positions, walkable)
+def _series_measures(positions, speeds, sizes, walkable, measurement_area, area_m, width):
+    """voronoi_measures of each step, for regions already checked and M of
+    area area_m; the steps' pedestrians are consecutive groups of sizes rows."""
+    polygons, counts, areas = bounded_voronoi(positions, walkable, sizes)
     inter = polygon_clip_areas(polygons, counts, measurement_area)
-    hit = inter > 0.0
-    if not hit.any():
-        return None
-    inter = inter[hit]
-    rho = float((inter / areas[hit]).sum()) / area_m
-    vel = float((speeds[hit] * inter).sum() / inter.sum())
-    return rho, vel, rho * vel * width
+    samples = []
+    for cut, cell, speed in zip(
+        *(np.split(x, np.cumsum(sizes)[:-1]) for x in (inter, areas, speeds))
+    ):
+        hit = cut > 0.0
+        if not hit.any():
+            samples.append(None)
+            continue
+        cut = cut[hit]
+        rho = float((cut / cell[hit]).sum()) / area_m
+        vel = float((speed[hit] * cut).sum() / cut.sum())
+        samples.append((rho, vel, rho * vel * width))
+    return samples
 
 
 @dataclass(frozen=True)
@@ -284,25 +295,39 @@ def profiles(
     Steps where no pedestrian (with a defined arrival velocity) intersects the
     measurement area are absent from the series rather than zero-filled. The
     walkable region is checked for self-crossing, and the measurement area
-    for convexity, once rather than at every step.
+    for convexity, once rather than at every step. One bounded_voronoi call,
+    with a group of sites per step, and one polygon_clip_areas call serve
+    every step.
     """
     area_m = _checked_area(walkable, measurement_area)
-    rows = []
+    steps, sizes, keys, positions, velocities = [], [], [], [], []
     for t, present in presence(_as_map(trajectories).values()):
-        present, positions, velocities = world_at(present, t)
+        present, pos, vel = world_at(present, t)
         # entry-step pedestrians have no arrival velocity yet
         moving = [i for i, tr in enumerate(present) if tr.enter_step < t]
-        speeds = np.hypot(*velocities[moving].T)
+        if moving:
+            steps.append(t)
+            sizes.append(len(moving))
+            keys.extend((t, present[i].id) for i in moving)
+            positions.append(pos[moving])
+            velocities.append(vel[moving])
+    samples = []
+    if steps:
         try:
-            sample = _step_measures(
-                positions[moving], speeds, walkable, measurement_area, area_m, width
+            samples = _series_measures(
+                np.concatenate(positions),
+                np.hypot(*np.concatenate(velocities).T),
+                sizes,
+                walkable,
+                measurement_area,
+                area_m,
+                width,
             )
         except DegenerateSites as exc:
-            a, b = (present[moving[k]].id for k in exc.pair)
+            (t, a), (_, b) = (keys[k] for k in exc.pair)
             msg = f"pedestrians {a} and {b} coincide at step {t}"
             raise DegenerateSites(f"{label}: {msg}" if label else msg, (a, b)) from exc
-        if sample is not None:
-            rows.append((t, *sample))
+    rows = [(t, *sample) for t, sample in zip(steps, samples) if sample is not None]
     steps, rho, vel, flow = np.array(rows, dtype=float).reshape(-1, 4).T
     return MeasurementSeries(label, width, steps.astype(int), rho, vel, flow)
 

@@ -138,11 +138,13 @@ class RayScan:
 def heading(velocity_history, default) -> np.ndarray:
     """Most recent moving direction, or the scenario default when never moving.
 
-    velocity_history is scanned from the latest entry backwards; the first
-    velocity with speed > SPEED_EPS defines the heading.
+    velocity_history is a sequence of (2,) velocities, scanned from the
+    latest entry backwards; the first velocity with speed > SPEED_EPS
+    defines the heading. Only the entries scanned are read: the history is
+    never converted as a whole.
     """
-    hist = np.asarray(velocity_history, dtype=float).reshape(-1, 2)
-    for v in hist[::-1]:
+    for k in range(len(velocity_history) - 1, -1, -1):
+        v = np.asarray(velocity_history[k], dtype=float)
         speed = float(np.hypot(v[0], v[1]))
         if speed > SPEED_EPS:
             return v / speed

@@ -235,20 +235,21 @@ def _clip_halfplanes(cells: np.ndarray, counts: np.ndarray, point, normal):
     ``point`` and ``normal`` are (m, 2) or one shared (2,) pair, and each row
     keeps the part with (x - point) . normal <= EPS_GEO. Every edge slot
     emits its start vertex when kept, then the crossing point when the edge
-    leaves or enters the half-plane; a stable sort packs the emitted points
-    to the front of each row. Returns the clipped (m, K', 2) cells and their
-    counts.
+    leaves or enters the half-plane; the emitted points are packed, in that
+    order, to the front of each row of a zero-padded table. Returns the
+    clipped (m, K', 2) cells and their counts.
     """
     m, k = cells.shape[:2]
-    row = np.arange(m)[:, None]
-    slot = np.arange(k)
-    live = slot < counts[:, None]
-    nxt = np.where(slot + 1 < counts[:, None], slot + 1, 0)
+    live = np.arange(k) < counts[:, None]
     # each (K, 2) @ (2, 1) slice is the same BLAS matrix-vector product as a
     # one-polygon (k, 2) @ (2,) call, so the distances agree bitwise
     dist = ((cells - point[..., None, :]) @ normal[..., :, None])[..., 0]
-    dist_next = dist[row, nxt]
-    cells_next = cells[row, nxt]
+    # the next vertex of each slot; a row's last vertex closes on slot 0
+    closing = (np.arange(m), counts - 1)
+    dist_next = np.roll(dist, -1, axis=1)
+    dist_next[closing] = dist[:, 0]
+    cells_next = np.roll(cells, -1, axis=1)
+    cells_next[closing] = cells[:, 0]
     inside = dist <= EPS_GEO
     inside_next = dist_next <= EPS_GEO
     cross = live & np.where(
@@ -256,11 +257,13 @@ def _clip_halfplanes(cells: np.ndarray, counts: np.ndarray, point, normal):
     )
     t = dist / np.where(cross, dist - dist_next, 1.0)
     hit = cells + t[..., None] * (cells_next - cells)
-    emitted = np.stack([cells, hit], axis=2).reshape(m, 2 * k, 2)
     emit = np.stack([live & inside, cross], axis=2).reshape(m, 2 * k)
     new_counts = emit.sum(axis=1)
-    order = np.argsort(~emit, axis=1, kind="stable")[:, : new_counts.max(initial=0)]
-    return emitted[row, order], new_counts
+    row = np.repeat(np.arange(m), new_counts)
+    slot = np.arange(len(row)) - np.repeat(np.cumsum(new_counts) - new_counts, new_counts)
+    clipped = np.zeros((m, new_counts.max(initial=0), 2))
+    clipped[row, slot] = np.stack([cells, hit], axis=2).reshape(m, 2 * k, 2)[emit]
+    return clipped, new_counts
 
 
 def _clip_convex(cells: np.ndarray, counts: np.ndarray, clip) -> tuple[np.ndarray, np.ndarray]:
@@ -342,51 +345,63 @@ def _farthest(cells: np.ndarray, counts: np.ndarray, sites: np.ndarray) -> np.nd
     return np.where(np.arange(cells.shape[1]) < counts[:, None], dist, 0.0).max(axis=1, initial=0.0)
 
 
-def bounded_voronoi(sites, area) -> VoronoiCells:
+def bounded_voronoi(sites, area, sizes=None) -> VoronoiCells:
     """Voronoi cells of ``sites`` clipped to the ``area`` polygon, row i for site i.
 
-    Each cell is obtained by half-plane clipping of the area polygon against
-    the perpendicular bisectors with every other site (O(n^2), exact enough
-    at crowd scale). Sites may lie outside the area; cells that end up empty
-    are dropped (count 0, area 0), so the live cells partition the area. So
-    are cells of area at most EPS_GEO times the area's extent: the rounding
-    noise that a site outside a non-convex area can be left with.
+    ``sizes`` splits the sites into consecutive groups (say one per time
+    step), each tessellated on its own; None is one group. A cell is the area
+    polygon clipped by the bisectors with every other site of its group
+    (O(n^2) per group). Sites may lie outside the area; cells that end up
+    empty, or of area at most EPS_GEO times the area's extent (the rounding
+    noise a site outside a non-convex area can leave), are dropped (count 0,
+    area 0), so each group's live cells partition the area.
 
-    All cells are clipped together as one padded array. Round j clips every
-    live cell i != j by the bisector with site j, so each cell meets the
-    bisectors in site-index order. A cell skips site j when
-    |p_j - p_i| > 2 R_i + EPS_GEO, where R_i is the distance from site i to
-    its cell's farthest current vertex: every vertex v then has
-    (v - mid) . (p_j - p_i) <= |p_j - p_i| (R_i - |p_j - p_i| / 2) < 0, so
-    the clip would return the cell unchanged. Skipped clips therefore change
-    nothing, and the cells are bitwise those of clipping one cell at a time
-    in the same order.
+    All cells are clipped as one padded table, in as many rounds as the
+    largest group has sites: round j clips every live cell i by the bisector
+    with site j of its own group, so each cell meets the bisectors in
+    site-index order. A cell skips site j when |p_j - p_i| > 2 R_i + EPS_GEO,
+    R_i being the distance from site i to its cell's farthest vertex: every
+    vertex v then has (v - mid) . (p_j - p_i) <= |p_j - p_i| (R_i - |p_j -
+    p_i| / 2) < 0, so the clip would change nothing. Rows never interact, so
+    the cells are bitwise those of clipping one cell at a time in the same
+    order, and those of one call per group. Each round computes only the
+    distances to its sites j, so no pairwise table is held.
 
-    Raises DegenerateSites when two sites are closer than 1e-6 m, naming the
-    first such pair (i < j) in row-major order.
+    Raises DegenerateSites when two sites of one group are closer than
+    1e-6 m, naming the first such pair (i < j), as rows of ``sites``, of the
+    earliest group in row-major order; ValueError for an empty group or sizes
+    that do not add up to the sites.
     """
     pts = np.asarray(sites, dtype=float).reshape(-1, 2)
     poly = np.asarray(area, dtype=float).reshape(-1, 2)
     n = len(pts)
-    if n == 0:
+    sizes = np.array([n]) if sizes is None else np.asarray(sizes, dtype=int).reshape(-1)
+    if n == 0 or (sizes < 1).any():
         raise ValueError("at least one site required")
-    offset = pts[None, :, :] - pts[:, None, :]
-    gap = np.hypot(offset[..., 0], offset[..., 1])
-    close = np.argwhere(np.triu(gap < 1e-6, k=1))
-    if len(close):
-        i, j = close[0]
-        raise DegenerateSites(f"sites {i} and {j} coincide", (int(i), int(j)))
+    if sizes.sum() != n:
+        raise ValueError(f"group sizes add up to {sizes.sum()}, not to the {n} sites")
+    # each row's group: its first row and its size
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    group_size = np.repeat(sizes, sizes)
     cells = np.broadcast_to(poly, (n,) + poly.shape).copy()
     counts = np.full(n, len(poly))
     reach = 2.0 * _farthest(cells, counts, pts) + EPS_GEO
-    for j in range(n):
-        rows = np.flatnonzero((counts > 0) & (gap[:, j] <= reach))
-        rows = rows[rows != j]
+    close = []
+    for j in range(sizes.max()):
+        rows = np.flatnonzero(group_size > j)
+        site = first[rows] + j
+        offset = pts[site] - pts[rows]
+        gap = np.hypot(offset[:, 0], offset[:, 1])
+        pair = (rows < site) & (gap < 1e-6)
+        if pair.any():
+            close.append((rows[pair][0], site[pair][0]))
+        clip = (counts[rows] > 0) & (gap <= reach[rows]) & (rows != site)
+        rows, site = rows[clip], site[clip]
         if len(rows) == 0:
             continue
         width = counts[rows].max()
         clipped, kept = _clip_halfplanes(
-            cells[rows, :width], counts[rows], 0.5 * (pts[rows] + pts[j]), pts[j] - pts[rows]
+            cells[rows, :width], counts[rows], 0.5 * (pts[rows] + pts[site]), pts[site] - pts[rows]
         )
         if clipped.shape[1] > cells.shape[1]:
             grow = np.zeros((n, clipped.shape[1] - cells.shape[1], 2))
@@ -394,6 +409,9 @@ def bounded_voronoi(sites, area) -> VoronoiCells:
         cells[rows, : clipped.shape[1]] = clipped
         counts[rows] = kept
         reach[rows] = 2.0 * _farthest(clipped, kept, pts[rows]) + EPS_GEO
+    if close:
+        i, j = (int(k) for k in min(close))
+        raise DegenerateSites(f"sites {i} and {j} coincide", (i, j))
     areas = np.abs(_shoelace(cells, counts))
     live = areas > EPS_GEO * np.ptp(poly, axis=0).max()
     return VoronoiCells(cells, np.where(live, counts, 0), np.where(live, areas, 0.0))

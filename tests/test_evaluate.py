@@ -17,7 +17,7 @@ from crowdtcn.evaluate import (
     tte_ptte,
     voronoi_measures,
 )
-from crowdtcn.ingest import Trajectory
+from crowdtcn.ingest import Trajectory, presence, world_at
 
 from crowdtcn.geometry import DegenerateSites, SelfIntersecting, bounded_voronoi, polygon_area
 from oracles import tde_double_loop, voronoi_measures_loop
@@ -383,6 +383,46 @@ def test_profiles_name_coincident_pedestrians_by_id_and_step():
     assert err.value.pair == (7, 9)
     with pytest.raises(DegenerateSites, match=f"^{want}$"):
         profiles(trs, SQUARE, SQUARE, width=10.0)
+
+
+def test_profiles_equal_voronoi_measures_at_every_step():
+    # a random crowd of staggered walkers, some outside the walkable square
+    # (dropped cells) and some steps with nobody in M (absent samples)
+    rng = np.random.default_rng(27)
+    trs = []
+    for pid in range(30):
+        n = int(rng.integers(2, 12))
+        walk = rng.uniform(-0.5, 10.5, 2) + np.cumsum(rng.normal(0.0, 0.4, (n, 2)), axis=0)
+        trs.append(Trajectory.from_positions(pid, int(rng.integers(0, 15)), walk, DT))
+    m = np.array([[2.0, 2.0], [8.0, 2.0], [8.0, 8.0], [2.0, 8.0]])
+    series = profiles(trs, SQUARE, m, width=6.0)
+    want = []
+    for t, present in presence(trs):
+        present, pos, vel = world_at(present, t)
+        moving = [i for i, tr in enumerate(present) if tr.enter_step < t]
+        sample = voronoi_measures(pos[moving], np.hypot(*vel[moving].T), SQUARE, m, 6.0)
+        if sample is not None:
+            want.append((t, *sample))
+    assert len(want) > 10
+    assert series.steps.tolist() == [t for t, *_ in want]
+    got = np.stack([series.density, series.velocity, series.flow], axis=1)
+    assert got.tobytes() == np.array([sample for _, *sample in want]).tobytes()
+
+
+def test_profiles_name_the_earlier_step_of_two_coincidences():
+    # 7 and 9 meet at step 1 as moving sites 2 and 3; 3 and 5 meet at step 2
+    # as sites 0 and 1, a pair the clipping rounds reach first
+    trs = [
+        straight(3, 0, (1.0, 1.0), (1.0, 0.0), 4),
+        straight(5, 0, (2.0, 3.0), (0.0, -2.0), 4),
+        straight(7, 0, (4.0, 5.0), (2.0, 0.0), 4),
+        straight(9, 0, (6.0, 5.0), (-2.0, 0.0), 4),
+    ]
+    with pytest.raises(DegenerateSites, match="^pedestrians 7 and 9 coincide at step 1$") as err:
+        profiles(trs, SQUARE, SQUARE, width=10.0)
+    assert err.value.pair == (7, 9)
+    with pytest.raises(DegenerateSites, match="^pedestrians 3 and 5 coincide at step 2$"):
+        profiles(trs[:2], SQUARE, SQUARE, width=10.0)
 
 
 def test_fundamental_diagram_is_pure_reshaping():

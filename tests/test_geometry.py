@@ -17,6 +17,7 @@ from crowdtcn.geometry import (
     ray_segment_params,
 )
 from crowdtcn import geometry
+from crowdtcn.synth import t_junction_scenario
 from oracles import (
     bounded_voronoi_loop,
     convex_clip_loop,
@@ -633,3 +634,68 @@ class TestBoundedVoronoiMatchesLoop:
     def test_zero_sites_rejected(self):
         with pytest.raises(ValueError, match="at least one site"):
             bounded_voronoi(np.zeros((0, 2)), UNIT_SQUARE)
+
+
+def _grouped_scenes():
+    """Random series of 2-12 groups of 1-40 sites over a rectangle, the L
+    shape and the non-convex t-junction walkable, with sites up to 1 m
+    outside the area (so some cells drop); every series holds a one-site
+    group."""
+    rng = np.random.default_rng(27)
+    rect = np.array([[0.0, -1.5], [10.0, -1.5], [10.0, 1.5], [0.0, 1.5]])
+    areas = (rect, L_SHAPE, t_junction_scenario().walkable_polygon)
+    for trial in range(30):
+        area = areas[trial % 3]
+        sizes = rng.integers(1, 41, size=rng.integers(2, 13))
+        sizes[rng.integers(len(sizes))] = 1
+        sites = rng.uniform(area.min(axis=0) - 1.0, area.max(axis=0) + 1.0, (sizes.sum(), 2))
+        yield sites, area, sizes
+
+
+class TestGroupedVoronoi:
+    def test_groups_equal_one_call_each_bitwise(self):
+        dropped, widths = 0, set()
+        for sites, area, sizes in _grouped_scenes():
+            got = bounded_voronoi(sites, area, sizes)
+            assert len(got.polygons) == len(got.counts) == len(got.areas) == len(sites)
+            bounds = np.cumsum([0, *sizes])
+            for lo, hi in zip(bounds[:-1], bounds[1:]):
+                want = bounded_voronoi(sites[lo:hi], area)
+                assert got.counts[lo:hi].tolist() == want.counts.tolist()
+                assert got.areas[lo:hi].tobytes() == want.areas.tobytes()
+                for i, count in enumerate(want.counts):
+                    cell = got.polygons[lo + i, :count]
+                    assert cell.tobytes() == want.polygons[i, :count].tobytes()
+                dropped += int((want.counts == 0).sum())
+                widths.add(want.polygons.shape[1])
+        # the scenes cover dropped cells and groups of different padded widths
+        assert dropped > 0 and len(widths) > 1
+
+    def test_one_group_is_the_ungrouped_call(self):
+        sites, area, _ = next(_grouped_scenes())
+        got = bounded_voronoi(sites, area, [len(sites)])
+        want = bounded_voronoi(sites, area)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_earliest_group_names_its_coincident_pair(self):
+        # group 0 meets its pair in round 2, group 1 in round 1: the earlier
+        # group is named all the same, by rows of the concatenated sites
+        sites = [
+            [0.1, 0.1], [0.5, 0.5], [0.1, 0.1 + 1e-8],
+            [0.7, 0.7], [0.7 + 1e-8, 0.7], [0.2, 0.9], [0.9, 0.2],
+        ]
+        with pytest.raises(DegenerateSites, match="^sites 0 and 2 coincide$") as err:
+            bounded_voronoi(sites, UNIT_SQUARE, [3, 4])
+        assert err.value.pair == (0, 2)
+        # sites 0 and 2 in different groups do not clash
+        with pytest.raises(DegenerateSites, match="^sites 3 and 4 coincide$"):
+            bounded_voronoi(sites, UNIT_SQUARE, [2, 1, 4])
+
+    @pytest.mark.parametrize(
+        "sizes, message",
+        [([2, 0, 1], "at least one site"), ([2, 2], "add up to 4, not to the 3 sites")],
+    )
+    def test_bad_group_sizes_rejected(self, sizes, message):
+        with pytest.raises(ValueError, match=message):
+            bounded_voronoi([[0.2, 0.2], [0.5, 0.5], [0.8, 0.8]], UNIT_SQUARE, sizes)
