@@ -37,6 +37,14 @@ both dropout masks, over its kept rows only, in one call.
 `residual_block_forward` keeps the channels-first (B, C, T) interface and
 every step: it runs the all-steps plan and converts at its boundary.
 
+Memory. What `train` holds at once scales with the training batch: the
+frame table is normalized into the parameter dtype a chunk of rows at a time,
+validation runs forward over chunks of the batch size, `backward` frees each
+block's cache once that block's backward has run, and one iteration's
+gradients are freed before the next `backward`. Past those batch-sized
+arrays, `train` holds the normalized frame table, the window index and target
+arrays, and parameter-sized state.
+
 Parameters live in a name -> array dict so serialization and gradient checks
 can iterate over them; Adam updates each tensor and its moments in place.
 """
@@ -492,12 +500,12 @@ def backward(
     pred = forward(params, arch, x, training=training, rng=rng, caches=caches)
     value, d_pred = loss_and_grad_output(pred, np.asarray(target))
     grads = {k: np.zeros_like(p) for k, p in params.items()}
-    head = caches[-1]
-    grads["out_w"][...] = d_pred.T @ head["last"]
+    grads["out_w"][...] = d_pred.T @ caches.pop()["last"]
     grads["out_b"][...] = d_pred.sum(axis=0, dtype=np.float64)
     d_z = d_pred @ params["out_w"]
+    # popping each block's cache frees it once its backward has run
     for m in range(arch.n_blocks - 1, -1, -1):
-        d_z = _block_backward(d_z, params, grads, arch, m, caches[m], input_grad=m > 0)
+        d_z = _block_backward(d_z, params, grads, arch, m, caches.pop(), input_grad=m > 0)
     return value, grads
 
 
@@ -554,7 +562,7 @@ class NormStats:
     std: np.ndarray
 
 
-# window rows that compute_stats gathers at a time
+# rows that compute_stats gathers, and that train normalizes, at a time
 _STATS_ROWS = 4096
 
 
@@ -600,6 +608,17 @@ def compute_stats(frames: np.ndarray, index: np.ndarray) -> NormStats:
 
 def normalize_features(x: np.ndarray, stats: NormStats) -> np.ndarray:
     return (x - stats.mean) / stats.std
+
+
+def _normalized_table(frames: np.ndarray, stats: NormStats, dtype) -> np.ndarray:
+    """normalize_features(frames, stats).astype(dtype), bit for bit, written
+    _STATS_ROWS rows at a time so that no float64 copy of the whole (M, F)
+    frame table is made."""
+    out = np.empty(frames.shape, dtype=dtype)
+    for start in range(0, len(frames), _STATS_ROWS):
+        part = slice(start, start + _STATS_ROWS)
+        out[part] = normalize_features(frames[part], stats)
+    return out
 
 
 @dataclass(frozen=True)
@@ -654,9 +673,12 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
 
     split is an ingest.DatasetSplit: two ingest.Samples tables of raw windows
     over one frame table, as ingest.split makes them (ValueError otherwise).
-    The frame table is normalized once into the parameter dtype; the
-    validation windows are gathered once and each minibatch with one fancy
-    index. Returns (Model with the best-validation parameters, log rows).
+    The frame table is normalized once into the parameter dtype, a chunk of
+    rows at a time. Each minibatch is gathered from it with one fancy index,
+    and validation runs over chunks of the batch size, each gathered the same
+    way, so the arrays held at once scale with the batch, not with the
+    validation set or a float64 copy of the table. Returns (Model with the
+    best-validation parameters, log rows).
     Each log row is (iteration, train_loss, val_loss, wall_time_s);
     validation runs in inference mode before any update (iteration 0) and
     every eval_every iterations. train_loss is the most recent minibatch
@@ -679,21 +701,25 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
         )
     dtype = np.dtype(config.dtype)
     stats = compute_stats(training.frames, training.index)
-    tx = normalize_features(training.frames, stats).astype(dtype)
+    tx = _normalized_table(training.frames, stats, dtype)
     rows = training.index
     ty = training.targets.astype(dtype)
-    vx = tx[validation.index]
+    vrows = validation.index
     vy = validation.targets.astype(dtype)
 
     params = init_params(arch, seed=config.seed, dtype=dtype)
     state = adam_init(params, lr=config.learning_rate)
     rng = np.random.default_rng(config.seed + 1)
-
-    def val_loss() -> float:
-        return loss(forward(params, arch, vx, training=False), vy)
-
     n = len(rows)
     batch = min(config.batch_size, n)
+
+    def val_loss() -> float:
+        pred = [
+            forward(params, arch, tx[vrows[i : i + batch]], training=False)
+            for i in range(0, len(vrows), batch)
+        ]
+        return loss(np.concatenate(pred), vy)
+
     log: list[tuple[int, float, float, float]] = []
     t0 = time.monotonic()
     last_train = loss(forward(params, arch, tx[rows[:batch]], training=False), ty[:batch])
@@ -709,9 +735,10 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
         if it == config.iterations:
             break
         idx = rng.choice(n, size=batch, replace=False)
-        value, grads = backward(params, arch, tx[rows[idx]], ty[idx], training=True, rng=rng)
+        last_train, grads = backward(params, arch, tx[rows[idx]], ty[idx], training=True, rng=rng)
         state = adam_step(params, grads, state)
-        last_train = value
+        # so that the next backward does not run with two gradient dicts alive
+        del grads
     meta = {
         "train_config": asdict(config),
         "best_val_loss": best_val,

@@ -31,6 +31,11 @@ crowdtcn train -c "$tmp/smoke-corner/run.json" --iterations 2
 crowdtcn simulate -c "$tmp/smoke-corner/run.json" \
   --artifact "$tmp/smoke-corner/out/model.bin"
 crowdtcn train -c "$tmp/smoke-t-junction/run.json" --iterations 2
+# a second t-junction train writes the same model: determinism with a
+# validation set of three batch-size chunks
+crowdtcn train -c "$tmp/smoke-t-junction/run.json" --iterations 2 \
+  --output-dir "$tmp/smoke-t-junction/out-train-again"
+cmp "$tmp/smoke-t-junction/out/model.bin" "$tmp/smoke-t-junction/out-train-again/model.bin"
 crowdtcn simulate -c "$tmp/smoke-t-junction/run.json" \
   --artifact "$tmp/smoke-t-junction/out/model.bin"
 # a second t-junction simulate writes the same paths: determinism on the

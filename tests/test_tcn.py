@@ -4,6 +4,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -629,6 +630,18 @@ def test_stats_over_the_frame_table_have_the_bits_of_the_stacked_windows():
         assert stats.std.tobytes() == np.where(std > 1e-6, std, 1.0).tobytes()
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_normalized_table_has_the_bits_of_the_whole_table(monkeypatch, dtype):
+    # 50 rows in chunks of 7: seven whole chunks and a partial one
+    monkeypatch.setattr(tcn, "_STATS_ROWS", 7)
+    rng = np.random.default_rng(31)
+    frames = rng.normal(size=(50, 6)) * [1.0, 1e3, 1e-4, 1.0, 3.0, 1.0] + 0.1
+    stats = compute_stats(frames, np.arange(48).reshape(6, 8))
+    table = tcn._normalized_table(frames, stats, dtype)
+    assert table.dtype == dtype
+    assert table.tobytes() == normalize_features(frames, stats).astype(dtype).tobytes()
+
+
 # ------------------------------------------------------------------- training
 
 
@@ -703,6 +716,46 @@ def test_train_returns_best_validation_params():
     held = loss(forward(model.params, arch, xn, training=False), vy.astype(np.float32))
     assert held == pytest.approx(model.meta["best_val_loss"], rel=1e-5)
     assert model.meta["best_val_loss"] <= min(row[2] for row in log) + 1e-12
+
+
+@pytest.mark.parametrize("n", [40, 150])
+def test_logged_validation_loss_is_the_loss_over_every_validation_window(n):
+    # 8 validation windows fit one batch of 8; 30 take four chunks
+    arch = _small_arch()
+    split = _make_split(n, arch.window, arch.feature_dim, 32, lambda w: w[-1, :2])
+    cfg = TrainConfig(iterations=0, batch_size=8, seed=7)
+    model, log = train(split, cfg, arch=arch)
+    xn = normalize_features(split.validation.windows, model.stats).astype(np.float32)
+    pred = forward(model.params, arch, xn, training=False)
+    whole = loss(pred, split.validation.targets.astype(np.float32))
+    if len(split.validation) <= cfg.batch_size:
+        assert log[0][2] == whole
+    else:
+        assert log[0][2] == pytest.approx(whole, rel=1e-6)
+
+
+def test_train_memory_does_not_grow_with_the_validation_set():
+    # at F = 104, one forward over 20 batches of validation windows would
+    # hold a block-0 im2col of about 34 MB
+    arch = Architecture(feature_dim=104)
+    batch, m = 64, 1600
+    rng = np.random.default_rng(33)
+    index = np.arange(m - arch.window + 1)[:, None] + np.arange(arch.window)
+    rows = np.arange(len(index), dtype=np.int64)
+    samples = Samples(
+        rng.normal(size=(m, 104)), index, rng.normal(size=(len(index), 2)), rows, rows
+    )
+    cfg = TrainConfig(iterations=2, batch_size=batch, eval_every=1)
+    peaks = []
+    for n_val in (batch, 20 * batch):
+        split = DatasetSplit(samples[: 4 * batch], samples[4 * batch : 4 * batch + n_val])
+        tracemalloc.start()
+        try:
+            train(split, cfg, arch=arch)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < 2**20, peaks
 
 
 def test_train_records_its_config_and_takes_dropout_from_the_architecture():
