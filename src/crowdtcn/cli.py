@@ -202,60 +202,52 @@ def _collect_samples(cfg: RunConfig, files) -> Samples:
     return Samples.concat(tables)
 
 
-def _metric_doc(pair: TrajectoryPair) -> dict:
-    ete, pete = ete_pete(pair)
-    tte_t, ptte_t = tte_ptte(pair)
-    tde_t = tde(pair)
-    fde_t = fde(pair)
+# every run metric as _metric_doc computes them: metrics.json key and sweep.csv
+# column, sweep-line name, evaluate summary label (a value sharing the label
+# before it prints beside it) and unit ("%": a fraction, x100 in the summary)
+_METRICS = (
+    ("ete_s", "ETE", "egress time error", "s"),
+    ("pete", "PETE", "egress time error", "%"),
+    ("tte_s", "TTE", "travel time error", "s"),
+    ("ptte", "PTTE", "travel time error fraction", "%"),
+    ("tde_m", "TDE", "trajectory displacement error", "m"),
+    ("fde_m", "FDE", "final displacement error", "m"),
+)
 
-    def table(t):
-        return {
+
+def _metric_doc(pair: TrajectoryPair) -> dict:
+    """Set-level metrics as numbers, per-pedestrian ones as tables."""
+    values = (*ete_pete(pair), *tte_ptte(pair), tde(pair), fde(pair))
+    doc = {"n_pedestrians": len(pair.matched_ids)}
+    for (key, *_), t in zip(_METRICS, values, strict=True):
+        doc[key] = t if isinstance(t, float) else {
             "mean": t.mean,
             "p95": t.p95,
             "per_pedestrian": {str(k): v for k, v in sorted(t.values.items())},
         }
-
-    return {
-        "n_pedestrians": len(pair.matched_ids),
-        "ete_s": ete,
-        "pete": pete,
-        "tte_s": table(tte_t),
-        "ptte": table(ptte_t),
-        "tde_m": table(tde_t),
-        "fde_m": table(fde_t),
-    }
+    return doc
 
 
 def _print_metrics(doc: dict) -> None:
     print(f"pedestrians matched: {doc['n_pedestrians']}")
-    print(f"egress time error: {doc['ete_s']:.6g} s ({doc['pete'] * 100:.4g} %)")
-    for key, unit, label in (
-        ("tte_s", "s", "travel time error"),
-        ("ptte", "%", "travel time error fraction"),
-        ("tde_m", "m", "trajectory displacement error"),
-        ("fde_m", "m", "final displacement error"),
-    ):
-        t = doc[key]
-        scale = 100.0 if unit == "%" else 1.0
-        print(
-            f"{label}: mean {t['mean'] * scale:.6g} {unit}, "
-            f"95th percentile {t['p95'] * scale:.6g} {unit}"
-        )
-
-
-def _write_profile_tables(out_dir: Path, series_list) -> None:
-    prof_lines = ["label,step,density,velocity,flow"]
-    for s in series_list:
-        for i in range(len(s)):
-            prof_lines.append(
-                f"{s.label},{int(s.steps[i])},{float(s.density[i])!r},"
-                f"{float(s.velocity[i])!r},{float(s.flow[i])!r}"
+    lines: dict[str, list[str]] = {}
+    for key, _, label, unit in _METRICS:
+        t, scale = doc[key], 100.0 if unit == "%" else 1.0
+        if isinstance(t, dict):
+            text = (
+                f"mean {t['mean'] * scale:.6g} {unit}, "
+                f"95th percentile {t['p95'] * scale:.6g} {unit}"
             )
-    (out_dir / "profiles.csv").write_text("\n".join(prof_lines) + "\n")
-    fd_lines = ["label,step,density,velocity,specific_flow"]
-    for label, step, rho, vel, js in fundamental_diagram(series_list):
-        fd_lines.append(f"{label},{step},{rho!r},{vel!r},{js!r}")
-    (out_dir / "fd.csv").write_text("\n".join(fd_lines) + "\n")
+        else:
+            text = f"({t * scale:.4g} {unit})" if label in lines else f"{t * scale:.6g} {unit}"
+        lines.setdefault(label, []).append(text)
+    for label, parts in lines.items():
+        print(f"{label}: {' '.join(parts)}")
+
+
+def _write_csv(path: Path, header: str, rows) -> None:
+    """A header line, then a line of str() fields (a float's repr) per row."""
+    path.write_text("\n".join([header, *(",".join(map(str, row)) for row in rows)]) + "\n")
 
 
 def _train_stage(cfg: RunConfig) -> tuple:
@@ -344,10 +336,19 @@ def cmd_evaluate(args) -> int:
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_json(out / "metrics.json", doc)
-    _write_profile_tables(out, series)
+    columns = ("steps", "density", "velocity", "flow")
+    rows = [(s.label, *r) for s in series for r in zip(*(getattr(s, c).tolist() for c in columns))]
+    _write_csv(out / "profiles.csv", "label,step,density,velocity,flow", rows)
+    fd_rows = fundamental_diagram(series)
+    _write_csv(out / "fd.csv", "label,step,density,velocity,specific_flow", fd_rows)
     _print_metrics(doc)
     print(f"tables: {out / 'metrics.json'}, {out / 'profiles.csv'}, {out / 'fd.csv'}")
     return EXIT_OK
+
+
+# windows that `crowdtcn features` gathers at a time: the whole (N, w, F) stack
+# would be the largest array of the run
+_FEATURE_BLOCK = 1024
 
 
 def cmd_features(args) -> int:
@@ -364,21 +365,26 @@ def cmd_features(args) -> int:
         raise EmptyDataset("no window samples could be built from the input files")
     out = cfg.output_dir / "features"
     out.mkdir(parents=True, exist_ok=True)
-    for name in ("windows", "targets", "ped_ids", "steps"):
-        np.save(out / f"{name}.npy", getattr(samples, name))
     w, f = samples.index.shape[1], samples.frames.shape[1]
+    descr = np.lib.format.dtype_to_descr(samples.frames.dtype)
+    header = {"descr": descr, "fortran_order": False, "shape": (len(samples), w, f)}
+    with open(out / "windows.npy", "wb") as fh:
+        np.lib.format.write_array_header_1_0(fh, header)
+        for a in range(0, len(samples), _FEATURE_BLOCK):
+            samples[a : a + _FEATURE_BLOCK].windows.tofile(fh)
+    for name in ("targets", "ped_ids", "steps"):
+        np.save(out / f"{name}.npy", getattr(samples, name))
     print(f"{len(samples)} samples, window {w}, {f} features -> {out}")
     return EXIT_OK
 
 
 def _pooled_metrics(per_file: list[dict]) -> dict:
     """Average set-level metrics and pool per-pedestrian ones across files."""
-    out = {
-        "ete_s": float(np.mean([d["ete_s"] for d in per_file])),
-        "pete": float(np.mean([d["pete"] for d in per_file])),
-    }
-    for key in ("tte_s", "ptte", "tde_m", "fde_m"):
-        values = [v for d in per_file for v in d[key]["per_pedestrian"].values()]
+    out = {}
+    for key, *_ in _METRICS:
+        values = [d[key] for d in per_file]
+        if isinstance(values[0], dict):
+            values = [v for t in values for v in t["per_pedestrian"].values()]
         out[key] = float(np.mean(values))
     return out
 
@@ -388,7 +394,8 @@ _SWEEP_AXES = (("exit_distance_m", "exit_distance"), ("ray_step_deg", "step_deg"
 _SWEEP_COLUMNS = [
     "label",
     *(column for column, _ in _SWEEP_AXES),
-    *("ete_s", "pete", "tte_s", "ptte", "tde_m", "fde_m", "status"),
+    *(key for key, *_ in _METRICS),
+    "status",
 ]
 
 
@@ -443,17 +450,16 @@ def cmd_sweep(args) -> int:
     def text(value):
         return f"{value:.9g}" if isinstance(value, float) else str(value).replace(",", ";")
 
-    lines = [",".join(_SWEEP_COLUMNS)]
-    lines += [",".join(text(row.get(col, "")) for col in _SWEEP_COLUMNS) for row in rows]
     table_path = cfg.output_dir / "sweep.csv"
-    table_path.write_text("\n".join(lines) + "\n")
+    cells = ([text(row.get(col, "")) for col in _SWEEP_COLUMNS] for row in rows)
+    _write_csv(table_path, ",".join(_SWEEP_COLUMNS), cells)
     for row in rows:
         if row["status"] == "ok":
-            print(
-                f"{row['label']}: ETE {row['ete_s']:.4g} s, PETE {row['pete']:.4g}, "
-                f"TTE {row['tte_s']:.4g} s, PTTE {row['ptte']:.4g}, "
-                f"TDE {row['tde_m']:.4g} m, FDE {row['fde_m']:.4g} m"
+            parts = (
+                f"{name} {row[key]:.4g}" + ("" if unit == "%" else f" {unit}")
+                for key, name, _, unit in _METRICS
             )
+            print(f"{row['label']}: {', '.join(parts)}")
         else:
             print(f"{row['label']}: {row['status']}")
     print(f"table: {table_path}")

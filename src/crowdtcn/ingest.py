@@ -51,6 +51,7 @@ __all__ = [
     "resample",
     "load_trajectories",
     "load_step_trajectories",
+    "write_track_rows",
     "write_trajectory_file",
     "world_at",
     "presence",
@@ -386,21 +387,21 @@ def load_step_trajectories(path, dt: float) -> dict[int, Trajectory]:
     return out
 
 
-def write_trajectory_file(path, trajectories) -> None:
-    """Write trajectories in the standard text format: id, index, x, y.
-
-    Takes Trajectory objects, recorded or simulated; the index column counts
-    one unit per row starting at enter_step. Floats are written
-    with repr, so values round-trip bit-exactly through parse_trajectories and
-    identical inputs yield byte-identical files.
-    """
-    lines = ["# id step x y"]
-    for tr in trajectories:
-        for k, p in enumerate(np.asarray(tr.positions)):
-            lines.append(
-                f"{int(tr.id)} {int(tr.enter_step) + k} {float(p[0])!r} {float(p[1])!r}"
-            )
+def write_track_rows(path, index_name: str, tracks) -> None:
+    """Write (id, indices, positions) tracks, positions an (n, 2) float array,
+    as 'id index x y' rows under the header '# id <index_name> x y'. Floats
+    are written with repr, so values round-trip bit-exactly through
+    parse_trajectories and identical inputs yield byte-identical files."""
+    lines = [f"# id {index_name} x y"]
+    for ped, indices, positions in tracks:
+        lines += [f"{ped} {i} {x!r} {y!r}" for i, (x, y) in zip(indices, positions.tolist())]
     Path(path).write_text("\n".join(lines) + "\n")
+
+
+def write_trajectory_file(path, trajectories) -> None:
+    """Write recorded or simulated trajectories as rows of 'id step x y'."""
+    rows = ((tr.id, range(tr.enter_step, tr.last_step + 1), tr.positions) for tr in trajectories)
+    write_track_rows(path, "step", rows)
 
 
 def world_at(tracks, step: int):

@@ -17,13 +17,13 @@ from pathlib import Path
 import numpy as np
 
 from .features import RayScanConfig
-from .ingest import RawTrack
+from .ingest import RawTrack, write_track_rows
 from .scenario import Scenario
 
 __all__ = [
     "SyntheticDataset", "corridor_scenario", "corner_scenario", "t_junction_scenario",
-    "corridor_dataset", "corner_dataset", "t_junction_dataset", "write_raw_tracks",
-    "write_dataset", "GEOMETRIES",
+    "corridor_dataset", "corner_dataset", "t_junction_dataset", "write_dataset",
+    "GEOMETRIES",
 ]
 
 FRAME_RATE = 16.0
@@ -199,15 +199,6 @@ GEOMETRIES = {
 }
 
 
-def write_raw_tracks(path, tracks) -> None:
-    """Write raw tracks as 'id frame x y' rows; floats round-trip bit-exactly."""
-    lines = ["# id frame x y"]
-    for tr in tracks:
-        for f, p in zip(tr.frames, tr.positions):
-            lines.append(f"{int(tr.id)} {int(f)} {float(p[0])!r} {float(p[1])!r}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, Path]:
     """Write scenario.json, train.txt, and test.txt into out_dir."""
     out = Path(out_dir)
@@ -218,6 +209,7 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, Path]:
         "testing": out / "test.txt",
     }
     dataset.scenario.save(paths["scenario"])
-    write_raw_tracks(paths["training"], dataset.training)
-    write_raw_tracks(paths["testing"], dataset.testing)
+    for key in ("training", "testing"):
+        rows = ((tr.id, tr.frames.tolist(), tr.positions) for tr in getattr(dataset, key))
+        write_track_rows(paths[key], "frame", rows)
     return paths

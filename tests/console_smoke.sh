@@ -19,6 +19,10 @@ crowdtcn evaluate --scenario "$tmp/smoke/scenario.json" \
   --simulation "$tmp/smoke/out/test.sim.txt" \
   --output-dir "$tmp/smoke/eval"
 crowdtcn features -c "$tmp/smoke/run.json" --which all
+# windows.npy is written a block of windows at a time: it must load as
+# (N, window, feature_dim), N the row count of targets.npy
+python -c 'import json, sys; import numpy as np; from crowdtcn.scenario import load_scenario; d = sys.argv[1]; w = np.load(d + "/out/features/windows.npy"); n = len(np.load(d + "/out/features/targets.npy")); shape = (n, json.load(open(d + "/run.json"))["window"], load_scenario(d + "/scenario.json").feature_dim); sys.exit(w.shape != shape)' \
+  "$tmp/smoke"
 # a comma-separated copy takes the line loop, the original the one-call
 # read: both must train to the same model bytes
 sed 's/ /,/g' "$tmp/smoke/train.txt" > "$tmp/smoke/train-comma.txt"

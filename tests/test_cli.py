@@ -5,6 +5,7 @@ so the whole file stays fast; main() is called in-process and exercised
 through its argv interface exactly as the console script would.
 """
 
+import io
 import json
 import os
 import struct
@@ -15,6 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crowdtcn import cli
 from crowdtcn.cli import EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, load_run_config, main
 from crowdtcn.ingest import parse_trajectories
 from crowdtcn.scenario import BadConfig, Scenario, load_scenario
@@ -882,6 +884,57 @@ def test_features_writes_arrays(trained_dir):
     assert ped_ids.shape == steps.shape == (windows.shape[0],)
     assert windows.dtype == targets.dtype == np.float64
     assert ped_ids.dtype == steps.dtype == np.int64
+
+
+def test_features_windows_file_is_np_save_of_the_windows(dataset_dir, tmp_path, monkeypatch):
+    # blocks of 7 windows: several full blocks, then a partial one
+    monkeypatch.setattr(cli, "_FEATURE_BLOCK", 7)
+    config = str(dataset_dir / "micro.json")
+    argv = ["features", "-c", config, "--which", "all", "--output-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    cfg = load_run_config(config)
+    samples = cli._collect_samples(cfg, cfg.training_files + cfg.testing_files)
+    assert len(samples) > 7 and len(samples) % 7
+    expected = io.BytesIO()
+    np.save(expected, samples.windows)
+    assert (tmp_path / "features" / "windows.npy").read_bytes() == expected.getvalue()
+
+
+def test_one_metric_list_orders_every_table(trained_dir, tmp_path, capsys):
+    config = str(trained_dir / "micro.json")
+    artifact = str(trained_dir / "out" / "model.bin")
+    argv = ["simulate", "-c", config, "--artifact", artifact, "--output-dir", str(tmp_path)]
+    assert main(argv) == EXIT_OK
+    rc = main(
+        [
+            "evaluate",
+            "--scenario",
+            str(trained_dir / "scenario.json"),
+            "--experiment",
+            str(trained_dir / "test.txt"),
+            "--simulation",
+            str(tmp_path / "test.sim.txt"),
+            "--output-dir",
+            str(tmp_path / "eval"),
+        ]
+    )
+    assert rc == EXIT_OK
+    summary = capsys.readouterr().out.splitlines()
+    doc = json.loads((tmp_path / "eval" / "metrics.json").read_text())
+    tables = [key for key, value in doc.items() if isinstance(value, dict)]
+    assert len(tables) == 4
+    assert sum("95th percentile" in line for line in summary) == len(tables)
+    argv = ["sweep", "-c", config, "--exit-distances", "20", "--step-degs", "18"]
+    assert main([*argv, "--output-dir", str(tmp_path / "sweep")]) == EXIT_OK
+    cell_line = capsys.readouterr().out.splitlines()[0]
+    header = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[0].split(",")
+    assert header[:3] == ["label", "exit_distance_m", "ray_step_deg"] and header[-1] == "status"
+    columns = header[3:-1]
+    cell = json.loads((tmp_path / "sweep" / "20-18" / "test.metrics.json").read_text())
+    assert list(cli._pooled_metrics([cell])) == columns
+    assert len(cell_line.split(", ")) == len(columns)
+    # metrics.json is written with sorted keys
+    assert list(cell) == list(doc) == sorted([*columns, "n_pedestrians"])
 
 
 def test_missing_config_is_exit_2(tmp_path, capsys):

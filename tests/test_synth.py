@@ -19,7 +19,6 @@ from crowdtcn.synth import (
     t_junction_dataset,
     t_junction_scenario,
     write_dataset,
-    write_raw_tracks,
 )
 from oracles import walk_polyline_loop
 
@@ -108,9 +107,7 @@ def test_walk_polyline_matches_loop():
 
 def test_raw_files_round_trip(tmp_path):
     ds = corner_dataset(seed=1, n_train=4, n_test=2)
-    path = tmp_path / "raw.txt"
-    write_raw_tracks(path, ds.training)
-    tracks = parse_trajectories(path)
+    tracks = parse_trajectories(write_dataset(ds, tmp_path)["training"])
     assert sorted(tracks) == [tr.id for tr in ds.training]
     for tr in ds.training:
         got = tracks[tr.id]
