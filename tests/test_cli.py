@@ -75,6 +75,14 @@ def trained_dir(dataset_dir):
     return dataset_dir
 
 
+@pytest.fixture(scope="module")
+def simulated(trained_dir):
+    """trained_dir after one simulate run: out/test.sim.txt and its report."""
+    artifact = str(trained_dir / "out" / "model.bin")
+    rc = main(["simulate", "-c", str(trained_dir / "micro.json"), "--artifact", artifact])
+    assert rc == EXIT_OK
+
+
 def test_synth_writes_complete_dataset(dataset_dir):
     for name in ("scenario.json", "train.txt", "test.txt", "run.json"):
         assert (dataset_dir / name).exists()
@@ -348,6 +356,7 @@ def test_simulate_non_finite_prediction_is_runtime_error(trained_dir, tmp_path, 
     assert (sim.read_bytes() if sim.exists() else None) == before
 
 
+@pytest.mark.usefixtures("simulated")
 def test_evaluate_outputs_all_tables(trained_dir, capsys):
     out = trained_dir / "out" / "eval"
     rc = main(
@@ -375,6 +384,7 @@ def test_evaluate_outputs_all_tables(trained_dir, capsys):
     assert "np.float64" not in prof
 
 
+@pytest.mark.usefixtures("simulated")
 def test_evaluate_identity_is_all_zero(trained_dir, tmp_path):
     # evaluating a simulation file against itself: parse it as both sides
     sim_file = trained_dir / "out" / "test.sim.txt"
@@ -411,6 +421,7 @@ def test_evaluate_identity_is_all_zero(trained_dir, tmp_path):
         assert metrics[key]["p95"] == 0.0
 
 
+@pytest.mark.usefixtures("simulated")
 def test_evaluate_unmatched_id_is_runtime_error(trained_dir, tmp_path, capsys):
     sim = (trained_dir / "out" / "test.sim.txt").read_text()
     bumped = tmp_path / "bumped.txt"
