@@ -601,7 +601,3 @@ def main(argv=None) -> int:
         log.exception("command failed")
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -29,13 +29,15 @@ otherwise. A causal convolution copies its input once, one slice per tap,
 into an im2col matrix (B*n_out, q*Cin) and is then one GEMM against the
 (Cout, q*Cin) kernel matrix; its backward is two GEMMs (kernel and im2col
 gradients) and a col2im shift-add. Taps that read only padding at every
-kept step are left out. The 1x1 skip is one GEMM over the block's output
-steps. A main-path layer (conv, bias, ReLU, dropout) is written once, in
-`_conv_layer` and its reverse `_conv_layer_backward`. Weight norm is computed
-once per layer per forward pass, in the parameter dtype, and each block draws
-both dropout masks, over its kept rows only, in one call.
-`residual_block_forward` keeps the channels-first (B, C, T) interface and
-every step: it runs the all-steps plan and converts at its boundary.
+kept step are left out, and the parameters hold only the taps that reach
+into the window (8/4/2 per block at the defaults). The 1x1 skip is one GEMM
+over the block's output steps. A main-path layer (conv, bias, ReLU, dropout)
+is written once, in `_conv_layer` and its reverse `_conv_layer_backward`.
+Weight norm is computed once per layer per forward pass, in the parameter
+dtype, and each block draws both dropout masks, over its kept rows only, in
+one call.
+`residual_block_forward` keeps the channels-first (B, C, window) interface
+and every step: it runs the all-steps plan and converts at its boundary.
 
 Memory. What `train` holds at once scales with the training batch: the
 frame table is normalized into the parameter dtype a chunk of rows at a time,
@@ -254,10 +256,10 @@ def _col2im(d_cols: np.ndarray, plan: _LayerPlan) -> np.ndarray:
     return d_z
 
 
-def _kernel_matrix(kernel: np.ndarray, q: int) -> np.ndarray:
-    """(Cout, Cin, k) kernel -> (Cout, q*Cin) GEMM matrix of its first q taps,
-    columns in _im2col's (g, c) order."""
-    return kernel[:, :, :q].transpose(0, 2, 1).reshape(len(kernel), -1)
+def _kernel_matrix(kernel: np.ndarray) -> np.ndarray:
+    """(Cout, Cin, q) kernel -> (Cout, q*Cin) GEMM matrix, columns in
+    _im2col's (g, c) order."""
+    return kernel.transpose(0, 2, 1).reshape(len(kernel), -1)
 
 
 def dilated_causal_conv(inputs, kernel, dilation: int) -> np.ndarray:
@@ -278,18 +280,20 @@ def dilated_causal_conv(inputs, kernel, dilation: int) -> np.ndarray:
         raise ShapeMismatch(f"input has {z.shape[1]} channels, kernel expects {kernel.shape[1]}")
     steps = range(len(z))
     plan = _layer_plan(kernel.shape[2], dilation, steps, steps)
-    return _im2col(z[None], plan) @ _kernel_matrix(kernel, len(plan.taps)).T
+    return _im2col(z[None], plan) @ _kernel_matrix(kernel[:, :, : len(plan.taps)]).T
 
 
 def param_shapes(arch: Architecture) -> dict[str, tuple[int, ...]]:
     """The name and shape of every parameter of arch, in initialization order:
     per block, each conv layer's direction v, gain g and bias b, then the 1x1
-    skip's w and b where the channel counts differ; then the readout."""
+    skip's w and b where the channel counts differ; then the readout. Each v
+    holds only the taps that reach into the window (8/4/2 at the defaults)."""
     shapes: dict[str, tuple[int, ...]] = {}
     for m in range(arch.n_blocks):
         cin, cout = arch.block_channels(m)
+        q = _taps(arch.kernel_size, arch.dilations[m], arch.window)
         for prefix, c_in_layer in ((f"b{m}c1", cin), (f"b{m}c2", cout)):
-            shapes[f"{prefix}_v"] = (cout, c_in_layer, arch.kernel_size)
+            shapes[f"{prefix}_v"] = (cout, c_in_layer, q)
             shapes[f"{prefix}_g"] = (cout,)
             shapes[f"{prefix}_b"] = (cout,)
         if cin != cout:
@@ -324,7 +328,7 @@ def _conv_layer(z, params, prefix: str, plan: _LayerPlan, mask):
     dropout mask (None for no dropout). Returns (output (B, n_out, Cout),
     cache for _conv_layer_backward)."""
     v = params[f"{prefix}_v"]
-    w = _kernel_matrix(effective_kernel(v, params[f"{prefix}_g"]), len(plan.taps))
+    w = _kernel_matrix(effective_kernel(v, params[f"{prefix}_g"]))
     cols = _im2col(z, plan)
     a = cols @ w.T
     a += params[f"{prefix}_b"]
@@ -339,21 +343,18 @@ def _conv_layer_backward(d_r, params, grads, prefix: str, cache, input_grad=True
     """Reverse of _conv_layer for its output gradient d_r: writes the
     parameter gradients into grads and returns the (B, n_in, Cin) gradient in
     the layer input, or None when input_grad is false."""
-    plan = cache["plan"]
-    q = len(plan.taps)
     d_a = d_r.reshape(cache["a"].shape) * (cache["a"] > 0)
     if cache["mask"] is not None:
         d_a *= cache["mask"]
     v = params[f"{prefix}_v"]
     grads[f"{prefix}_b"][...] = d_a.sum(axis=0, dtype=np.float64)
-    # the kernel gradient is staged in the (zeroed) slot of d_v, which the
-    # weight-norm backward then overwrites; dropped taps keep a zero d_W
-    d_w = grads[f"{prefix}_v"]
-    d_w[:, :, :q] = (d_a.T @ cache["cols"]).reshape(len(v), q, -1).transpose(0, 2, 1)
-    grads[f"{prefix}_g"][...], d_w[...] = weight_norm_backward(d_w, v, params[f"{prefix}_g"])
+    d_w = (d_a.T @ cache["cols"]).reshape(len(v), v.shape[2], -1).transpose(0, 2, 1)
+    grads[f"{prefix}_g"][...], grads[f"{prefix}_v"][...] = weight_norm_backward(
+        d_w, v, params[f"{prefix}_g"]
+    )
     if not input_grad:
         return None
-    return _col2im(d_a @ cache["w"], plan)
+    return _col2im(d_a @ cache["w"], cache["plan"])
 
 
 def _block_forward(z, params, arch: Architecture, m: int, plan, dropout: float, rng, cache):
@@ -415,7 +416,8 @@ def residual_block_forward(
     rng: np.random.Generator | None = None,
     cache: dict | None = None,
 ) -> np.ndarray:
-    """One residual block on (B, Cin, T); returns (B, Cout, T), every step.
+    """One residual block on (B, Cin, arch.window); returns (B, Cout,
+    arch.window), every step (ShapeMismatch for another step count).
 
     The main path is conv -> weight norm -> ReLU -> dropout, twice; the skip
     path is a 1x1 convolution when the channel counts differ and identity
@@ -425,7 +427,9 @@ def residual_block_forward(
     """
     dropout = arch.dropout if training else 0.0
     z = np.ascontiguousarray(np.asarray(z).transpose(0, 2, 1))
-    T = z.shape[1]
+    T = arch.window
+    if z.shape[1] != T:
+        raise ShapeMismatch(f"block input has {z.shape[1]} steps, expected {T}")
     (plan,) = _step_plan(arch.kernel_size, (arch.dilations[m],), T, tuple(range(T)))
     return _block_forward(z, params, arch, m, plan, dropout, rng, cache).transpose(0, 2, 1)
 
@@ -757,7 +761,7 @@ def write_training_log(path, log) -> None:
 
 MODEL_MAGIC = b"CTCN"
 MODEL_FORMAT = "crowdtcn-model"
-MODEL_VERSION = 1
+MODEL_VERSION = 2
 
 
 def save_model(path, model: Model) -> None:

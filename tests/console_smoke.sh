@@ -90,7 +90,8 @@ done
 crowdtcn synth --geometry t-junction --step-deg 5 --exit-distance 30 \
   --out "$tmp/smoke-rays"
 crowdtcn train -c "$tmp/smoke-rays/run.json" --iterations 2
-python -c 'import sys; from crowdtcn.tcn import load_model; sys.exit(load_model(sys.argv[1]).arch.feature_dim != 156)' \
+# its direction tensors hold only the taps a window of 8 reaches: 8/4/2
+python -c 'import sys; from crowdtcn.tcn import load_model; m = load_model(sys.argv[1]); taps = [m.params[f"b{b}c{j}_v"].shape[2] for b in range(3) for j in (1, 2)]; sys.exit(m.arch.feature_dim != 156 or taps != [8, 8, 4, 4, 2, 2])' \
   "$tmp/smoke-rays/out/model.bin"
 # a negative walker count is a configuration error
 rc=0

@@ -1,7 +1,9 @@
 """Tests for the temporal convolutional network and its training loop."""
 
 import dataclasses
+import math
 import os
+import struct
 import subprocess
 import sys
 import tracemalloc
@@ -238,6 +240,10 @@ def test_block_rejects_wrong_channel_count():
     params = init_params(arch, seed=0)
     with pytest.raises(ShapeMismatch):
         residual_block_forward(np.zeros((1, 7, arch.window)), params, arch, m=0)
+    # the parameters hold only the taps a window reaches, so a block runs at
+    # the window's step count and no other
+    with pytest.raises(ShapeMismatch, match="steps"):
+        residual_block_forward(np.zeros((1, arch.feature_dim, arch.window + 1)), params, arch, m=0)
 
 
 # -------------------------------------------------------------------- forward
@@ -366,6 +372,12 @@ def _random_arch(rng):
     ],
 )
 def test_pruned_forward_and_gradients_match_oracle(arch):
+    # each direction tensor holds exactly the taps its layer's step plan reads
+    shapes = tcn.param_shapes(arch)
+    plans = tcn._step_plan(arch.kernel_size, arch.dilations, arch.window, (arch.window - 1,))
+    for m, (conv1, conv2, _) in enumerate(plans):
+        assert shapes[f"b{m}c1_v"][2] == len(conv1.taps)
+        assert shapes[f"b{m}c2_v"][2] == len(conv2.taps)
     rng = np.random.default_rng(arch.window * 100 + arch.kernel_size)
     params = init_params(arch, seed=1, dtype=np.float64)
     for key in params:  # jitter off the initialization: nonzero biases, generic gains
@@ -415,6 +427,11 @@ def test_default_architecture_constants():
     assert arch.dropout == 0.1
     # deepest layer sees dilation * (q - 1) + 1 = 29 steps of history
     assert arch.dilations[-1] * (arch.kernel_size - 1) + 1 == 29
+    # but a window of 8 steps reaches only 8, 4 and 2 taps of blocks 0, 1, 2,
+    # and the parameters hold those taps alone
+    shapes = tcn.param_shapes(Architecture(feature_dim=104))
+    assert [shapes[f"b{m}c{j}_v"][2] for m in range(3) for j in (1, 2)] == [8, 8, 4, 4, 2, 2]
+    assert sum(math.prod(shape) for shape in shapes.values()) == 102_786
 
 
 # ----------------------------------------------------------------------- loss
@@ -901,6 +918,18 @@ def test_artifact_shorter_than_its_preamble_is_rejected(tmp_path, size):
     save_model(path, _tiny_model())
     path.write_bytes(path.read_bytes()[:size])
     with pytest.raises(ValueError, match="truncated"):
+        load_model(path)
+
+
+def test_artifact_of_another_format_version_is_refused(tmp_path):
+    # version 1 held every kernel tap, including those no window reaches
+    path = tmp_path / "model.bin"
+    save_model(path, _tiny_model())
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack("<I", raw[4:8]) == (tcn.MODEL_VERSION,)
+    raw[4:8] = struct.pack("<I", 1)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="unsupported model format version 1"):
         load_model(path)
 
 
