@@ -17,7 +17,6 @@ Set CROWDTCN_LOG=debug|info|warning to control log verbosity.
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import math
 import os
@@ -50,9 +49,11 @@ from .ingest import (
     split,
     write_trajectory_file,
 )
-from .scenario import BadConfig, Scenario, load_scenario, merge, read_document, read_section, typed
+from .scenario import (
+    BadConfig, Scenario, load_scenario, merge, read_document, read_section, typed, write_document
+)
 from .simulate import MissingSeedData, ModelShapeMismatch, SimConfig, run
-from .synth import GEOMETRIES, write_dataset
+from .synth import GEOMETRIES, N_TEST, N_TRAIN, write_dataset
 from .tcn import (
     Architecture,
     EmptyDataset,
@@ -61,7 +62,6 @@ from .tcn import (
     load_model,
     save_model,
     train,
-    write_training_log,
 )
 
 __all__ = ["RunConfig", "SweepConfig", "load_run_config", "main"]
@@ -187,10 +187,6 @@ def load_run_config(path, overrides: dict | None = None) -> RunConfig:
     return read_section(RunConfig, doc, "run config")
 
 
-def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-
-
 def _collect_samples(cfg: RunConfig, files) -> Samples:
     """Window samples of each file in turn; pedestrians in different files never interact."""
     extractor = cfg.scenario.extractor()
@@ -260,7 +256,9 @@ def _train_stage(cfg: RunConfig) -> tuple:
     dataset = split(samples, seed=cfg.seed, ratio=cfg.split_ratio)
     model, rows = train(dataset, cfg.train_config(), cfg.architecture())
     save_model(cfg.output_dir / "model.bin", model)
-    write_training_log(cfg.output_dir / "training_log.csv", rows)
+    header = "iteration,train_loss,val_loss,wall_time_s"
+    log_rows = ((it, f"{tr:.9g}", f"{vl:.9g}", f"{wt:.3f}") for it, tr, vl, wt in rows)
+    _write_csv(cfg.output_dir / "training_log.csv", header, log_rows)
     return model, rows, dataset
 
 
@@ -275,7 +273,7 @@ def _simulate_stage(cfg: RunConfig, model, report_extra: dict) -> list[tuple[str
         seeds = load_trajectories(f, cfg.scenario)
         result = run(cfg.scenario, seeds, model, cfg.sim)
         write_trajectory_file(cfg.output_dir / f"{f.stem}.sim.txt", result.trajectories)
-        _write_json(cfg.output_dir / f"{f.stem}.report.json", {**result.report, **report_extra})
+        write_document(cfg.output_dir / f"{f.stem}.report.json", {**result.report, **report_extra})
         outputs.append((f.stem, seeds, result))
     return outputs
 
@@ -335,7 +333,7 @@ def cmd_evaluate(args) -> int:
     # written only once everything is computed, so a failed run leaves no table
     out = Path(args.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_json(out / "metrics.json", doc)
+    write_document(out / "metrics.json", doc)
     columns = ("steps", "density", "velocity", "flow")
     rows = [(s.label, *r) for s in series for r in zip(*(getattr(s, c).tolist() for c in columns))]
     _write_csv(out / "profiles.csv", "label,step,density,velocity,flow", rows)
@@ -409,7 +407,7 @@ def _sweep_one(config_path: str, cell: tuple) -> dict:
         per_file = []
         for stem, seeds, result in _simulate_stage(cfg, model, {}):
             doc = _metric_doc(TrajectoryPair(seeds, result.trajectories))
-            _write_json(cfg.output_dir / f"{stem}.metrics.json", doc)
+            write_document(cfg.output_dir / f"{stem}.metrics.json", doc)
             per_file.append(doc)
         row.update(_pooled_metrics(per_file), status="ok")
     except Exception as exc:  # per-combination failures must not stop the sweep
@@ -485,7 +483,7 @@ def cmd_synth(args) -> int:
         "eval_every": RunConfig.eval_every,
     }
     config_path = Path(args.out) / "run.json"
-    _write_json(config_path, run_doc)
+    write_document(config_path, run_doc)
     print(
         f"{args.geometry}: {len(dataset.training)} training and "
         f"{len(dataset.testing)} testing pedestrians -> {Path(args.out).resolve()}"
@@ -568,8 +566,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--geometry", choices=sorted(GEOMETRIES), default="corridor")
     p.add_argument("--out", required=True, help="dataset output directory")
     p.add_argument("--seed", type=_non_negative_int, default=0)
-    p.add_argument("--n-train", dest="n_train", type=_non_negative_int, default=50)
-    p.add_argument("--n-test", dest="n_test", type=_non_negative_int, default=12)
+    p.add_argument("--n-train", dest="n_train", type=_non_negative_int, default=N_TRAIN)
+    p.add_argument("--n-test", dest="n_test", type=_non_negative_int, default=N_TEST)
     p.add_argument("--step-deg", dest="step_deg", type=float)
     p.add_argument("--exit-distance", dest="exit_distance", type=float)
     p.set_defaults(func=cmd_synth)

@@ -32,8 +32,8 @@ then entrances) are built from them at the same time. The walkable polygon
 defaults to the clipping polygon. The measurement area must be convex. All
 lengths are meters, angles degrees, times seconds.
 
-The run config is read by the same two functions: read_document reads a
-file's object, and read_section builds a dataclass from an object.
+The run config is read by the same code: read_document reads a file's object,
+read_section builds a dataclass from it. write_document writes every JSON file.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ __all__ = [
     "read_document",
     "read_section",
     "typed",
+    "write_document",
 ]
 
 
@@ -123,6 +124,11 @@ def read_document(path, what: str, known=None, overrides: dict | None = None) ->
     except ValueError as exc:  # JSONDecodeError, or an integer past the digit limit
         raise BadConfig(f"{what} {p} is not valid JSON: {exc}") from exc
     return merge(_object(doc, f"{what} {p}", known), overrides)
+
+
+def write_document(path, doc: dict) -> None:
+    """doc as a JSON file: indented, keys sorted, ending in a newline."""
+    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def merge(doc: dict, overrides: dict | None) -> dict:
@@ -296,9 +302,6 @@ class Scenario:
     def to_dict(self) -> dict:
         """The document from_dict reads back: one JSON value per field."""
         return {f.name: _to_json(getattr(self, f.name)) for f in fields(self)}
-
-    def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Scenario":

@@ -18,7 +18,7 @@ import numpy as np
 
 from .features import RayScanConfig
 from .ingest import RawTrack, write_track_rows
-from .scenario import Scenario
+from .scenario import Scenario, write_document
 
 __all__ = [
     "SyntheticDataset", "corridor_scenario", "corner_scenario", "t_junction_scenario",
@@ -32,9 +32,13 @@ SPEED_RANGE = (1.0, 1.4)
 LANE_MARGIN = 0.35
 # walk this far past the departure line; clipping trims the outside samples
 OVERSHOOT = 0.6
-CORRIDOR_HALF_WIDTH = 2.0
+CORRIDOR_LENGTH, CORRIDOR_HALF_WIDTH = 10.0, 2.0
+# corner: both arms are 8 m long on their outer wall and 2.4 m wide
+CORNER_ARM, CORNER_WIDTH = 8.0, 2.4
 # T-junction: each arm is 6 m long, the stem 6 m; arms and stem are 2.4 m wide
 T_ARM, T_WIDTH, T_STEM = 6.0, 2.4, 6.0
+# walkers per set when a builder or `crowdtcn synth` is given no count
+N_TRAIN, N_TEST = 50, 12
 # the rays of every synthetic scenario; `crowdtcn synth` overrides them as a rays section
 RAYS = RayScanConfig(step_deg=18.0, exit_distance=20.0)
 
@@ -70,10 +74,10 @@ def _scenario(name, walls, entrances, exit_, polygon, area, width, heading) -> S
     )
 
 
-def corridor_scenario(*, length: float = 10.0) -> Scenario:
-    """Straight corridor: entrance at x=0, exit at x=length, walls at y=±2."""
-    hw = CORRIDOR_HALF_WIDTH
-    mid, half = length / 2.0, min(1.0, length / 4.0)
+def corridor_scenario() -> Scenario:
+    """Straight corridor: entrance at x=0, exit at x=10, walls at y=±2."""
+    length, hw = CORRIDOR_LENGTH, CORRIDOR_HALF_WIDTH
+    mid, half = length / 2.0, 1.0
     return _scenario(
         "synthetic-corridor",
         [((0.0, -hw), (length, -hw)), ((0.0, hw), (length, hw))],
@@ -85,11 +89,9 @@ def corridor_scenario(*, length: float = 10.0) -> Scenario:
     )
 
 
-def corner_scenario(*, arm_length: float = 8.0, width: float = 2.4) -> Scenario:
+def corner_scenario() -> Scenario:
     """Right-angle corner: walk east along the lower arm, turn north, exit at the top."""
-    a, b = arm_length, width
-    if b >= a:
-        raise ValueError("width must be smaller than arm_length")
+    a, b = CORNER_ARM, CORNER_WIDTH
     return _scenario(
         "synthetic-corner",
         [((0.0, 0.0), (a, 0.0)), ((a, 0.0), (a, a)),
@@ -150,35 +152,33 @@ def _dataset(scenario, seed, n_train, n_test, path_fn) -> SyntheticDataset:
 
 
 def corridor_dataset(
-    *, n_train: int = 50, n_test: int = 12, seed: int = 0, length: float = 10.0
+    *, n_train: int = N_TRAIN, n_test: int = N_TEST, seed: int = 0
 ) -> SyntheticDataset:
     """Lane walkers crossing a corridor at constant per-pedestrian speed."""
     hw = CORRIDOR_HALF_WIDTH
 
     def path(rng, _j):
         y = rng.uniform(-hw + LANE_MARGIN, hw - LANE_MARGIN)
-        return [(0.0, y), (length + OVERSHOOT, y)]
+        return [(0.0, y), (CORRIDOR_LENGTH + OVERSHOOT, y)]
 
-    return _dataset(corridor_scenario(length=length), seed, n_train, n_test, path)
+    return _dataset(corridor_scenario(), seed, n_train, n_test, path)
 
 
 def corner_dataset(
-    *, n_train: int = 40, n_test: int = 10, seed: int = 0, arm_length: float = 8.0,
-    width: float = 2.4,
+    *, n_train: int = N_TRAIN, n_test: int = N_TEST, seed: int = 0
 ) -> SyntheticDataset:
     """Walkers entering the lower arm, turning the corner, leaving at the top."""
 
     def path(rng, _j):
-        y = rng.uniform(LANE_MARGIN, width - LANE_MARGIN)
-        xt = rng.uniform(arm_length - width + LANE_MARGIN, arm_length - LANE_MARGIN)
-        return [(0.0, y), (xt, y), (xt, arm_length + OVERSHOOT)]
+        y = rng.uniform(LANE_MARGIN, CORNER_WIDTH - LANE_MARGIN)
+        xt = rng.uniform(CORNER_ARM - CORNER_WIDTH + LANE_MARGIN, CORNER_ARM - LANE_MARGIN)
+        return [(0.0, y), (xt, y), (xt, CORNER_ARM + OVERSHOOT)]
 
-    scenario = corner_scenario(arm_length=arm_length, width=width)
-    return _dataset(scenario, seed, n_train, n_test, path)
+    return _dataset(corner_scenario(), seed, n_train, n_test, path)
 
 
 def t_junction_dataset(
-    *, n_train: int = 40, n_test: int = 10, seed: int = 0
+    *, n_train: int = N_TRAIN, n_test: int = N_TEST, seed: int = 0
 ) -> SyntheticDataset:
     """Two opposing streams merging into the stem; walkers alternate sides."""
     sw = T_WIDTH / 2.0
@@ -208,7 +208,7 @@ def write_dataset(dataset: SyntheticDataset, out_dir) -> dict[str, Path]:
         "training": out / "train.txt",
         "testing": out / "test.txt",
     }
-    dataset.scenario.save(paths["scenario"])
+    write_document(paths["scenario"], dataset.scenario.to_dict())
     for key in ("training", "testing"):
         rows = ((tr.id, tr.frames.tolist(), tr.positions) for tr in getattr(dataset, key))
         write_track_rows(paths[key], "frame", rows)

@@ -90,7 +90,6 @@ __all__ = [
     "train",
     "save_model",
     "load_model",
-    "write_training_log",
 ]
 
 
@@ -752,13 +751,6 @@ def train(split, config: TrainConfig = TrainConfig(), arch: Architecture | None 
     return Model(arch=arch, params=best_params, stats=stats, meta=meta), log
 
 
-def write_training_log(path, log) -> None:
-    lines = ["iteration,train_loss,val_loss,wall_time_s"]
-    for it, tr, vl, wt in log:
-        lines.append(f"{it},{tr:.9g},{vl:.9g},{wt:.3f}")
-    Path(path).write_text("\n".join(lines) + "\n")
-
-
 MODEL_MAGIC = b"CTCN"
 MODEL_FORMAT = "crowdtcn-model"
 MODEL_VERSION = 2
@@ -805,6 +797,8 @@ def load_model(path) -> Model:
     version, head_len = struct.unpack("<II", raw[4:12])
     if version != MODEL_VERSION:
         raise ValueError(f"unsupported model format version {version}")
+    if 12 + head_len > len(raw):
+        raise ValueError(f"{path} is truncated: it ends inside its header")
     header = json.loads(raw[12 : 12 + head_len].decode("utf-8"))
     if not isinstance(header, dict):
         raise ValueError(f"{path} is not a model: its header is a JSON {type(header).__name__}")
@@ -822,10 +816,12 @@ def load_model(path) -> Model:
         for spec in header["tensors"]:
             dtype = np.dtype(spec["dtype"]).newbyteorder("<")
             count = int(np.prod(spec["shape"])) if spec["shape"] else 1
-            nbytes = count * dtype.itemsize
-            arr = np.frombuffer(raw[offset : offset + nbytes], dtype=dtype).reshape(spec["shape"])
+            end = offset + count * dtype.itemsize
+            if end > len(raw):
+                raise ValueError(f"{path} is truncated: it ends inside tensor {spec['name']!r}")
+            arr = np.frombuffer(raw[offset:end], dtype=dtype).reshape(spec["shape"])
             arr = arr.astype(dtype.newbyteorder("="))
-            offset += nbytes
+            offset = end
             kind, name = spec["name"].split(":", 1)
             if kind == "param":
                 params[name] = arr
@@ -850,4 +846,6 @@ def load_model(path) -> Model:
                 f"{path} is not a model: tensor {k!r} is {list(arr.shape)} "
                 f"in its header and {[arch.feature_dim]} in its arch"
             )
+    if offset != len(raw):
+        raise ValueError(f"{path} has {len(raw) - offset} trailing bytes after its last tensor")
     return Model(arch=arch, params=params, stats=stats, meta=header.get("meta", {}))

@@ -11,6 +11,12 @@ tmp=$1
 crowdtcn synth --out "$tmp/smoke"
 crowdtcn synth --geometry corner --out "$tmp/smoke-corner"
 crowdtcn synth --geometry t-junction --out "$tmp/smoke-t-junction"
+# the Python builder's defaults are the flags' defaults: one default corner set
+python -c 'import sys; from crowdtcn.synth import corner_dataset, write_dataset; write_dataset(corner_dataset(), sys.argv[1])' \
+  "$tmp/smoke-corner-api"
+for name in train.txt test.txt scenario.json; do
+  cmp "$tmp/smoke-corner/$name" "$tmp/smoke-corner-api/$name"
+done
 crowdtcn train -c "$tmp/smoke/run.json" --iterations 2
 crowdtcn simulate -c "$tmp/smoke/run.json" \
   --artifact "$tmp/smoke/out/model.bin"

@@ -8,6 +8,7 @@ through its argv interface exactly as the console script would.
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -257,8 +258,13 @@ def test_train_writes_artifact_and_log(trained_dir, capsys):
     text = (trained_dir / "out" / "training_log.csv").read_text()
     assert text.splitlines()[0] == "iteration,train_loss,val_loss,wall_time_s"
     # iteration 0 and the final iteration are always logged
-    iters = [int(line.split(",")[0]) for line in text.splitlines()[1:]]
+    rows = [line.split(",") for line in text.splitlines()[1:]]
+    iters = [int(row[0]) for row in rows]
     assert iters[0] == 0 and iters[-1] == 40
+    for _, train_loss, val_loss, wall_time in rows:
+        # losses at 9 significant digits, wall time in seconds to the millisecond
+        assert all(f"{float(v):.9g}" == v for v in (train_loss, val_loss))
+        assert re.fullmatch(r"\d+\.\d{3}", wall_time)
 
 
 def test_train_is_reproducible(dataset_dir, tmp_path):

@@ -1,16 +1,20 @@
 """Tests for the synthetic scenario and trajectory generators."""
 
 import hashlib
+import inspect
 
 import numpy as np
 import pytest
 
+from crowdtcn import cli
 from crowdtcn.cli import EXIT_OK, main
 from crowdtcn.geometry import point_in_polygon, polygon_area
 from crowdtcn.ingest import build_samples, load_trajectories, parse_trajectories
 from crowdtcn.scenario import Scenario, merge
 from crowdtcn.synth import (
     GEOMETRIES,
+    N_TEST,
+    N_TRAIN,
     _walk_polyline,
     corner_dataset,
     corner_scenario,
@@ -92,6 +96,17 @@ def test_dataset_bytes_are_pinned(tmp_path, name, extra, digests):
     assert got == digests
 
 
+def test_every_geometry_takes_the_same_walker_defaults():
+    # the Python builders and `crowdtcn synth` give one default dataset per geometry
+    keyword = inspect.Parameter.KEYWORD_ONLY
+    want = [("n_train", keyword, N_TRAIN), ("n_test", keyword, N_TEST), ("seed", keyword, 0)]
+    for build in GEOMETRIES.values():
+        params = inspect.signature(build).parameters.values()
+        assert [(p.name, p.kind, p.default) for p in params] == want
+    args = cli._build_parser().parse_args(["synth", "--out", "unused"])
+    assert (args.n_train, args.n_test) == (N_TRAIN, N_TEST)
+
+
 def test_walk_polyline_matches_loop():
     rng = np.random.default_rng(0)
     cases = [([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)], 1.0)]  # samples land on a bound
@@ -147,7 +162,7 @@ def test_corridor_walkers_keep_constant_speed():
 
 
 def test_corner_walkers_turn_into_upper_arm():
-    ds = corner_dataset(seed=2, n_train=6, n_test=2, arm_length=8.0, width=2.4)
+    ds = corner_dataset(seed=2, n_train=6, n_test=2)
     for raw in ds.training:
         assert raw.positions[0][0] == 0.0  # enters on the entrance line
         final = raw.positions[-1]
@@ -176,7 +191,7 @@ def test_entry_steps_are_staggered_and_aligned():
 
 
 def test_samples_build_from_synthetic_corridor(tmp_path):
-    ds = corridor_dataset(seed=9, n_train=6, n_test=2, length=8.0)
+    ds = corridor_dataset(seed=9, n_train=6, n_test=2)
     paths = write_dataset(ds, tmp_path / "d")
     trajs = load_trajectories(paths["training"], ds.scenario)
     samples = build_samples(trajs, ds.scenario.extractor(), w=8)

@@ -37,7 +37,6 @@ from crowdtcn.tcn import (
     save_model,
     train,
     weight_norm_backward,
-    write_training_log,
 )
 
 from oracles import conv_eq1, tcn_loss_and_grads
@@ -912,12 +911,29 @@ def test_artifact_rejects_garbage(tmp_path):
         load_model(bad)
 
 
-@pytest.mark.parametrize("size", [4, 8, 11])
+@pytest.mark.parametrize("size", [4, 8, 11, "in-header", "at-first-tensor", "in-tensor-data"])
 def test_artifact_shorter_than_its_preamble_is_rejected(tmp_path, size):
+    # an artifact cut anywhere past its preamble is refused too, not read as
+    # a bad header or as tensors of the wrong size
     path = tmp_path / "model.bin"
     save_model(path, _tiny_model())
-    path.write_bytes(path.read_bytes()[:size])
+    raw = path.read_bytes()
+    (head_len,) = struct.unpack("<I", raw[8:12])
+    cuts = {
+        "in-header": 12 + head_len // 2,
+        "at-first-tensor": 12 + head_len,
+        "in-tensor-data": len(raw) - 5,
+    }
+    path.write_bytes(raw[: cuts.get(size, size)])
     with pytest.raises(ValueError, match="truncated"):
+        load_model(path)
+
+
+def test_artifact_with_trailing_bytes_is_rejected(tmp_path):
+    path = tmp_path / "model.bin"
+    save_model(path, _tiny_model())
+    path.write_bytes(path.read_bytes() + b"\x00" * 4)
+    with pytest.raises(ValueError, match="4 trailing bytes"):
         load_model(path)
 
 
@@ -941,12 +957,3 @@ def test_predict_single_window_shape():
     assert out.shape == (2,)
     batch = model.predict(x[None])
     np.testing.assert_array_equal(batch[0], out)
-
-
-def test_training_log_file(tmp_path):
-    path = tmp_path / "log.csv"
-    write_training_log(path, [(0, 1.5, 2.0, 0.1), (50, 1.0, 1.2, 3.0)])
-    lines = path.read_text().splitlines()
-    assert lines[0] == "iteration,train_loss,val_loss,wall_time_s"
-    assert lines[1].startswith("0,1.5,2,")
-    assert len(lines) == 3
