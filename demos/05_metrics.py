@@ -28,21 +28,12 @@ simulation = {}
 for track in dataset.testing:
     stride = round(scenario.frame_rate * scenario.dt)
     pos = track.positions[::stride]
-    vel = np.diff(pos, axis=0) / scenario.dt
     enter = int(track.frames[0] // stride)
-    experiment[track.id] = Trajectory(
-        id=track.id, enter_step=enter, positions=pos, velocities=vel, dt=scenario.dt
-    )
+    experiment[track.id] = Trajectory(track.id, enter, pos, scenario.dt)
     # imperfect twin: drop every 8th step (faster) and drift 6 cm sideways
     keep = [k for k in range(len(pos)) if k % 8 != 7]
     spos = pos[keep] + np.array([0.0, 0.06])
-    simulation[track.id] = Trajectory(
-        id=track.id,
-        enter_step=enter,
-        positions=spos,
-        velocities=np.diff(spos, axis=0) / scenario.dt,
-        dt=scenario.dt,
-    )
+    simulation[track.id] = Trajectory(track.id, enter, spos, scenario.dt)
 
 pair = TrajectoryPair(experiment, simulation)
 ete, pete = ete_pete(pair)  # the step comes from the trajectories' own dt

@@ -10,13 +10,8 @@ a row it cannot read) is read by the loop, which names the line of an error.
 Both give the same tracks. Tracks are resampled to the model time step dt
 after optional Savitzky-Golay smoothing of the raw positions, keeping the
 frames on the global grid of multiples of stride = frame_rate * dt from the
-first one observed, whose step is frame // stride. Velocities are backward
-differences:
-
-    v[t] = (p[t] - p[t-1]) / dt
-
-so a trajectory with n positions carries n - 1 velocities, and velocity index
-k is the velocity of arrival at position index k + 1.
+first one observed, whose step is frame // stride. A Trajectory is its
+resampled positions; its velocities are their backward differences.
 
 Training samples hold each pedestrian's feature frames once, as rows of one
 (M, F) frame table; a window is a row of an (N, w) index array into it, so
@@ -28,7 +23,7 @@ from __future__ import annotations
 import io
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -94,32 +89,24 @@ class RawTrack:
 
 @dataclass
 class Trajectory:
-    """Resampled track at fixed step dt.
+    """Resampled track at fixed step dt, given by its positions alone.
 
-    enter_step is the global time-step index of the first position; velocities
-    satisfy positions[k] + dt * velocities[k] = positions[k + 1].
+    enter_step is the global time-step index of the first position.
+    velocities is derived: velocity k = (positions[k + 1] - positions[k]) / dt,
+    the arrival velocity at position k + 1.
     """
 
     id: int
     enter_step: int
-    positions: np.ndarray  # (n, 2)
-    velocities: np.ndarray  # (n - 1, 2)
+    positions: np.ndarray  # (n, 2), n >= 1
     dt: float
+    velocities: np.ndarray = field(init=False)  # (n - 1, 2)
 
     def __post_init__(self):
         self.positions = np.asarray(self.positions, dtype=float)
-        self.velocities = np.asarray(self.velocities, dtype=float).reshape(-1, 2)
-        if len(self.velocities) != len(self.positions) - 1:
-            raise ValueError("need exactly one velocity per position transition")
-        recon = self.positions[:-1] + self.dt * self.velocities
-        if len(recon) and np.abs(recon - self.positions[1:]).max() > 1e-9:
-            raise ValueError("velocities do not reconstruct positions within 1e-9")
-
-    @classmethod
-    def from_positions(cls, id: int, enter_step: int, positions, dt: float) -> "Trajectory":
-        """The track whose velocities are the backward differences of its positions."""
-        positions = np.asarray(positions, dtype=float)
-        return cls(id, enter_step, positions, np.diff(positions, axis=0) / dt, dt)
+        if len(self.positions) == 0:
+            raise ValueError("a trajectory needs at least one position")
+        self.velocities = np.diff(self.positions, axis=0) / self.dt
 
     @property
     def n_steps(self) -> int:
@@ -348,7 +335,7 @@ def resample(
             f"pedestrian {track.id} observed for {len(picks)} resampled steps, need >= 2"
         )
     enter_step = int(frames[picks[0]]) // stride
-    return Trajectory.from_positions(track.id, enter_step, positions[picks], dt)
+    return Trajectory(track.id, enter_step, positions[picks], dt)
 
 
 def load_trajectories(path, scenario) -> dict[int, Trajectory]:
@@ -383,7 +370,7 @@ def load_step_trajectories(path, dt: float) -> dict[int, Trajectory]:
     for ped, track in parse_trajectories(path).items():
         if len(track.frames) > 1 and (np.diff(track.frames) != 1).any():
             raise NonMonotonicFrames(f"pedestrian {ped} has step gaps")
-        out[ped] = Trajectory.from_positions(ped, int(track.frames[0]), track.positions, dt)
+        out[ped] = Trajectory(ped, int(track.frames[0]), track.positions, dt)
     return out
 
 

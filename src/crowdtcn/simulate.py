@@ -329,7 +329,7 @@ def run(scenario: Scenario, seeds, model, config: SimConfig = SimConfig()) -> Si
         "step_cap_exceeded": not world.finished,
     }
     trajectories = [
-        Trajectory.from_positions(st.ped_id, st.enter_step, st.positions, scenario.dt)
+        Trajectory(st.ped_id, st.enter_step, st.positions, scenario.dt)
         for st in world.peds
     ]
     report["wall_time_s"] = time.monotonic() - t_start

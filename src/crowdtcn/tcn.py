@@ -160,6 +160,7 @@ def weight_norm_backward(d_kernel: np.ndarray, v: np.ndarray, g: np.ndarray):
     """Gradients through W = g * v / ||v||: returns (d_g, d_v), with
     d_g = <d_kernel, v> / ||v|| and d_v = (g / ||v||) * (d_kernel - d_g * v / ||v||).
     """
+    d_kernel = np.ascontiguousarray(d_kernel)  # callers may pass a transposed view
     norms = _norms_per_channel(v)
     shape = (-1,) + (1,) * (v.ndim - 1)
     scale = g / norms
@@ -810,6 +811,16 @@ def load_model(path) -> Model:
             raise ValueError(f"{path} is not a model: its 'arch' is not an object: {a!r}")
         a.update(channels=tuple(a["channels"]), dilations=tuple(a["dilations"]))
         arch = Architecture(**a)
+        known = {f"param:{k}" for k in param_shapes(arch)} | {"stats:mean", "stats:std"}
+        seen: dict[str, str] = {}  # each entry's dtype, and under "param" the first param's
+        for name, dtype, shape in ((t["name"], t["dtype"], t["shape"]) for t in header["tensors"]):
+            if name not in known or name in seen:  # checked before any tensor is read
+                raise ValueError(f"{path} is not a model: tensor {name!r} is unknown or repeated")
+            first = seen.setdefault("param", dtype) if name.startswith("param:") else dtype
+            sizes = isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)
+            if dtype not in ("float32", "float64") or dtype != first or not sizes:
+                raise ValueError(f"{path} is not a model: tensor {name!r} is {dtype} {shape}")
+            seen[name] = dtype
         offset = 12 + head_len
         params: dict[str, np.ndarray] = {}
         stats_arrays: dict[str, np.ndarray] = {}

@@ -370,8 +370,7 @@ def test_criterion_3_geometry_matches_brute_force_oracles():
 
 def _line(pid, enter, start, step_vec, n_pts, dt=0.5):
     pos = np.asarray(start, dtype=float) + np.arange(n_pts)[:, None] * np.asarray(step_vec, dtype=float)
-    vel = np.diff(pos, axis=0) / dt
-    return Trajectory(id=pid, enter_step=enter, positions=pos, velocities=vel, dt=dt)
+    return Trajectory(id=pid, enter_step=enter, positions=pos, dt=dt)
 
 
 def test_criterion_4_metric_identities():
@@ -381,8 +380,7 @@ def test_criterion_4_metric_identities():
     for pid in range(1, 4):
         start = rng.uniform(0, 4, 2)
         pos = np.vstack([start, start + np.cumsum(rng.uniform(-0.4, 0.4, (14, 2)), axis=0)])
-        vel = np.diff(pos, axis=0) / 0.5
-        expt[pid] = Trajectory(id=pid, enter_step=pid, positions=pos, velocities=vel, dt=0.5)
+        expt[pid] = Trajectory(id=pid, enter_step=pid, positions=pos, dt=0.5)
     ident = TrajectoryPair(expt, expt)
     ete0, pete0 = ete_pete(ident)
     tte0, ptte0 = tte_ptte(ident)
@@ -432,10 +430,7 @@ def test_criterion_4_metric_identities():
         pos = np.vstack([start, start + np.cumsum(rng.uniform(-0.3, 0.3, (40, 2)), axis=0)])
         pos[:, 0] = np.clip(pos[:, 0], 0.4, 9.6)
         pos[:, 1] = np.clip(pos[:, 1], 0.4, 5.6)
-        vel = np.diff(pos, axis=0) / 0.5
-        crowd[pid] = Trajectory(
-            id=pid, enter_step=int(rng.integers(0, 4)), positions=pos, velocities=vel, dt=0.5
-        )
+        crowd[pid] = Trajectory(id=pid, enter_step=int(rng.integers(0, 4)), positions=pos, dt=0.5)
     series = profiles(crowd, walkable, area, width=width, label="identity")
     assert len(series) >= 20
     worst = 0.0

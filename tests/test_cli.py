@@ -835,30 +835,53 @@ def _without(header, name):
     return {**header, "tensors": [t for t in header["tensors"] if t["name"] != name]}
 
 
-def _reshaped(header, name, shape):
-    tensors = [{**t, "shape": shape} if t["name"] == name else t for t in header["tensors"]]
+def _edited(header, tensor, **fields):
+    tensors = [{**t, **fields} if t["name"] == tensor else t for t in header["tensors"]]
     return {**header, "tensors": tensors}
 
 
+def _added(header, entry):
+    return {**header, "tensors": [*header["tensors"], entry]}
+
+
+def _out_b(header):
+    return next(t for t in header["tensors"] if t["name"] == "param:out_b")
+
+
 @pytest.mark.parametrize(
-    "change, named",
+    "change, pad, named",
     [
-        (lambda h: [h], "list"),
-        (lambda h: {**h, "arch": 5}, "'arch'"),
-        (lambda h: _without(h, "param:b0c1_b"), "'b0c1_b'"),
-        (lambda h: _reshaped(h, "param:out_b", [1, 2]), "'out_b'"),
-        (lambda h: _reshaped(h, "stats:mean", [2, 52]), "'stats:mean'"),
+        (lambda h: [h], 0, "list"),
+        (lambda h: {**h, "arch": 5}, 0, "'arch'"),
+        (lambda h: _without(h, "param:b0c1_b"), 0, "'b0c1_b'"),
+        (lambda h: _edited(h, "param:out_b", shape=[1, 2]), 0, "'out_b'"),
+        (lambda h: _edited(h, "stats:mean", shape=[2, 52]), 0, "'stats:mean'"),
+        (lambda h: _edited(h, "param:out_b", dtype="int32"), 0, "'param:out_b' is int32 [2]"),
+        (lambda h: _added(h, {**_out_b(h), "name": "junk:x"}), 8, "'junk:x' is unknown"),
+        (lambda h: _added(h, {**_out_b(h), "name": "stats:extra"}), 8, "'stats:extra' is unknown"),
+        (lambda h: _added(h, _out_b(h)), 8, "'param:out_b' is unknown or repeated"),
+        (lambda h: _edited(h, "param:out_b", name="out_b"), 0, "'out_b' is unknown"),
+        (lambda h: _edited(h, "param:out_b", dtype="object"), 0, "'param:out_b' is object [2]"),
+        (lambda h: _edited(h, "param:out_b", dtype="float16"), 0, "'param:out_b' is float16 [2]"),
+        (lambda h: _edited(h, "param:out_b", shape=[2, -1]), 0, "'param:out_b' is float32 [2, -1]"),
     ],
-    ids=["list", "arch", "missing", "shape", "stats"],
+    ids=[
+        "list", "arch", "missing", "shape", "stats", "int32", "junk", "stats-extra", "repeated",
+        "no-colon", "object", "float16", "negative",
+    ],
 )
 def test_artifact_that_is_not_a_model_of_its_arch_is_exit_2(
-    trained_dir, tmp_path, capsys, change, named
+    trained_dir, tmp_path, capsys, change, pad, named
 ):
     # a header that is a list, an arch that is a number, a parameter left out,
-    # and a parameter or the (104,) feature means declared with the wrong shape
-    # (the same element count)
+    # a parameter or the (104,) feature means declared with the wrong shape
+    # (the same element count); a float32 bias declared int32; an entry
+    # that is not a tensor of the arch, or a repeated one, whose pad bytes are
+    # appended; a name without a kind; a dtype of object or float16; and a
+    # negative size
+    raw = _with_header((trained_dir / "out" / "model.bin").read_bytes(), change)
     bad = tmp_path / "bad.bin"
-    bad.write_bytes(_with_header((trained_dir / "out" / "model.bin").read_bytes(), change))
+    bad.write_bytes(raw + b"\x00" * pad)
     argv = ["simulate", "-c", str(trained_dir / "micro.json"), "--artifact", str(bad)]
     assert main(argv + ["--output-dir", str(tmp_path / "out")]) == EXIT_CONFIG
     err = capsys.readouterr().err

@@ -29,13 +29,7 @@ def straight(pid, enter, start, velocity, n):
     start = np.asarray(start, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
     positions = np.array([start + k * DT * velocity for k in range(n)])
-    return Trajectory(
-        id=pid,
-        enter_step=enter,
-        positions=positions,
-        velocities=np.tile(velocity, (max(n - 1, 0), 1)),
-        dt=DT,
-    )
+    return Trajectory(id=pid, enter_step=enter, positions=positions, dt=DT)
 
 
 def test_identity_pair_is_all_zeros():
@@ -117,16 +111,16 @@ def test_tde_matches_double_loop_oracle():
         n_s = int(rng.integers(1, 30))
         pe = rng.normal(size=(n_e, 2)) * 5
         ps = rng.normal(size=(n_s, 2)) * 5
-        expt = {1: Trajectory(1, 0, pe, np.diff(pe, axis=0) / DT, DT)}
-        sim = {1: Trajectory(1, 0, ps, np.diff(ps, axis=0) / DT, DT)}
+        expt = {1: Trajectory(1, 0, pe, DT)}
+        sim = {1: Trajectory(1, 0, ps, DT)}
         got = tde(TrajectoryPair(expt, sim)).values[1]
         want = tde_double_loop(pe, ps)
         assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_tde_single_points():
-    expt = {1: Trajectory(1, 0, np.array([[0.0, 0.0]]), np.zeros((0, 2)), DT)}
-    sim = {1: Trajectory(1, 0, np.array([[3.0, 4.0]]), np.zeros((0, 2)), DT)}
+    expt = {1: Trajectory(1, 0, np.array([[0.0, 0.0]]), DT)}
+    sim = {1: Trajectory(1, 0, np.array([[3.0, 4.0]]), DT)}
     assert tde(TrajectoryPair(expt, sim)).values[1] == pytest.approx(5.0, abs=0)
 
 
@@ -143,24 +137,22 @@ def test_tde_rigid_invariance():
 
 
 def tde_pair(pe, ps):
-    expt = {1: Trajectory(1, 0, pe, np.diff(pe, axis=0) / DT, DT)}
-    sim = {1: Trajectory(1, 0, ps, np.diff(ps, axis=0) / DT, DT)}
+    expt = {1: Trajectory(1, 0, pe, DT)}
+    sim = {1: Trajectory(1, 0, ps, DT)}
     return tde(TrajectoryPair(expt, sim)).values[1]
 
 
 def test_fde_hand_and_batch():
-    expt = {
-        1: Trajectory(1, 0, np.array([[1.0, 1.0], [0.0, 0.0]]), np.array([[-2.0, -2.0]]), DT)
-    }
-    sim = {1: Trajectory(1, 0, np.array([[1.0, 1.0], [3.0, 4.0]]), np.array([[4.0, 6.0]]), DT)}
+    expt = {1: Trajectory(1, 0, np.array([[1.0, 1.0], [0.0, 0.0]]), DT)}
+    sim = {1: Trajectory(1, 0, np.array([[1.0, 1.0], [3.0, 4.0]]), DT)}
     assert fde(TrajectoryPair(expt, sim)).values[1] == pytest.approx(5.0, abs=0)
     rng = np.random.default_rng(3)
     expt_set, sim_set = {}, {}
     for pid in range(10):
         pe = rng.normal(size=(4, 2))
         ps = rng.normal(size=(6, 2))
-        expt_set[pid] = Trajectory(pid, 0, pe, np.diff(pe, axis=0) / DT, DT)
-        sim_set[pid] = Trajectory(pid, 0, ps, np.diff(ps, axis=0) / DT, DT)
+        expt_set[pid] = Trajectory(pid, 0, pe, DT)
+        sim_set[pid] = Trajectory(pid, 0, ps, DT)
     table = fde(TrajectoryPair(expt_set, sim_set))
     for pid in range(10):
         want = float(np.hypot(*(expt_set[pid].positions[-1] - sim_set[pid].positions[-1])))
@@ -182,7 +174,7 @@ def test_pair_step_comes_from_the_trajectories():
     a = straight(1, 0, (0.0, 0.0), (0.1, 0.0), 5)
     assert TrajectoryPair({1: a}, {1: a}).dt == DT
     p = a.positions
-    b = Trajectory(1, 0, p, np.diff(p, axis=0) / 0.25, 0.25)
+    b = Trajectory(1, 0, p, 0.25)
     mixed = TrajectoryPair({1: a}, {1: b})
     for metric in (ete_pete, tte_ptte):
         with pytest.raises(ValueError, match=r"experiment dt \[0.5\] and simulation dt \[0.25\]"):
@@ -261,7 +253,7 @@ def test_voronoi_self_crossing_walkable_rejected():
     with pytest.raises(SelfIntersecting):
         voronoi_measures([[2.0, 5.0], [8.0, 5.0]], [1.0, 1.0], bowtie, SQUARE, 10.0)
     # profiles checks the region once, before its per-step loop
-    tr = Trajectory(1, 0, np.array([[2.0, 5.0], [2.0, 5.0]]), np.zeros((1, 2)), DT)
+    tr = Trajectory(1, 0, np.array([[2.0, 5.0], [2.0, 5.0]]), DT)
     with pytest.raises(SelfIntersecting):
         profiles([tr], bowtie, SQUARE, width=10.0)
 
@@ -325,9 +317,7 @@ def test_voronoi_monte_carlo_oracle():
 
 def test_profiles_static_crowd():
     pts = np.array([[2.0, 2.0], [5.0, 5.0], [8.0, 3.0]])
-    trs = [
-        Trajectory(i, 0, np.tile(p, (5, 1)), np.zeros((4, 2)), DT) for i, p in enumerate(pts)
-    ]
+    trs = [Trajectory(i, 0, np.tile(p, (5, 1)), DT) for i, p in enumerate(pts)]
     series = profiles(trs, SQUARE, SQUARE, width=10.0, label="static")
     # step 0 has no arrival velocities; steps 1..4 are constant
     assert list(series.steps) == [1, 2, 3, 4]
@@ -393,7 +383,7 @@ def test_profiles_equal_voronoi_measures_at_every_step():
     for pid in range(30):
         n = int(rng.integers(2, 12))
         walk = rng.uniform(-0.5, 10.5, 2) + np.cumsum(rng.normal(0.0, 0.4, (n, 2)), axis=0)
-        trs.append(Trajectory.from_positions(pid, int(rng.integers(0, 15)), walk, DT))
+        trs.append(Trajectory(pid, int(rng.integers(0, 15)), walk, DT))
     m = np.array([[2.0, 2.0], [8.0, 2.0], [8.0, 8.0], [2.0, 8.0]])
     series = profiles(trs, SQUARE, m, width=6.0)
     want = []

@@ -277,6 +277,18 @@ class TestResample:
         assert np.abs(recon - traj.positions[1:]).max() < 1e-9
 
 
+def test_trajectory_is_its_positions():
+    # the velocities are derived from the positions, bit for bit, and never given
+    positions = np.cumsum(np.random.default_rng(6).normal(size=(7, 2)), axis=0)
+    traj = Trajectory(3, 5, positions, 0.4)
+    np.testing.assert_array_equal(traj.velocities, np.diff(positions, axis=0) / 0.4)
+    assert Trajectory(3, 5, positions[:1], 0.4).velocities.shape == (0, 2)
+    with pytest.raises(ValueError):
+        Trajectory(3, 5, np.empty((0, 2)), 0.4)
+    with pytest.raises(TypeError):
+        Trajectory(id=3, enter_step=5, positions=positions, velocities=traj.velocities, dt=0.4)
+
+
 class TestSmooth:
     def test_cubic_reproduced(self):
         t = np.arange(20.0)
@@ -358,8 +370,7 @@ class DummyExtractor:
 def straight_trajectory(ped, enter, n_velocities, speed=1.0, dt=0.5):
     xs = np.arange(n_velocities + 1) * speed * dt
     positions = np.column_stack([xs, np.zeros_like(xs)])
-    velocities = np.diff(positions, axis=0) / dt
-    return Trajectory(id=ped, enter_step=enter, positions=positions, velocities=velocities, dt=dt)
+    return Trajectory(id=ped, enter_step=enter, positions=positions, dt=dt)
 
 
 class TestBuildSamples:
@@ -391,7 +402,7 @@ class TestBuildSamples:
         xs = np.array([0.25 * k * k for k in range(12)])
         positions = np.column_stack([xs, np.zeros_like(xs)])
         velocities = np.diff(positions, axis=0) / dt
-        traj = Trajectory(id=1, enter_step=0, positions=positions, velocities=velocities, dt=dt)
+        traj = Trajectory(id=1, enter_step=0, positions=positions, dt=dt)
         samples = build_samples({1: traj}, DummyExtractor(), w=8)
         assert len(samples) == 3
         for window, target, step in zip(samples.windows, samples.targets, samples.steps):
@@ -407,7 +418,7 @@ class TestBuildSamples:
         trajs = load_trajectories(write_dataset(dataset, tmp_path)["training"], sc)
         # the same walkers cut to w velocities each give no window
         cut = {
-            pid: Trajectory.from_positions(pid, tr.enter_step, tr.positions[:9], tr.dt)
+            pid: Trajectory(pid, tr.enter_step, tr.positions[:9], tr.dt)
             for pid, tr in trajs.items()
         }
         for subset in (trajs, cut):
@@ -506,7 +517,7 @@ class TestFramesAt:
         walkers, ex = self.scene()
         # Trajectory does not hash, so this path must not look tracks up
         tracks = [
-            Trajectory(i, w.enter_step, w.positions, w.velocities, 0.5)
+            Trajectory(i, w.enter_step, w.positions, 0.5)
             for i, w in enumerate(walkers)
         ]
         with pytest.raises(TypeError):

@@ -80,8 +80,7 @@ def make_seed(pid, enter, start, velocity, n):
     start = np.asarray(start, dtype=float)
     velocity = np.asarray(velocity, dtype=float)
     positions = np.array([start + k * DT * velocity for k in range(n)])
-    velocities = np.tile(velocity, (n - 1, 1))
-    return Trajectory(id=pid, enter_step=enter, positions=positions, velocities=velocities, dt=DT)
+    return Trajectory(id=pid, enter_step=enter, positions=positions, dt=DT)
 
 
 CFG = SimConfig()
